@@ -11,7 +11,7 @@
 
 use crate::AffectError;
 use dsp::{
-    pitch_autocorrelation, rms, spectral_magnitude, zero_crossing_rate, Frames, MfccExtractor,
+    rms, spectral_magnitude, zero_crossing_rate, DspError, Frames, MfccExtractor, PitchEstimator,
 };
 use nn::Tensor;
 
@@ -51,9 +51,10 @@ impl Default for FeatureConfig {
 }
 
 /// Feature extractor built from a [`FeatureConfig`]. Extraction borrows
-/// the pipeline mutably because the MFCC front end reuses an internal
-/// scratch arena (FFT buffer, mel energies, cepstra) across frames —
-/// steady-state extraction does not touch the allocator for MFCC work.
+/// the pipeline mutably because the MFCC front end and the pitch search
+/// reuse internal scratch arenas (FFT buffer, mel energies, cepstra;
+/// squared samples, lag correlations) across frames — steady-state
+/// extraction does not touch the allocator for MFCC or pitch work.
 ///
 /// # Example
 ///
@@ -74,6 +75,9 @@ pub struct FeaturePipeline {
     config: FeatureConfig,
     mfcc: MfccExtractor,
     mfcc_out: Vec<f32>,
+    /// `None` when a frame is too short to hold the pitch range's longest
+    /// lag: every frame's pitch is then the unvoiced value 0.
+    pitch: Option<PitchEstimator>,
 }
 
 /// Number of non-MFCC scalar features per frame: ZCR, RMS, pitch, spectral
@@ -87,7 +91,9 @@ impl FeaturePipeline {
     ///
     /// Returns [`AffectError::InvalidParameter`] for a zero hop and
     /// propagates MFCC-extractor validation errors (non-power-of-two frame,
-    /// bad filterbank sizing).
+    /// bad filterbank sizing) and pitch-range validation errors (an empty
+    /// or non-positive range). A range whose longest lag does not fit in a
+    /// frame is not an error: pitch then reads 0 (unvoiced) on every frame.
     pub fn new(config: FeatureConfig) -> Result<Self, AffectError> {
         if config.hop == 0 {
             return Err(AffectError::InvalidParameter {
@@ -101,10 +107,19 @@ impl FeaturePipeline {
             config.n_mels,
             config.n_mfcc,
         )?;
+        let (min_hz, max_hz) = config.pitch_range;
+        let pitch = match PitchEstimator::new(config.sample_rate, config.frame_len, min_hz, max_hz)
+        {
+            Ok(estimator) => Some(estimator),
+            // The frame cannot hold the range's longest lag.
+            Err(DspError::InvalidParameter { name: "frame", .. }) => None,
+            Err(e) => return Err(e.into()),
+        };
         Ok(Self {
             config,
             mfcc,
             mfcc_out: Vec::new(),
+            pitch,
         })
     }
 
@@ -158,13 +173,11 @@ impl FeaturePipeline {
             data.push(zero_crossing_rate(frame)?);
             data.push(rms(frame)?);
             // Pitch normalized to [0, 1] over the search range; 0 = unvoiced.
-            let pitch = match pitch_autocorrelation(frame, self.config.sample_rate, min_hz, max_hz)
-            {
-                Ok(Some(f0)) => (f0 - min_hz) / (max_hz - min_hz),
-                Ok(None) => 0.0,
-                Err(_) => 0.0, // frame shorter than the pitch range needs
+            let f0 = match &mut self.pitch {
+                Some(estimator) => estimator.estimate(frame)?,
+                None => None,
             };
-            data.push(pitch);
+            data.push(f0.map_or(0.0, |f0| (f0 - min_hz) / (max_hz - min_hz)));
             let spec = spectral_magnitude(frame, self.config.sample_rate)?;
             data.push(spec.mean);
             data.push(spec.peak);
@@ -388,6 +401,38 @@ mod tests {
         // All frames agree for a stationary tone.
         for t in 1..seq.shape()[0] {
             assert!((seq.data()[t * fpf + pitch_idx] - pitch).abs() < 0.05);
+        }
+    }
+
+    #[test]
+    fn frames_too_short_for_the_pitch_range_read_unvoiced() {
+        // 128 samples at 16 kHz cannot hold the 267-sample lag of 60 Hz.
+        let mut p = FeaturePipeline::new(FeatureConfig {
+            frame_len: 128,
+            hop: 64,
+            ..FeatureConfig::default()
+        })
+        .unwrap();
+        let seq = p.extract_sequence(&tone(250.0, 1024)).unwrap();
+        let fpf = p.features_per_frame();
+        let pitch_idx = 13 + 2;
+        assert_eq!(seq.shape()[0], p.frames_for(1024));
+        for t in 0..seq.shape()[0] {
+            assert_eq!(seq.data()[t * fpf + pitch_idx], 0.0, "frame {t}");
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_pitch_range() {
+        for pitch_range in [(500.0, 100.0), (0.0, 500.0), (60.0, 60.0)] {
+            let cfg = FeatureConfig {
+                pitch_range,
+                ..FeatureConfig::default()
+            };
+            assert!(
+                matches!(FeaturePipeline::new(cfg), Err(AffectError::Dsp(_))),
+                "{pitch_range:?}"
+            );
         }
     }
 

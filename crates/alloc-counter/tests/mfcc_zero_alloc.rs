@@ -1,12 +1,13 @@
-//! Proves `MfccExtractor::extract_into` performs zero steady-state heap
-//! allocations: after one warm-up call sizes every internal scratch
-//! buffer, repeated extraction never touches the allocator again.
+//! Proves `MfccExtractor::extract_into` and `PitchEstimator::estimate`
+//! perform zero steady-state heap allocations: after one warm-up call sizes
+//! every internal scratch buffer, repeated extraction never touches the
+//! allocator again.
 //!
 //! Runs without the libtest harness (`harness = false`): the allocator
 //! counters are process-global, so the measurement must own the process.
 
 use alloc_counter::{count_allocations, CountingAllocator};
-use dsp::MfccExtractor;
+use dsp::{MfccExtractor, PitchEstimator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -32,5 +33,30 @@ fn main() {
     );
     assert_eq!(delta.bytes_allocated, 0);
     assert_eq!(out, warm, "steady-state output drifted");
+
+    // The runtime's pitch search: 512-sample frames, 16 kHz, 60–500 Hz.
+    let mut pitch = PitchEstimator::new(16_000.0, 512, 60.0, 500.0).unwrap();
+    let voiced: Vec<f32> = (0..512).map(|i| (i as f32 * 0.08).sin()).collect();
+    let warm_f0 = pitch.estimate(&voiced).unwrap();
+    assert!(
+        warm_f0.is_some(),
+        "the probe frame must exercise the lag search"
+    );
+    let mut f0 = None;
+    let (delta, ()) = count_allocations(|| {
+        for _ in 0..100 {
+            f0 = pitch.estimate(&voiced).unwrap();
+        }
+    });
+    assert_eq!(
+        delta.allocations, 0,
+        "PitchEstimator::estimate allocated in steady state: {delta:?}"
+    );
+    assert_eq!(delta.bytes_allocated, 0);
+    assert_eq!(
+        f0.map(f32::to_bits),
+        warm_f0.map(f32::to_bits),
+        "steady-state pitch drifted"
+    );
     println!("mfcc_zero_alloc: ok");
 }

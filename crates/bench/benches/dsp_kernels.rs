@@ -2,7 +2,7 @@
 //! wearable/phone does for every classification).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dsp::{pitch_autocorrelation, rfft_magnitude, MfccExtractor};
+use dsp::{pitch_autocorrelation, rfft_magnitude, MfccExtractor, PitchEstimator};
 use std::hint::black_box;
 
 fn tone(hz: f32, n: usize, sample_rate: f32) -> Vec<f32> {
@@ -34,6 +34,13 @@ fn bench_pitch(c: &mut Criterion) {
     let frame = tone(180.0, 800, 8_000.0);
     c.bench_function("pitch_autocorrelation_800", |b| {
         b.iter(|| pitch_autocorrelation(black_box(&frame), 8_000.0, 60.0, 500.0).unwrap());
+    });
+    // The runtime's shape: 512-sample frames at 16 kHz over 60–500 Hz
+    // (236 lags), searched by the warm estimator the feature pipeline keeps.
+    let mut estimator = PitchEstimator::new(16_000.0, 512, 60.0, 500.0).unwrap();
+    let frame = tone(180.0, 512, 16_000.0);
+    c.bench_function("pitch_estimator_512_16k", |b| {
+        b.iter(|| estimator.estimate(black_box(&frame)).unwrap());
     });
 }
 

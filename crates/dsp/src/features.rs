@@ -66,6 +66,10 @@ pub fn rms(signal: &[f32]) -> Result<f32, DspError> {
 /// whose normalized autocorrelation is maximal, or `None` when the frame is
 /// aperiodic (peak below an internal voicing threshold of 0.3) or silent.
 ///
+/// Builds a one-shot [`PitchEstimator`] for `frame.len()`; a caller that
+/// estimates many frames of one length should keep an estimator instead,
+/// which returns bit-for-bit the same result without allocating.
+///
 /// # Errors
 ///
 /// Returns [`DspError::InvalidParameter`] when the frequency range is empty
@@ -91,64 +95,222 @@ pub fn pitch_autocorrelation(
     min_hz: f32,
     max_hz: f32,
 ) -> Result<Option<f32>, DspError> {
-    if !(sample_rate > 0.0) {
-        return Err(DspError::InvalidParameter {
-            name: "sample_rate",
-            reason: "must be positive",
-        });
-    }
-    if !(min_hz > 0.0) || max_hz <= min_hz {
-        return Err(DspError::InvalidParameter {
-            name: "min_hz/max_hz",
-            reason: "need 0 < min_hz < max_hz",
-        });
-    }
-    let min_lag = (sample_rate / max_hz).floor() as usize;
-    let max_lag = (sample_rate / min_hz).ceil() as usize;
-    if min_lag == 0 || max_lag >= frame.len() {
-        return Err(DspError::InvalidParameter {
-            name: "frame",
-            reason: "frame too short for the requested pitch range",
-        });
-    }
+    PitchEstimator::new(sample_rate, frame.len(), min_hz, max_hz)?.estimate(frame)
+}
 
-    let energy: f32 = frame.iter().map(|x| x * x).sum();
-    if energy < 1e-12 {
-        return Ok(None); // silence
-    }
+/// Consecutive lags whose correlations the search accumulates together, one
+/// accumulator lane per lag. On the SSE2 baseline the 16 `num` and 16 `e1`
+/// lanes fill eight 4-wide registers: enough independent add chains to hide
+/// the add latency, and few enough to leave the 16 XMM registers room for
+/// the loads without spilling.
+const LAG_BLOCK: usize = 16;
 
-    let mut corrs = Vec::with_capacity(max_lag - min_lag + 1);
-    let mut best_corr = 0.0f32;
-    for lag in min_lag..=max_lag {
-        let n = frame.len() - lag;
-        let mut num = 0.0f32;
-        let mut e0 = 0.0f32;
-        let mut e1 = 0.0f32;
-        for i in 0..n {
-            num += frame[i] * frame[i + lag];
-            e0 += frame[i] * frame[i];
-            e1 += frame[i + lag] * frame[i + lag];
+/// Normalized-autocorrelation pitch estimator for frames of one length: the
+/// engine behind [`pitch_autocorrelation`].
+///
+/// The lag bounds are validated once, at construction, and the estimator
+/// owns its scratch (squared samples, their running sum, one correlation
+/// per lag), so [`PitchEstimator::estimate`] performs **zero heap
+/// allocations**.
+///
+/// Every correlation is bit-for-bit the one a serial per-lag loop computes
+/// (`num`, `e0` and `e1` each summed in f32 in sample order). `e0` is read
+/// off the running sum of squares, which performs exactly those additions,
+/// and `num`/`e1` are accumulated for 16 consecutive lags at once, each lag
+/// in its own lane and in sample order — the vector units work across
+/// lags, never inside one sum.
+///
+/// # Example
+///
+/// ```
+/// use dsp::{pitch_autocorrelation, PitchEstimator};
+/// # fn main() -> Result<(), dsp::DspError> {
+/// let sr = 16_000.0;
+/// let frame: Vec<f32> = (0..512)
+///     .map(|i| (2.0 * std::f32::consts::PI * 220.0 * i as f32 / sr).sin())
+///     .collect();
+/// let mut pitch = PitchEstimator::new(sr, 512, 60.0, 500.0)?;
+/// let f0 = pitch.estimate(&frame)?.expect("voiced");
+/// assert!((f0 - 220.0).abs() < 10.0);
+/// assert_eq!(Some(f0), pitch_autocorrelation(&frame, sr, 60.0, 500.0)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct PitchEstimator {
+    sample_rate: f32,
+    min_lag: usize,
+    /// `squares[i] = frame[i] * frame[i]`.
+    squares: Vec<f32>,
+    /// `prefix[k]`: the f32 sum of `squares[..k]` in index order, which is
+    /// `e0` of the lag `frame_len - k`.
+    prefix: Vec<f32>,
+    /// Normalized correlation of each searched lag, `min_lag` first.
+    corrs: Vec<f32>,
+}
+
+impl PitchEstimator {
+    /// Creates an estimator for frames of `frame_len` samples at
+    /// `sample_rate`, searching fundamentals in `min_hz..=max_hz`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] for a non-positive
+    /// `sample_rate` (`name: "sample_rate"`), an empty or non-positive
+    /// frequency range (`"min_hz/max_hz"`), or a range whose lags a frame
+    /// of `frame_len` samples cannot hold (`"frame"`) — the errors
+    /// [`pitch_autocorrelation`] returns, in the same order.
+    pub fn new(
+        sample_rate: f32,
+        frame_len: usize,
+        min_hz: f32,
+        max_hz: f32,
+    ) -> Result<Self, DspError> {
+        if !(sample_rate > 0.0) {
+            return Err(DspError::InvalidParameter {
+                name: "sample_rate",
+                reason: "must be positive",
+            });
         }
-        let denom = (e0 * e1).sqrt();
-        let corr = if denom > 1e-12 { num / denom } else { 0.0 };
-        corrs.push(corr);
-        best_corr = best_corr.max(corr);
+        if !(min_hz > 0.0) || max_hz <= min_hz {
+            return Err(DspError::InvalidParameter {
+                name: "min_hz/max_hz",
+                reason: "need 0 < min_hz < max_hz",
+            });
+        }
+        let min_lag = (sample_rate / max_hz).floor() as usize;
+        let max_lag = (sample_rate / min_hz).ceil() as usize;
+        if min_lag == 0 || max_lag >= frame_len {
+            return Err(DspError::InvalidParameter {
+                name: "frame",
+                reason: "frame too short for the requested pitch range",
+            });
+        }
+        Ok(Self {
+            sample_rate,
+            min_lag,
+            squares: vec![0.0; frame_len],
+            prefix: vec![0.0; frame_len + 1],
+            corrs: vec![0.0; max_lag - min_lag + 1],
+        })
     }
 
-    const VOICING_THRESHOLD: f32 = 0.3;
-    if best_corr < VOICING_THRESHOLD {
-        return Ok(None);
+    /// Estimates the fundamental of one frame: `Some(hz)`, or `None` when
+    /// the frame is silent or aperiodic (see [`pitch_autocorrelation`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::LengthMismatch`] when the frame length differs
+    /// from the one the estimator was built for.
+    pub fn estimate(&mut self, frame: &[f32]) -> Result<Option<f32>, DspError> {
+        let Self {
+            sample_rate,
+            min_lag,
+            squares,
+            prefix,
+            corrs,
+        } = self;
+        if frame.len() != squares.len() {
+            return Err(DspError::LengthMismatch {
+                expected: squares.len(),
+                actual: frame.len(),
+            });
+        }
+
+        let mut energy = 0.0f32;
+        for ((&x, sq), sum) in frame.iter().zip(squares.iter_mut()).zip(&mut prefix[1..]) {
+            *sq = x * x;
+            energy += *sq;
+            *sum = energy;
+        }
+        if energy < 1e-12 {
+            return Ok(None); // silence
+        }
+
+        let blocked = corrs.len() - corrs.len() % LAG_BLOCK;
+        for (b, out) in corrs[..blocked].chunks_exact_mut(LAG_BLOCK).enumerate() {
+            let out: &mut [f32; LAG_BLOCK] = out.try_into().expect("chunk of LAG_BLOCK");
+            lag_block_corrs(frame, squares, prefix, *min_lag + b * LAG_BLOCK, out);
+        }
+        for (k, corr) in corrs.iter_mut().enumerate().skip(blocked) {
+            *corr = lag_corr(frame, squares, prefix, *min_lag + k);
+        }
+        let best_corr = corrs.iter().fold(0.0f32, |best, &c| best.max(c));
+
+        const VOICING_THRESHOLD: f32 = 0.3;
+        if best_corr < VOICING_THRESHOLD {
+            return Ok(None);
+        }
+        // Sub-octave correction: a lag of 2×, 3×… the true period correlates
+        // just as well, so take the *smallest* lag whose correlation is
+        // within a small tolerance of the peak.
+        const OCTAVE_TOLERANCE: f32 = 0.02;
+        let lag = corrs
+            .iter()
+            .position(|&c| c >= best_corr - OCTAVE_TOLERANCE)
+            .map(|i| i + *min_lag)
+            .unwrap_or(*min_lag);
+        Ok(Some(*sample_rate / lag as f32))
     }
-    // Sub-octave correction: a lag of 2×, 3×… the true period correlates
-    // just as well, so take the *smallest* lag whose correlation is within a
-    // small tolerance of the peak.
-    const OCTAVE_TOLERANCE: f32 = 0.02;
-    let lag = corrs
-        .iter()
-        .position(|&c| c >= best_corr - OCTAVE_TOLERANCE)
-        .map(|i| i + min_lag)
-        .unwrap_or(min_lag);
-    Ok(Some(sample_rate / lag as f32))
+}
+
+/// Normalized correlation from the three sums of one lag.
+fn normalized(num: f32, e0: f32, e1: f32) -> f32 {
+    let denom = (e0 * e1).sqrt();
+    if denom > 1e-12 {
+        num / denom
+    } else {
+        0.0
+    }
+}
+
+/// Correlation of a single `lag` (`lag < frame.len()`), summed serially.
+fn lag_corr(frame: &[f32], squares: &[f32], prefix: &[f32], lag: usize) -> f32 {
+    let n = frame.len() - lag;
+    let mut num = 0.0f32;
+    let mut e1 = 0.0f32;
+    for ((&x, &y), &y2) in frame[..n].iter().zip(&frame[lag..]).zip(&squares[lag..]) {
+        num += x * y;
+        e1 += y2;
+    }
+    normalized(num, prefix[n], e1)
+}
+
+/// Correlations of the lags `lag0..lag0 + LAG_BLOCK` (the last one below
+/// `frame.len()`) into `out`, lane `j` holding lag `lag0 + j`.
+///
+/// Every lane adds its terms in sample order, as [`lag_corr`] does: the
+/// samples all lanes share run through the lane-parallel loop, then each
+/// lane finishes its own ragged tail serially.
+fn lag_block_corrs(
+    frame: &[f32],
+    squares: &[f32],
+    prefix: &[f32],
+    lag0: usize,
+    out: &mut [f32; LAG_BLOCK],
+) {
+    let len = frame.len();
+    // Sample count of the block's longest lag: every lane has these terms.
+    let shared = len - (lag0 + LAG_BLOCK - 1);
+    let mut num = [0.0f32; LAG_BLOCK];
+    let mut e1 = [0.0f32; LAG_BLOCK];
+    let ahead = frame[lag0..].windows(LAG_BLOCK);
+    let ahead_sq = squares[lag0..].windows(LAG_BLOCK);
+    for ((&x, y), y2) in frame[..shared].iter().zip(ahead).zip(ahead_sq) {
+        for j in 0..LAG_BLOCK {
+            num[j] += x * y[j];
+            e1[j] += y2[j];
+        }
+    }
+    for (j, corr) in out.iter_mut().enumerate() {
+        let lag = lag0 + j;
+        let n = len - lag;
+        for i in shared..n {
+            num[j] += frame[i] * frame[i + lag];
+            e1[j] += squares[i + lag];
+        }
+        *corr = normalized(num[j], prefix[n], e1[j]);
+    }
 }
 
 /// Summary statistics of the magnitude spectrum: `(mean, peak, centroid_hz)`.

@@ -42,7 +42,9 @@ pub mod stats;
 pub mod window;
 
 pub use error::DspError;
-pub use features::{pitch_autocorrelation, rms, spectral_magnitude, zero_crossing_rate};
+pub use features::{
+    pitch_autocorrelation, rms, spectral_magnitude, zero_crossing_rate, PitchEstimator,
+};
 pub use fft::{fft_inplace, ifft_inplace, rfft_magnitude, Complex, FftPlan};
 pub use frame::Frames;
 pub use mel::{hz_to_mel, mel_to_hz, MelFilterBank, MfccExtractor};
