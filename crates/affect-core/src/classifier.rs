@@ -72,28 +72,37 @@ impl ClassifierKind {
         }
     }
 
+    /// The runtime's degradation ladder, cheapest rung first
+    /// (HDC < MLP < CNN < LSTM). Every ordering of the families — fallback
+    /// and upgrade, per-family counters, floor and ceiling checks — derives
+    /// from this one array.
+    pub const LADDER: [ClassifierKind; 4] = [
+        ClassifierKind::Hdc,
+        ClassifierKind::Mlp,
+        ClassifierKind::Cnn,
+        ClassifierKind::Lstm,
+    ];
+
+    /// This family's position on [`ClassifierKind::LADDER`] (0 = cheapest).
+    pub fn rung(self) -> usize {
+        Self::LADDER
+            .iter()
+            .position(|&kind| kind == self)
+            .expect("every family is on the ladder")
+    }
+
     /// The next-cheaper family on the accuracy/latency frontier
     /// (LSTM → CNN → MLP → HDC), or `None` when already at the cheapest.
     /// The real-time runtime walks this ladder under sustained deadline
     /// misses.
     pub fn fallback(self) -> Option<ClassifierKind> {
-        match self {
-            ClassifierKind::Lstm => Some(ClassifierKind::Cnn),
-            ClassifierKind::Cnn => Some(ClassifierKind::Mlp),
-            ClassifierKind::Mlp => Some(ClassifierKind::Hdc),
-            ClassifierKind::Hdc => None,
-        }
+        self.rung().checked_sub(1).map(|rung| Self::LADDER[rung])
     }
 
     /// The next-richer family (HDC → MLP → CNN → LSTM), or `None` at the
     /// top. Inverse of [`ClassifierKind::fallback`].
     pub fn upgrade(self) -> Option<ClassifierKind> {
-        match self {
-            ClassifierKind::Hdc => Some(ClassifierKind::Mlp),
-            ClassifierKind::Mlp => Some(ClassifierKind::Cnn),
-            ClassifierKind::Cnn => Some(ClassifierKind::Lstm),
-            ClassifierKind::Lstm => None,
-        }
+        Self::LADDER.get(self.rung() + 1).copied()
     }
 }
 
@@ -824,12 +833,16 @@ mod tests {
     #[test]
     fn upgrade_is_inverse_of_fallback() {
         for kind in ClassifierKind::ALL {
+            assert_eq!(ClassifierKind::LADDER[kind.rung()], kind);
             if let Some(down) = kind.fallback() {
                 assert_eq!(down.upgrade(), Some(kind));
             }
             if let Some(up) = kind.upgrade() {
                 assert_eq!(up.fallback(), Some(kind));
             }
+        }
+        for pair in ClassifierKind::LADDER.windows(2) {
+            assert!(pair[0].rung() < pair[1].rung(), "{pair:?}");
         }
     }
 

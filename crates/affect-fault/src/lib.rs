@@ -7,7 +7,7 @@
 //! SplitMix64-style hash: no RNG state to share between threads, no
 //! dependence on scheduling order. Two runs with the same seed inject
 //! exactly the same faults, regardless of how the runtime's worker threads
-//! interleave; combined with `affect-rt`'s `VirtualClock`, a whole chaos
+//! interleave; combined with `affect-obs`'s `VirtualClock`, a whole chaos
 //! run is bit-reproducible.
 //!
 //! The pieces:

@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use affect_core::pipeline::FeatureConfig;
 use affect_fault::{FaultPlan, MemPressurePlan, RtFaultHook};
+use affect_obs::VirtualClock;
 use affect_rt::{
     silence_injected_panics, CollectActuator, FaultHook, MemReport, RuntimeBuilder, RuntimeConfig,
-    RuntimeReport, SessionId, SupervisionConfig, VirtualClock,
+    RuntimeReport, SessionId, SupervisionConfig,
 };
 
 const BUDGET: u64 = 1 << 30; // roomy: real charges stay inside Green's slack

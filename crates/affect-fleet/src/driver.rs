@@ -17,7 +17,7 @@
 //!   stamps come from the shared [`VirtualClock`]) measures queueing
 //!   delay in ticks. This is how the bench builds its p99-vs-load curve.
 
-use affect_rt::VirtualClock;
+use affect_obs::VirtualClock;
 
 use crate::fleet::{Fleet, SubmitOutcome};
 use crate::qos::PerTier;

@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use affect_core::AffectError;
-use affect_obs::MetricsRegistry;
+use affect_obs::{Clock, MetricsRegistry};
 use affect_rt::{
-    Actuator, Clock, FaultHook, MemoryBudget, PressureBand, Runtime, RuntimeBuilder, RuntimeConfig,
+    Actuator, FaultHook, MemoryBudget, PressureBand, Runtime, RuntimeBuilder, RuntimeConfig,
     RuntimeReport, SessionId,
 };
 
@@ -203,8 +203,11 @@ impl FleetBuilder {
             *self.rejected.get_mut(tier) += 1;
             return None;
         }
-        let local =
-            self.builders[shard.index()].add_session_with_family(actuator, tier.initial_family());
+        let local = self.builders[shard.index()].add_session_with_precision(
+            actuator,
+            tier.initial_family(),
+            self.config.runtime.precision,
+        );
         let id = FleetSessionId {
             global: self.sessions.len(),
             shard,
@@ -498,7 +501,8 @@ impl Fleet {
 
 #[cfg(test)]
 mod tests {
-    use affect_rt::{CollectActuator, OverflowPolicy, StageConfig, VirtualClock};
+    use affect_obs::VirtualClock;
+    use affect_rt::{CollectActuator, OverflowPolicy, StageConfig};
 
     use super::*;
 

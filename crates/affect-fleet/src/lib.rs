@@ -39,7 +39,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use affect_fleet::{FleetBuilder, FleetConfig, QosTier};
-//! use affect_rt::{CollectActuator, VirtualClock};
+//! use affect_obs::VirtualClock;
+//! use affect_rt::CollectActuator;
 //!
 //! # fn main() -> Result<(), affect_core::AffectError> {
 //! let mut config = FleetConfig {

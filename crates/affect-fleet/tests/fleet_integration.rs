@@ -10,9 +10,9 @@ use affect_fleet::{
     drive_lockstep, AdmissionConfig, Fleet, FleetBuilder, FleetConfig, FleetReport, LoadPlan,
     QosTier,
 };
+use affect_obs::VirtualClock;
 use affect_rt::{
-    silence_injected_panics, CollectActuator, FaultHook, OverflowPolicy, RuntimeConfig,
-    StageConfig, VirtualClock,
+    silence_injected_panics, CollectActuator, FaultHook, OverflowPolicy, RuntimeConfig, StageConfig,
 };
 
 fn small_runtime_config() -> RuntimeConfig {

@@ -6,10 +6,11 @@
 //! not microseconds, and the `alloc-counter` zero-allocation proofs keep
 //! holding with instrumentation enabled.
 //!
-//! The [`Histogram`] generalizes the log2-bucketed latency histogram that
-//! `affect-rt`'s statistics introduced: one atomic per power-of-two bucket,
-//! so a reported quantile is the upper bound of its bucket (within 2× of
-//! the true value) — plenty for deadline triage and distribution shape.
+//! The [`Histogram`] keeps one atomic per power-of-two bucket, so a
+//! reported quantile is the upper bound of its bucket (within 2× of the
+//! true value) — plenty for deadline triage and distribution shape. Its
+//! plain copy, [`HistogramSnapshot`], merges exactly and is what
+//! `affect-rt`'s reports carry per session.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -158,35 +159,16 @@ impl Histogram {
     /// The value at quantile `q` in `[0, 1]`, as the upper bound of the
     /// containing bucket; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Self::bucket_upper_bound(i);
-            }
-        }
-        self.max()
+        self.snapshot().quantile(q)
     }
 
     /// Snapshot of count, mean, p50/p95/p99 and max.
     pub fn summary(&self) -> LatencySummary {
-        let count = self.count();
-        LatencySummary {
-            count,
-            mean_ns: self.sum().checked_div(count).unwrap_or(0),
-            p50_ns: self.quantile(0.50),
-            p95_ns: self.quantile(0.95),
-            p99_ns: self.quantile(0.99),
-            max_ns: self.max(),
-        }
+        self.snapshot().summary()
     }
 
-    /// Copies the buckets and totals out for exposition.
+    /// Copies the buckets and totals out into a plain, mergeable
+    /// [`HistogramSnapshot`].
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
@@ -197,8 +179,10 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]'s buckets and totals.
-#[derive(Debug, Clone)]
+/// A point-in-time, plain (non-atomic) copy of a [`Histogram`]'s buckets
+/// and totals. Reports carry it so distributions can be merged across
+/// sessions, shards and whole runtimes without losing bucket resolution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (bucket `i` covers `[2^i, 2^(i+1) - 1]`).
     pub buckets: [u64; BUCKETS],
@@ -210,10 +194,62 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        Self {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
     /// Index of the highest non-empty bucket, or `None` when empty.
     pub fn highest_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&b| b > 0)
+    }
+
+    /// Adds every bucket of `other` into `self`. Bucket-wise addition is
+    /// exact: merging two snapshots gives the snapshot of the combined
+    /// sample set, so merge order never matters.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// The value at quantile `q` in `[0, 1]`, as the upper bound of the
+    /// containing bucket; 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            seen += bucket;
+            if seen >= rank {
+                return Histogram::bucket_upper_bound(i);
+            }
+        }
+        self.max
+    }
+
+    /// Count, mean, p50/p95/p99 and max of the snapshot.
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            count: self.count,
+            mean_ns: self.sum.checked_div(self.count).unwrap_or(0),
+            p50_ns: self.quantile(0.50),
+            p95_ns: self.quantile(0.95),
+            p99_ns: self.quantile(0.99),
+            max_ns: self.max,
+        }
     }
 }
 
@@ -301,6 +337,27 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.summary(), LatencySummary::default());
         assert!(h.snapshot().highest_bucket().is_none());
+    }
+
+    #[test]
+    fn latency_histogram_merges_exactly() {
+        let a = Histogram::new();
+        let b = Histogram::new();
+        let both = Histogram::new();
+        for v in [3u64, 900, 1_048_576] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [17u64, 17, 2_000_000_000] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot(), "merge == snapshot of the union");
+        assert_eq!(merged.summary(), both.summary());
+        assert_eq!(merged.summary().count, 6);
+        assert_eq!(merged.max, 2_000_000_000);
     }
 
     #[test]

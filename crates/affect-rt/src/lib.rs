@@ -76,7 +76,6 @@
 #![warn(missing_docs)]
 
 pub mod actuator;
-pub mod clock;
 pub mod fault;
 pub mod mem;
 pub mod ring;
@@ -85,7 +84,6 @@ pub mod stats;
 pub mod wire;
 
 pub use actuator::{Actuator, AppActuator, CollectActuator, NullActuator, VideoActuator};
-pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fault::{silence_injected_panics, FaultAction, FaultHook, InjectedPanic, Stage};
 pub use mem::{MemConsumer, MemReport, MemoryBudget, PressureBand};
 pub use ring::{OverflowPolicy, PushOutcome, Ring, RingMetrics, RingStats};
@@ -93,8 +91,5 @@ pub use runtime::{
     Runtime, RuntimeBuilder, RuntimeConfig, SessionId, ShutdownOutcome, StageConfig,
     SupervisionConfig, WatchdogConfig,
 };
-pub use stats::{
-    ClassifyReport, FaultReport, LatencyHistogram, LatencySummary, RuntimeReport, SessionReport,
-    StageReport,
-};
+pub use stats::{ClassifyReport, FaultReport, RuntimeReport, SessionReport, StageReport};
 pub use wire::{WireConfig, WireReport, WireSession};

@@ -61,17 +61,14 @@ use affect_core::emotion::Emotion;
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use affect_core::policy::PolicyTable;
 use affect_core::AffectError;
-use affect_obs::{Counter as ObsCounter, Histogram as ObsHistogram, MetricsRegistry, Span};
+use affect_obs::{Clock, Counter as ObsCounter, Histogram, MetricsRegistry, Span, SystemClock};
 use nn::{Precision, Scratch, Tensor};
 
 use crate::actuator::Actuator;
-use crate::clock::{Clock, SystemClock};
 use crate::fault::{FaultAction, FaultHook, InjectedPanic, Stage};
 use crate::mem::{MemConsumer, MemReport, MemoryBudget, PressureBand};
 use crate::ring::{OverflowPolicy, PushOutcome, Ring, RingMetrics};
-use crate::stats::{
-    ClassifyReport, FaultReport, Histogram, RuntimeReport, SessionReport, StageReport,
-};
+use crate::stats::{ClassifyReport, FaultReport, RuntimeReport, SessionReport, StageReport};
 
 /// Handle to one session registered with the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -374,7 +371,7 @@ impl RuntimeConfig {
                 .find(|(_, acc)| *acc >= min)
                 .map(|(kind, _)| *kind)
                 .unwrap_or(ClassifierKind::Lstm);
-            if family_code(by_accuracy) > family_code(floor) {
+            if by_accuracy.rung() > floor.rung() {
                 floor = by_accuracy;
             }
         }
@@ -382,34 +379,13 @@ impl RuntimeConfig {
     }
 }
 
-/// Ladder position of a family, cheapest first: the codes order exactly as
-/// the degradation ladder (HDC < MLP < CNN < LSTM), so floor/ceiling checks
-/// are plain integer comparisons.
-fn family_code(kind: ClassifierKind) -> u8 {
-    match kind {
-        ClassifierKind::Hdc => 0,
-        ClassifierKind::Mlp => 1,
-        ClassifierKind::Cnn => 2,
-        ClassifierKind::Lstm => 3,
-    }
-}
-
-fn family_from_code(code: u8) -> ClassifierKind {
-    match code {
-        0 => ClassifierKind::Hdc,
-        1 => ClassifierKind::Mlp,
-        2 => ClassifierKind::Cnn,
-        _ => ClassifierKind::Lstm,
-    }
-}
-
 /// Classifier-pool key for a window: family plus precision, with the HDC
 /// rung normalized to a single (integer-only) instance so f32 and int8
 /// sessions share it.
-fn pool_key(family: ClassifierKind, precision: Precision) -> (u8, Precision) {
+fn pool_key(family: ClassifierKind, precision: Precision) -> (ClassifierKind, Precision) {
     match family {
-        ClassifierKind::Hdc => (family_code(family), Precision::Int8),
-        _ => (family_code(family), precision),
+        ClassifierKind::Hdc => (family, Precision::Int8),
+        _ => (family, precision),
     }
 }
 
@@ -444,14 +420,15 @@ struct SessionState {
     misses: AtomicU64,
     degradations: AtomicU64,
     recoveries: AtomicU64,
+    /// Rung of the family in force, on [`ClassifierKind::LADDER`].
     family: AtomicU8,
     /// Richest family this session may recover to (its QoS ceiling): the
     /// per-session initial family, frozen at registration.
-    ceiling: u8,
+    ceiling: ClassifierKind,
     /// Cheapest family degradation or the circuit breaker may drop this
     /// session to, frozen at registration: the runtime's effective floor,
     /// clamped to the session's ceiling.
-    floor: u8,
+    floor: ClassifierKind,
     /// Inference precision for this session's neural windows, frozen at
     /// registration.
     precision: Precision,
@@ -480,9 +457,9 @@ impl SessionState {
             misses: AtomicU64::new(0),
             degradations: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
-            family: AtomicU8::new(family_code(initial_family)),
-            ceiling: family_code(initial_family),
-            floor: family_code(floor).min(family_code(initial_family)),
+            family: AtomicU8::new(initial_family.rung() as u8),
+            ceiling: initial_family,
+            floor: std::cmp::min_by_key(floor, initial_family, |kind| kind.rung()),
             precision,
             interval: AtomicU32::new(1),
             latency: Histogram::new(),
@@ -493,7 +470,11 @@ impl SessionState {
     }
 
     fn family(&self) -> ClassifierKind {
-        family_from_code(self.family.load(Ordering::SeqCst))
+        ClassifierKind::LADDER[usize::from(self.family.load(Ordering::SeqCst))]
+    }
+
+    fn set_family(&self, family: ClassifierKind) {
+        self.family.store(family.rung() as u8, Ordering::SeqCst);
     }
 
     fn accounted(&self) -> bool {
@@ -540,7 +521,8 @@ struct ClassifyCounters {
     max_batch: AtomicU64,
     scratch_allocs: AtomicU64,
     scratch_reuses: AtomicU64,
-    /// Completed classify windows per family, indexed by [`family_code`].
+    /// Completed classify windows per family, indexed by
+    /// [`ClassifierKind::rung`].
     family_windows: [AtomicU64; 4],
 }
 
@@ -565,20 +547,21 @@ struct RtMetrics {
     /// Clock the stage spans time against (same source as latency
     /// accounting, so virtual-clock tests see deterministic spans).
     clock: Arc<dyn Clock>,
-    feature_latency: Arc<ObsHistogram>,
-    classify_latency: Arc<ObsHistogram>,
-    control_latency: Arc<ObsHistogram>,
-    actuate_latency: Arc<ObsHistogram>,
-    e2e_latency: Arc<ObsHistogram>,
+    feature_latency: Arc<Histogram>,
+    classify_latency: Arc<Histogram>,
+    control_latency: Arc<Histogram>,
+    actuate_latency: Arc<Histogram>,
+    e2e_latency: Arc<Histogram>,
     submitted: Arc<ObsCounter>,
     processed: Arc<ObsCounter>,
     dropped: Arc<ObsCounter>,
     misses: Arc<ObsCounter>,
     degradations: Arc<ObsCounter>,
     recoveries: Arc<ObsCounter>,
-    batch_size: Arc<ObsHistogram>,
-    /// Per-family classify completions, indexed by [`family_code`] (one
-    /// labelled series per rung of the degradation ladder).
+    batch_size: Arc<Histogram>,
+    /// Per-family classify completions, indexed by
+    /// [`ClassifierKind::rung`] (one labelled series per rung of the
+    /// degradation ladder).
     classify_family: [Arc<ObsCounter>; 4],
     /// Classify windows that ran the quantized int8 path (neural families
     /// at [`Precision::Int8`] plus every integer-only HDC window).
@@ -650,21 +633,13 @@ impl RtMetrics {
                 "windows drained per classify-worker wakeup",
                 &[],
             ),
-            classify_family: {
-                let family = |kind: ClassifierKind| {
-                    registry.counter(
-                        "affect_rt_classify_family_total",
-                        "classify windows completed, per classifier family",
-                        &[("family", kind.name())],
-                    )
-                };
-                [
-                    family(ClassifierKind::Hdc),
-                    family(ClassifierKind::Mlp),
-                    family(ClassifierKind::Cnn),
-                    family(ClassifierKind::Lstm),
-                ]
-            },
+            classify_family: ClassifierKind::LADDER.map(|kind| {
+                registry.counter(
+                    "affect_rt_classify_family_total",
+                    "classify windows completed, per classifier family",
+                    &[("family", kind.name())],
+                )
+            }),
             int8_windows: registry.counter(
                 "affect_rt_classify_int8_windows_total",
                 "classify windows that ran the quantized int8 inference path",
@@ -707,7 +682,7 @@ impl RtMetrics {
             ),
             breaker_trips: registry.counter(
                 "affect_rt_breaker_trips_total",
-                "classify circuit-breaker trips (session forced to MLP)",
+                "classify circuit-breaker trips (session pinned to its floor family)",
                 &[],
             ),
             breaker_closes: registry.counter(
@@ -861,13 +836,9 @@ pub struct ShutdownOutcome {
 pub struct RuntimeBuilder {
     config: RuntimeConfig,
     clock: Arc<dyn Clock>,
-    actuators: Vec<Box<dyn Actuator>>,
-    /// Per-session initial-family overrides (None = the config default).
-    /// A fleet's QoS tiers use this to pin each tier to its rung of the
-    /// degradation ladder.
-    families: Vec<Option<ClassifierKind>>,
-    /// Per-session precision overrides (None = the config default).
-    precisions: Vec<Option<Precision>>,
+    /// One entry per session, in registration order: its actuator, family
+    /// ceiling and inference precision.
+    sessions: Vec<(Box<dyn Actuator>, ClassifierKind, Precision)>,
     registry: Option<Arc<MetricsRegistry>>,
     fault_hook: Option<Arc<dyn FaultHook>>,
     memory_budget: Option<Arc<MemoryBudget>>,
@@ -885,9 +856,7 @@ impl RuntimeBuilder {
         Ok(Self {
             config,
             clock: Arc::new(SystemClock::new()),
-            actuators: Vec::new(),
-            families: Vec::new(),
-            precisions: Vec::new(),
+            sessions: Vec::new(),
             registry: None,
             fault_hook: None,
             memory_budget: None,
@@ -914,7 +883,7 @@ impl RuntimeBuilder {
     }
 
     /// Substitutes the time source (tests use a
-    /// [`crate::clock::VirtualClock`]).
+    /// [`affect_obs::VirtualClock`]).
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -933,32 +902,18 @@ impl RuntimeBuilder {
 
     /// Registers a session with its actuation endpoint; returns the handle
     /// used to submit windows. The session starts at (and recovers up to)
-    /// the configured [`RuntimeConfig::initial_family`].
+    /// the configured [`RuntimeConfig::initial_family`] and runs at
+    /// [`RuntimeConfig::precision`].
     pub fn add_session(&mut self, actuator: Box<dyn Actuator>) -> SessionId {
-        self.actuators.push(actuator);
-        self.families.push(None);
-        self.precisions.push(None);
-        SessionId(self.actuators.len() - 1)
+        self.add_session_with_precision(actuator, self.config.initial_family, self.config.precision)
     }
 
     /// Registers a session whose classifier family starts at — and never
-    /// recovers past — `family`, overriding the runtime-wide default. This
-    /// is the per-session QoS knob: a best-effort session pinned at MLP
-    /// stays near the bottom of the degradation ladder for its whole life,
-    /// while a critical one keeps the full LSTM → CNN → MLP → HDC range.
-    pub fn add_session_with_family(
-        &mut self,
-        actuator: Box<dyn Actuator>,
-        family: ClassifierKind,
-    ) -> SessionId {
-        self.actuators.push(actuator);
-        self.families.push(Some(family));
-        self.precisions.push(None);
-        SessionId(self.actuators.len() - 1)
-    }
-
-    /// Registers a session with both a family ceiling and its own inference
-    /// precision, overriding [`RuntimeConfig::precision`]. An
+    /// recovers past — `family`, running its neural windows at
+    /// `precision`; both override the runtime-wide defaults. The family is
+    /// the per-session QoS knob: a best-effort session pinned at MLP stays
+    /// near the bottom of the degradation ladder for its whole life, while
+    /// a critical one keeps the full LSTM → CNN → MLP → HDC range. An
     /// [`Precision::Int8`] session runs its neural windows through the
     /// quantized int8 kernels while f32 sessions sharing the same workers
     /// stay bit-exact — the per-session memory/accuracy knob of the paper's
@@ -969,10 +924,8 @@ impl RuntimeBuilder {
         family: ClassifierKind,
         precision: Precision,
     ) -> SessionId {
-        self.actuators.push(actuator);
-        self.families.push(Some(family));
-        self.precisions.push(Some(precision));
-        SessionId(self.actuators.len() - 1)
+        self.sessions.push((actuator, family, precision));
+        SessionId(self.sessions.len() - 1)
     }
 
     /// Spawns the worker threads and returns the live runtime.
@@ -984,7 +937,7 @@ impl RuntimeBuilder {
     /// models are trial-built here so failures surface on the caller's
     /// thread, not inside a worker).
     pub fn start(self) -> Result<Runtime, AffectError> {
-        if self.actuators.is_empty() {
+        if self.sessions.is_empty() {
             return Err(AffectError::InvalidParameter {
                 name: "sessions",
                 reason: "add_session must be called at least once",
@@ -992,26 +945,23 @@ impl RuntimeBuilder {
         }
         let config = self.config;
         let pipeline = FeaturePipeline::new(config.feature.clone())?;
+        let models = config.model_configs(&pipeline);
+        let flat_dim = pipeline.flat_dim();
         let labels: Vec<String> = Emotion::ALL.iter().map(|e| e.name().to_string()).collect();
-        for model in config.model_configs(&pipeline) {
-            AffectClassifier::from_config(&model, labels.clone(), config.model_seed)?;
+        for model in &models {
+            AffectClassifier::from_config(model, labels.clone(), config.model_seed)?;
         }
-        AffectClassifier::hdc(pipeline.flat_dim(), labels.clone(), config.model_seed)?;
+        AffectClassifier::hdc(flat_dim, labels.clone(), config.model_seed)?;
 
         let floor = config.effective_floor();
-        let sessions: Arc<Vec<SessionState>> = Arc::new(
-            self.families
-                .iter()
-                .zip(&self.precisions)
-                .map(|(family, precision)| {
-                    SessionState::new(
-                        family.unwrap_or(config.initial_family),
-                        floor,
-                        precision.unwrap_or(config.precision),
-                    )
-                })
-                .collect(),
-        );
+        let (actuators, sessions): (Vec<Box<dyn Actuator>>, Vec<SessionState>) = self
+            .sessions
+            .into_iter()
+            .map(|(actuator, family, precision)| {
+                (actuator, SessionState::new(family, floor, precision))
+            })
+            .unzip();
+        let sessions = Arc::new(sessions);
         // Int8 pool entries are only built when some session can use them.
         let need_int8 = sessions.iter().any(|s| s.precision == Precision::Int8);
         let progress = Arc::new(Progress::new());
@@ -1023,7 +973,7 @@ impl RuntimeBuilder {
             .map(|r| Arc::new(RtMetrics::register(r, Arc::clone(&self.clock))));
         if let Some(r) = &self.registry {
             r.gauge("affect_rt_sessions", "registered sessions", &[])
-                .set(self.actuators.len() as i64);
+                .set(sessions.len() as i64);
         }
         let mem: Arc<MemoryBudget> = match self.memory_budget {
             Some(budget) => budget,
@@ -1068,8 +1018,7 @@ impl RuntimeBuilder {
             * (std::mem::size_of::<IngestMsg>()
                 + config.window_samples * std::mem::size_of::<f32>())
             + config.classify.capacity
-                * (std::mem::size_of::<ClassifyMsg>()
-                    + pipeline.flat_dim() * std::mem::size_of::<f32>())
+                * (std::mem::size_of::<ClassifyMsg>() + flat_dim * std::mem::size_of::<f32>())
             + config.control.capacity * std::mem::size_of::<ControlMsg>()
             + config.actuate_capacity * std::mem::size_of::<ActuateMsg>())
             as u64;
@@ -1199,8 +1148,7 @@ impl RuntimeBuilder {
             let progress = Arc::clone(&progress);
             let counters = Arc::clone(&classify_counters);
             let metrics = metrics.clone();
-            let feature = config.feature.clone();
-            let window_samples = config.window_samples;
+            let models = models.clone();
             let batch_limit = config.classify_batch;
             let seed = config.model_seed;
             let labels = labels.clone();
@@ -1214,45 +1162,29 @@ impl RuntimeBuilder {
                 // four families (identical across workers by seed), keyed
                 // by (family, precision). Int8 variants are built only when
                 // some session runs quantized; the single HDC instance is
-                // integer-only and serves every precision.
-                let pipeline =
-                    FeaturePipeline::new(feature).expect("config validated before spawn");
-                let fpf = pipeline.features_per_frame();
-                let frames = pipeline.frames_for(window_samples);
-                let classes = Emotion::ALL.len();
-                let mut pool: HashMap<(u8, Precision), AffectClassifier> = HashMap::new();
-                for model in [
-                    ModelConfig::scaled_mlp(pipeline.flat_dim(), classes),
-                    ModelConfig::scaled_cnn(frames * fpf, classes),
-                    ModelConfig::scaled_lstm(fpf, classes),
-                ] {
-                    let clf = AffectClassifier::from_config(&model, labels.clone(), seed)
+                // integer-only and serves every precision. The pool's
+                // tables are resident for the worker's whole life: the
+                // neural families' parameters (4 bytes each at f32, 1 at
+                // int8) plus the HDC bound/prototype tables.
+                let mut pool: HashMap<(ClassifierKind, Precision), AffectClassifier> =
+                    HashMap::new();
+                let mut table_bytes = 0u64;
+                for model in &models {
+                    let clf = AffectClassifier::from_config(model, labels.clone(), seed)
                         .expect("trial-built before spawn");
-                    pool.insert((family_code(clf.family()), Precision::F32), clf);
+                    pool.insert((clf.family(), Precision::F32), clf);
+                    table_bytes += (model.param_count() * std::mem::size_of::<f32>()) as u64;
                     if need_int8 {
-                        let mut clf = AffectClassifier::from_config(&model, labels.clone(), seed)
+                        let mut clf = AffectClassifier::from_config(model, labels.clone(), seed)
                             .expect("trial-built before spawn");
                         clf.set_precision(Precision::Int8)
                             .expect("fresh models always quantize");
-                        pool.insert((family_code(clf.family()), Precision::Int8), clf);
-                    }
-                }
-                let mut hdc = AffectClassifier::hdc(pipeline.flat_dim(), labels.clone(), seed)
-                    .expect("trial-built before spawn");
-                // This worker's classifier tables are resident for its whole
-                // life: the neural families' parameters (4 bytes each at
-                // f32, 1 at int8) plus the HDC bound/prototype tables.
-                let mut table_bytes = 0u64;
-                for model in [
-                    ModelConfig::scaled_mlp(pipeline.flat_dim(), classes),
-                    ModelConfig::scaled_cnn(frames * fpf, classes),
-                    ModelConfig::scaled_lstm(fpf, classes),
-                ] {
-                    table_bytes += (model.param_count() * std::mem::size_of::<f32>()) as u64;
-                    if need_int8 {
+                        pool.insert((clf.family(), Precision::Int8), clf);
                         table_bytes += model.param_count() as u64;
                     }
                 }
+                let mut hdc = AffectClassifier::hdc(flat_dim, labels.clone(), seed)
+                    .expect("trial-built before spawn");
                 if let Some(h) = hdc.hdc_mut() {
                     table_bytes += h.storage_bytes() as u64;
                 }
@@ -1346,10 +1278,10 @@ impl RuntimeBuilder {
                             Ok(Ok(out)) => {
                                 consecutive_panics = 0;
                                 counters.windows.fetch_add(1, Ordering::SeqCst);
-                                counters.family_windows[family_code(family) as usize]
+                                counters.family_windows[family.rung()]
                                     .fetch_add(1, Ordering::SeqCst);
                                 if let Some(m) = &metrics {
-                                    m.classify_family[family_code(family) as usize].inc();
+                                    m.classify_family[family.rung()].inc();
                                     if precision == Precision::Int8 {
                                         m.int8_windows.inc();
                                     }
@@ -1450,7 +1382,7 @@ impl RuntimeBuilder {
             let policy = config.policy.clone();
             let smoothing = config.smoothing_window;
             let metrics = metrics.clone();
-            let n_sessions = self.actuators.len();
+            let n_sessions = sessions.len();
             let hook = fault_hook.clone();
             std::thread::spawn(move || {
                 let mut controllers: Vec<SystemController> = (0..n_sessions)
@@ -1507,7 +1439,7 @@ impl RuntimeBuilder {
             let progress = Arc::clone(&progress);
             let clock = Arc::clone(&self.clock);
             let metrics = metrics.clone();
-            let mut actuators = self.actuators;
+            let mut actuators = actuators;
             let deadline = config.deadline_ns;
             let miss_streak_limit = config.miss_streak;
             let ok_streak_limit = config.ok_streak;
@@ -1687,8 +1619,8 @@ impl RuntimeBuilder {
 fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
     let mut changed = false;
     if let Some(simpler) = state.family().fallback() {
-        if family_code(simpler) >= state.floor {
-            state.family.store(family_code(simpler), Ordering::SeqCst);
+        if simpler.rung() >= state.floor.rung() {
+            state.set_family(simpler);
             changed = true;
         }
     }
@@ -1722,11 +1654,11 @@ fn recover(state: &SessionState) -> bool {
         return false;
     }
     if let Some(richer) = state.family().upgrade() {
-        if family_code(richer) <= state.ceiling {
+        if richer.rung() <= state.ceiling.rung() {
             if state.breaker.load(Ordering::SeqCst) == BREAKER_OPEN {
                 state.breaker.store(BREAKER_HALF_OPEN, Ordering::SeqCst);
             }
-            state.family.store(family_code(richer), Ordering::SeqCst);
+            state.set_family(richer);
             state.recoveries.fetch_add(1, Ordering::SeqCst);
             return true;
         }
@@ -1793,7 +1725,7 @@ fn breaker_on_failure(
         BREAKER_HALF_OPEN => {
             // The recovery probe failed: reopen and re-pin the floor.
             state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-            state.family.store(state.floor, Ordering::SeqCst);
+            state.set_family(state.floor);
             faults.breaker_trips.fetch_add(1, Ordering::SeqCst);
             if let Some(m) = metrics {
                 // The gauge still counts this breaker from the original
@@ -1809,7 +1741,7 @@ fn breaker_on_failure(
                 // Trip straight to the floor of the fallback chain — no
                 // stepwise descent while the classifier is demonstrably
                 // broken.
-                state.family.store(state.floor, Ordering::SeqCst);
+                state.set_family(state.floor);
                 faults.breaker_trips.fetch_add(1, Ordering::SeqCst);
                 if let Some(m) = metrics {
                     m.breaker_trips.inc();
@@ -1831,7 +1763,7 @@ fn breaker_on_success(
 ) {
     state.breaker_failures.store(0, Ordering::SeqCst);
     if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN
-        && family_code(family) > state.floor
+        && family.rung() > state.floor.rung()
     {
         state.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
         faults.breaker_closes.fetch_add(1, Ordering::SeqCst);
@@ -2170,8 +2102,7 @@ fn snapshot_report(
             recoveries: s.recoveries.load(Ordering::SeqCst),
             family: s.family(),
             decision_interval: s.interval.load(Ordering::SeqCst),
-            latency: s.latency.summary(),
-            latency_hist: s.latency.snapshot_hist(),
+            latency: s.latency.snapshot(),
             evicted: s.evicted.load(Ordering::SeqCst),
         })
         .collect();
@@ -2320,7 +2251,7 @@ mod tests {
         // A session whose ceiling is below the configured floor is pinned
         // at its ceiling rather than hoisted above it.
         let s = SessionState::new(ClassifierKind::Mlp, ClassifierKind::Cnn, Precision::F32);
-        assert_eq!(s.floor, family_code(ClassifierKind::Mlp));
+        assert_eq!(s.floor, ClassifierKind::Mlp);
         assert!(
             !degrade(&s, 1),
             "nothing below the pinned rung at interval 1"

@@ -1,212 +1,16 @@
-//! Lock-free runtime statistics and the end-of-run report.
+//! The end-of-run report: per-session accounting, per-stage queue
+//! counters and the classify, fault and memory counter blocks.
 //!
-//! Counters are plain atomics updated from the worker threads; latency
-//! percentiles come from a log2-bucketed histogram (one atomic per
-//! power-of-two bucket), so the hot path never takes a lock. Percentiles
-//! are therefore bucket-resolution approximations — each reported value is
-//! the upper bound of the bucket containing the requested quantile, i.e.
-//! within 2x of the true latency — which is plenty for deadline triage.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Each session's end-to-end latency is an [`affect_obs::HistogramSnapshot`]
+//! of the runtime's log2-bucketed histogram, so percentiles are
+//! bucket-resolution approximations — each reported value is the upper
+//! bound of the bucket containing the requested quantile, i.e. within 2x of
+//! the true latency — which is plenty for deadline triage.
 
 use affect_core::classifier::ClassifierKind;
+use affect_obs::HistogramSnapshot;
 
 use crate::mem::MemReport;
-
-const BUCKETS: usize = 64;
-
-/// Log2-bucketed latency histogram with atomic buckets.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample (nanoseconds).
-    pub fn record(&self, nanos: u64) {
-        let bucket = (u64::BITS - nanos.max(1).leading_zeros() - 1) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-        self.max.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The value at quantile `q` in `[0, 1]`, as the upper bound of the
-    /// containing bucket; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                // Upper bound of bucket i is 2^(i+1) - 1, saturating at the top.
-                return if i + 1 >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of count, mean, p50/p95/p99 and max.
-    pub fn summary(&self) -> LatencySummary {
-        let count = self.count();
-        LatencySummary {
-            count,
-            mean_ns: self
-                .sum
-                .load(Ordering::Relaxed)
-                .checked_div(count)
-                .unwrap_or(0),
-            p50_ns: self.quantile(0.50),
-            p95_ns: self.quantile(0.95),
-            p99_ns: self.quantile(0.99),
-            max_ns: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Copies the full bucket resolution out into a mergeable
-    /// [`LatencyHistogram`] (reports carry this alongside the summary so
-    /// fleet-level aggregation can merge distributions losslessly).
-    pub fn snapshot_hist(&self) -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count(),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain (non-atomic) copy of a log2 latency histogram, carried inside
-/// reports so distributions can be merged across sessions, shards and
-/// whole runtimes without losing bucket resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Per-bucket sample counts (bucket `i` covers `[2^i, 2^(i+1) - 1]`).
-    pub buckets: [u64; BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Largest sample (exact).
-    pub max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one sample (nanoseconds). Mostly useful in tests; the live
-    /// path records into the atomic [`Histogram`].
-    pub fn record(&mut self, nanos: u64) {
-        let bucket = (u64::BITS - nanos.max(1).leading_zeros() - 1) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += nanos;
-        self.max = self.max.max(nanos);
-    }
-
-    /// Adds every bucket of `other` into `self`. Bucket-wise addition is
-    /// exact: merging two histograms is the histogram of the combined
-    /// sample set, so merge order never matters.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// The value at quantile `q` in `[0, 1]`, as the upper bound of the
-    /// containing bucket; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket;
-            if seen >= rank {
-                return if i + 1 >= BUCKETS {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        self.max
-    }
-
-    /// Derives the percentile summary from the merged buckets.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            mean_ns: self.sum.checked_div(self.count).unwrap_or(0),
-            p50_ns: self.quantile(0.50),
-            p95_ns: self.quantile(0.95),
-            p99_ns: self.quantile(0.99),
-            max_ns: self.max,
-        }
-    }
-}
-
-/// Percentile snapshot of a latency distribution (nanoseconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean_ns: u64,
-    /// Median (bucket upper bound).
-    pub p50_ns: u64,
-    /// 95th percentile (bucket upper bound).
-    pub p95_ns: u64,
-    /// 99th percentile (bucket upper bound).
-    pub p99_ns: u64,
-    /// Exact maximum.
-    pub max_ns: u64,
-}
 
 /// One session's accounting in a [`RuntimeReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -231,11 +35,10 @@ pub struct SessionReport {
     /// Decision interval in force at report time (1 = classify every
     /// window; k = classify every k-th).
     pub decision_interval: u32,
-    /// End-to-end (arrival → actuated) latency distribution.
-    pub latency: LatencySummary,
-    /// The full log2 bucket resolution behind `latency`, kept so
-    /// fleet-level merges can combine distributions exactly.
-    pub latency_hist: LatencyHistogram,
+    /// End-to-end (arrival → actuated) latency distribution, at full log2
+    /// bucket resolution so fleet-level merges combine distributions
+    /// exactly.
+    pub latency: HistogramSnapshot,
     /// Whether the session was evicted (memory pressure or an explicit
     /// [`crate::Runtime::remove_session`]) and not readmitted by report
     /// time. An evicted session's counters stay in the report — eviction
@@ -265,9 +68,9 @@ impl SessionReport {
 impl SessionReport {
     /// Folds `other` (the same logical session observed by another shard
     /// or runtime) into `self`: counters sum, the latency histograms merge
-    /// bucket-wise (and the summary is re-derived from the merged
-    /// buckets), the classifier family resolves to the more degraded of
-    /// the two and the decision interval to the wider — both symmetric, so
+    /// bucket-wise, the classifier family resolves to the more degraded of
+    /// the two (the lower rung of [`ClassifierKind::LADDER`]) and the
+    /// decision interval to the wider — both symmetric, so
     /// `merge(a, b) == merge(b, a)`.
     pub fn merge(&mut self, other: &SessionReport) {
         self.produced += other.produced;
@@ -276,24 +79,13 @@ impl SessionReport {
         self.deadline_misses += other.deadline_misses;
         self.degradations += other.degradations;
         self.recoveries += other.recoveries;
-        self.latency_hist.merge(&other.latency_hist);
-        self.latency = self.latency_hist.summary();
-        // "More degraded wins": HDC < MLP < CNN < LSTM on the ladder.
-        if ladder_rank(other.family) < ladder_rank(self.family) {
+        self.latency.merge(&other.latency);
+        if other.family.rung() < self.family.rung() {
             self.family = other.family;
         }
         self.decision_interval = self.decision_interval.max(other.decision_interval);
         // Either observer having seen the session evicted means it is out.
         self.evicted |= other.evicted;
-    }
-}
-
-fn ladder_rank(kind: ClassifierKind) -> u8 {
-    match kind {
-        ClassifierKind::Hdc => 0,
-        ClassifierKind::Mlp => 1,
-        ClassifierKind::Cnn => 2,
-        ClassifierKind::Lstm => 3,
     }
 }
 
@@ -329,8 +121,9 @@ pub struct ClassifyReport {
     pub scratch_allocs: u64,
     /// Scratch-arena buffer reuses (allocation-free acquisitions).
     pub scratch_reuses: u64,
-    /// Windows classified per family, indexed HDC/MLP/CNN/LSTM (ladder
-    /// order, cheapest first) — the degradation mix of the run.
+    /// Windows classified per family, indexed by
+    /// [`ClassifierKind::rung`] (cheapest first) — the degradation mix of
+    /// the run.
     pub family_windows: [u64; 4],
 }
 
@@ -372,8 +165,9 @@ pub struct FaultReport {
     pub rejected_windows: u64,
     /// Windows force-drained from stalled queues by the watchdog.
     pub watchdog_sheds: u64,
-    /// Times a session's classify circuit breaker tripped open (forcing
-    /// the MLP family until a recovery probe succeeds).
+    /// Times a session's classify circuit breaker tripped open (pinning
+    /// the session's floor family, HDC by default, until a recovery probe
+    /// succeeds).
     pub breaker_trips: u64,
     /// Times a half-open probe succeeded and a breaker closed again.
     pub breaker_closes: u64,
@@ -427,10 +221,10 @@ impl RuntimeReport {
 
     /// The whole runtime's end-to-end latency distribution: every
     /// session's histogram merged bucket-wise.
-    pub fn merged_latency(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::default();
+    pub fn merged_latency(&self) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::default();
         for s in &self.sessions {
-            merged.merge(&s.latency_hist);
+            merged.merge(&s.latency);
         }
         merged
     }
@@ -515,34 +309,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_quantiles_bracket_samples() {
-        let h = Histogram::new();
-        for ns in [100u64, 200, 400, 800, 100_000] {
-            h.record(ns);
-        }
-        assert_eq!(h.count(), 5);
-        let s = h.summary();
-        assert!(s.p50_ns >= 200 && s.p50_ns < 800, "p50 {}", s.p50_ns);
-        assert!(s.p99_ns >= 100_000, "p99 {}", s.p99_ns);
-        assert_eq!(s.max_ns, 100_000);
-        assert!(s.mean_ns > 0);
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn zero_latency_lands_in_first_bucket() {
-        let h = Histogram::new();
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert!(h.quantile(0.5) <= 1);
-    }
-
-    #[test]
     fn classify_report_rates() {
         let r = ClassifyReport {
             windows: 12,
@@ -575,7 +341,7 @@ mod tests {
         dropped: u64,
         family: ClassifierKind,
     ) -> SessionReport {
-        let mut hist = LatencyHistogram::default();
+        let hist = affect_obs::Histogram::new();
         for i in 0..processed {
             hist.record(1_000 * (session as u64 * 7 + i + 1));
         }
@@ -589,8 +355,7 @@ mod tests {
             recoveries: 0,
             family,
             decision_interval: 1,
-            latency: hist.summary(),
-            latency_hist: hist,
+            latency: hist.snapshot(),
             evicted: false,
         }
     }
@@ -661,8 +426,7 @@ mod tests {
         let shared = ab.sessions.iter().find(|s| s.session == 2).unwrap();
         assert_eq!(shared.produced, 14);
         assert_eq!(shared.family, ClassifierKind::Mlp);
-        assert_eq!(shared.latency_hist.count, 12);
-        assert_eq!(shared.latency, shared.latency_hist.summary());
+        assert_eq!(shared.latency.count, 12);
         // Stage counters summed by name.
         let ingest = ab.stages.iter().find(|s| s.stage == "ingest").unwrap();
         assert_eq!(ingest.pushed, 11 + 15);
@@ -790,25 +554,5 @@ mod tests {
         assert_eq!(ab.band, 2, "worst band wins");
         assert_eq!(ab.band_transitions, [1, 2, 1, 0]);
         assert_eq!(ab.pressure_degradations, 3);
-    }
-
-    #[test]
-    fn latency_histogram_merges_exactly() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut both = LatencyHistogram::default();
-        for v in [3u64, 900, 1_048_576] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [17u64, 17, 2_000_000_000] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged, both, "merge == histogram of the union");
-        assert_eq!(merged.summary().count, 6);
-        assert_eq!(merged.max, 2_000_000_000);
     }
 }

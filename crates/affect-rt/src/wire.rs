@@ -25,11 +25,11 @@
 
 use std::sync::Arc;
 
+use affect_obs::Clock;
 use h264::adaptive::ModeSwitchDriver;
 use h264::decoder::DecodeOutput;
 use h264::{CodecError, ScannerConfig};
 
-use crate::clock::Clock;
 use crate::mem::{MemConsumer, MemoryBudget};
 
 /// How a session's video wire is framed.
@@ -160,7 +160,7 @@ impl WireSession {
     /// Like [`WireSession::ingest_segment`], but rate-paced: chunk `k` is
     /// released at `segment start + k *` [`WireConfig::pace_ns`] on
     /// `clock`, via [`Clock::sleep_until`]. Under a
-    /// [`VirtualClock`](crate::VirtualClock) the sleeps jump virtual time
+    /// [`VirtualClock`](affect_obs::VirtualClock) the sleeps jump virtual time
     /// instead of blocking, so a paced playback is deterministic and runs
     /// at test speed; under the system clock it plays back in real time.
     /// With `pace_ns == 0` this is identical to the unpaced entry point.
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn paced_playback_is_deterministic_on_the_virtual_clock() {
-        use crate::VirtualClock;
+        use affect_obs::VirtualClock;
         let stream = segment();
         let driver = ModeSwitchDriver::new(VideoPowerMode::Combined);
         let whole = driver.decode_segment(&stream).expect("whole decode");
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn zero_pace_matches_the_unpaced_path() {
-        use crate::VirtualClock;
+        use affect_obs::VirtualClock;
         let stream = segment();
         let driver = ModeSwitchDriver::new(VideoPowerMode::Standard);
         let clock = VirtualClock::new();

@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use affect_core::classifier::ClassifierKind;
 use affect_core::pipeline::FeatureConfig;
-use affect_rt::{
-    CollectActuator, MemConsumer, PressureBand, RuntimeBuilder, RuntimeConfig, VirtualClock,
-};
+use affect_obs::VirtualClock;
+use affect_rt::{CollectActuator, MemConsumer, PressureBand, RuntimeBuilder, RuntimeConfig};
 
 fn fast_config() -> RuntimeConfig {
     RuntimeConfig {

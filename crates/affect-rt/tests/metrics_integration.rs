@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use affect_core::emotion::Emotion;
 use affect_core::pipeline::FeatureConfig;
-use affect_obs::{render_prometheus, MetricsRegistry};
-use affect_rt::{CollectActuator, RuntimeBuilder, RuntimeConfig, VirtualClock};
+use affect_obs::{render_prometheus, MetricsRegistry, VirtualClock};
+use affect_rt::{CollectActuator, RuntimeBuilder, RuntimeConfig};
 use biosignal::VoiceWindowStream;
 
 fn fast_config() -> RuntimeConfig {

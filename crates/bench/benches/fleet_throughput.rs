@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use affect_core::pipeline::FeatureConfig;
 use affect_fleet::{drive_lockstep, FleetBuilder, FleetConfig, FleetReport, LoadPlan, QosTier};
-use affect_obs::MetricsRegistry;
-use affect_rt::{NullActuator, OverflowPolicy, RuntimeConfig, StageConfig, VirtualClock};
+use affect_obs::{MetricsRegistry, VirtualClock};
+use affect_rt::{NullActuator, OverflowPolicy, RuntimeConfig, StageConfig};
 use bench::table::Table;
 
 const WINDOW_SAMPLES: usize = 256;

@@ -30,9 +30,8 @@ use std::time::Instant;
 
 use affect_core::pipeline::FeatureConfig;
 use affect_fleet::{FleetBuilder, FleetConfig, FleetReport, QosTier, SubmitOutcome};
-use affect_rt::{
-    NullActuator, OverflowPolicy, PressureBand, RuntimeConfig, StageConfig, VirtualClock,
-};
+use affect_obs::VirtualClock;
+use affect_rt::{NullActuator, OverflowPolicy, PressureBand, RuntimeConfig, StageConfig};
 use bench::table::Table;
 
 const WINDOW_SAMPLES: usize = 256;

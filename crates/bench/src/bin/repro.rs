@@ -154,7 +154,7 @@ fn fig3d(quick: bool) -> AnyResult {
         "int8".into(),
         "loss".into(),
     ]);
-    for kind in affect_core::classifier::ClassifierKind::ALL {
+    for kind in affect_core::classifier::ClassifierKind::NEURAL {
         let r = bench::fig3::evaluate_classifier(kind, &CorpusSpec::emovo_like(), &cfg)?;
         t.row(vec![
             kind.to_string(),

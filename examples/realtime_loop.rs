@@ -138,9 +138,8 @@ fn run_chaos(
     use affectsys::h264::decoder::{Decoder, DecoderOptions};
     use affectsys::h264::encoder::{Encoder, EncoderConfig, GopPattern};
     use affectsys::h264::video::synthetic_clip;
-    use affectsys::rt::{
-        silence_injected_panics, CollectActuator, FaultHook, SupervisionConfig, VirtualClock,
-    };
+    use affectsys::obs::VirtualClock;
+    use affectsys::rt::{silence_injected_panics, CollectActuator, FaultHook, SupervisionConfig};
 
     const SESSIONS: usize = 4;
     const WINDOWS: u64 = 48;
@@ -525,7 +524,8 @@ fn run_chaos(
         // part of the byte-stable transcript. The frames must match an
         // unpaced decode exactly — pacing changes *when* chunks arrive,
         // never what they decode to.
-        use affectsys::rt::{Clock as _, MemConsumer, WireConfig, WireSession};
+        use affectsys::obs::Clock as _;
+        use affectsys::rt::{MemConsumer, WireConfig, WireSession};
         let chunk = stream_chunk.unwrap_or(1500);
         let pace_ns = ms * 1_000_000;
         let clean = encoder.encode(&clip)?;
@@ -598,9 +598,10 @@ fn run_fleet(
     use affectsys::fleet::{
         drive_lockstep, drive_wire, FleetBuilder, FleetConfig, LoadPlan, QosTier, WirePlan,
     };
+    use affectsys::obs::VirtualClock;
     use affectsys::rt::{
         silence_injected_panics, CollectActuator, FaultHook, OverflowPolicy, StageConfig,
-        SupervisionConfig, VirtualClock,
+        SupervisionConfig,
     };
 
     const WINDOW_SAMPLES: usize = 1024;
@@ -962,8 +963,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.dropped,
             s.deadline_misses,
             s.family,
-            s.latency.p50_ns as f64 / 1e6,
-            s.latency.p99_ns as f64 / 1e6,
+            s.latency.quantile(0.50) as f64 / 1e6,
+            s.latency.quantile(0.99) as f64 / 1e6,
         );
         assert!(s.accounted(), "window lost silently");
     }
