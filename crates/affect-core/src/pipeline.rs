@@ -11,7 +11,7 @@
 
 use crate::AffectError;
 use dsp::{
-    rms, spectral_magnitude, zero_crossing_rate, DspError, Frames, MfccExtractor, PitchEstimator,
+    rms, zero_crossing_rate, DspError, Frames, MfccExtractor, PitchEstimator, SpectralAnalyzer,
 };
 use nn::Tensor;
 
@@ -51,10 +51,11 @@ impl Default for FeatureConfig {
 }
 
 /// Feature extractor built from a [`FeatureConfig`]. Extraction borrows
-/// the pipeline mutably because the MFCC front end and the pitch search
-/// reuse internal scratch arenas (FFT buffer, mel energies, cepstra;
-/// squared samples, lag correlations) across frames — steady-state
-/// extraction does not touch the allocator for MFCC or pitch work.
+/// the pipeline mutably because the MFCC front end, the pitch search and
+/// the spectral summary reuse internal scratch arenas (FFT buffers, mel
+/// energies, cepstra; squared samples, lag correlations; magnitudes)
+/// across frames — steady-state extraction does not touch the allocator
+/// for MFCC, pitch or spectral work.
 ///
 /// # Example
 ///
@@ -78,6 +79,7 @@ pub struct FeaturePipeline {
     /// `None` when a frame is too short to hold the pitch range's longest
     /// lag: every frame's pitch is then the unvoiced value 0.
     pitch: Option<PitchEstimator>,
+    spectral: SpectralAnalyzer,
 }
 
 /// Number of non-MFCC scalar features per frame: ZCR, RMS, pitch, spectral
@@ -115,11 +117,13 @@ impl FeaturePipeline {
             Err(DspError::InvalidParameter { name: "frame", .. }) => None,
             Err(e) => return Err(e.into()),
         };
+        let spectral = SpectralAnalyzer::new(config.sample_rate, config.frame_len)?;
         Ok(Self {
             config,
             mfcc,
             mfcc_out: Vec::new(),
             pitch,
+            spectral,
         })
     }
 
@@ -178,7 +182,7 @@ impl FeaturePipeline {
                 None => None,
             };
             data.push(f0.map_or(0.0, |f0| (f0 - min_hz) / (max_hz - min_hz)));
-            let spec = spectral_magnitude(frame, self.config.sample_rate)?;
+            let spec = self.spectral.analyze(frame)?;
             data.push(spec.mean);
             data.push(spec.peak);
             // Centroid normalized by Nyquist.

@@ -2,7 +2,9 @@
 //! wearable/phone does for every classification).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dsp::{pitch_autocorrelation, rfft_magnitude, MfccExtractor, PitchEstimator};
+use dsp::{
+    pitch_autocorrelation, rfft_magnitude, FftPlan, MfccExtractor, PitchEstimator, SpectralAnalyzer,
+};
 use std::hint::black_box;
 
 fn tone(hz: f32, n: usize, sample_rate: f32) -> Vec<f32> {
@@ -17,6 +19,19 @@ fn bench_fft(c: &mut Criterion) {
         let signal = tone(440.0, size, 16_000.0);
         group.bench_with_input(BenchmarkId::from_parameter(size), &signal, |b, s| {
             b.iter(|| rfft_magnitude(black_box(s)).unwrap());
+        });
+    }
+    // The warm split-layout transform at the fleet's and the runtime's frame
+    // lengths: caller-owned buffers, nothing allocated per call.
+    for size in [128usize, 512] {
+        let signal = tone(440.0, size, 16_000.0);
+        let plan = FftPlan::recurrence(size).unwrap();
+        let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+        group.bench_with_input(BenchmarkId::new("planned", size), &signal, |b, s| {
+            b.iter(|| {
+                plan.rfft_magnitude_into(black_box(s), None, &mut re, &mut im, &mut mag)
+                    .unwrap()
+            });
         });
     }
     group.finish();
@@ -41,6 +56,12 @@ fn bench_pitch(c: &mut Criterion) {
     let frame = tone(180.0, 512, 16_000.0);
     c.bench_function("pitch_estimator_512_16k", |b| {
         b.iter(|| estimator.estimate(black_box(&frame)).unwrap());
+    });
+    // The spectral summary at the same shape, through the warm analyzer the
+    // feature pipeline keeps.
+    let mut analyzer = SpectralAnalyzer::new(16_000.0, 512).unwrap();
+    c.bench_function("spectral_analyzer_512_16k", |b| {
+        b.iter(|| analyzer.analyze(black_box(&frame)).unwrap());
     });
 }
 

@@ -3,7 +3,7 @@
 //! Besides MFCCs the paper lists zero-crossing rate, root-mean-square energy
 //! (`rmse`), pitch, and spectral magnitude as classifier inputs.
 
-use crate::fft::rfft_magnitude;
+use crate::fft::FftPlan;
 use crate::DspError;
 
 /// Zero-crossing rate: fraction of adjacent sample pairs whose signs differ.
@@ -319,36 +319,127 @@ fn lag_block_corrs(
 /// centroid is included because it is the standard scalar summary of where
 /// the magnitude mass sits, and brightness correlates with arousal.
 ///
+/// Builds a one-shot [`SpectralAnalyzer`] for `frame.len()`; a caller that
+/// summarizes many frames of one length should keep an analyzer instead,
+/// which returns bit-for-bit the same summary without allocating.
+///
 /// # Errors
 ///
-/// Propagates FFT errors (non-power-of-two or empty frames) and rejects a
-/// non-positive `sample_rate`.
+/// Rejects a non-positive `sample_rate` first, then empty
+/// ([`DspError::EmptyInput`]) and non-power-of-two
+/// ([`DspError::NonPowerOfTwoFft`]) frames.
+///
+/// # Example
+///
+/// ```
+/// use dsp::spectral_magnitude;
+/// # fn main() -> Result<(), dsp::DspError> {
+/// let sr = 16_000.0;
+/// let frame: Vec<f32> = (0..512)
+///     .map(|i| (2.0 * std::f32::consts::PI * 1_000.0 * i as f32 / sr).sin())
+///     .collect();
+/// let summary = spectral_magnitude(&frame, sr)?;
+/// assert!((summary.centroid_hz - 1_000.0).abs() < 400.0);
+/// assert!(summary.peak > summary.mean);
+/// # Ok(())
+/// # }
+/// ```
 pub fn spectral_magnitude(frame: &[f32], sample_rate: f32) -> Result<SpectralSummary, DspError> {
-    if !(sample_rate > 0.0) {
-        return Err(DspError::InvalidParameter {
-            name: "sample_rate",
-            reason: "must be positive",
-        });
+    SpectralAnalyzer::new(sample_rate, frame.len())?.analyze(frame)
+}
+
+/// Spectral summary for frames of one length: the engine behind
+/// [`spectral_magnitude`].
+///
+/// The analyzer owns an [`FftPlan::recurrence`] plan, whose twiddles are
+/// exactly the ones [`fft_inplace`](crate::fft_inplace) accumulates, plus the
+/// plan's split real/imaginary scratch and the magnitude buffer. So
+/// [`SpectralAnalyzer::analyze`] performs **zero heap allocations**, and its
+/// spectrum is bit-for-bit [`rfft_magnitude`](crate::rfft_magnitude)'s. Mean,
+/// peak and centroid are reduced from it in bin order.
+///
+/// # Example
+///
+/// ```
+/// use dsp::{spectral_magnitude, SpectralAnalyzer};
+/// # fn main() -> Result<(), dsp::DspError> {
+/// let frame: Vec<f32> = (0..256).map(|i| (i as f32 * 0.3).sin()).collect();
+/// let mut analyzer = SpectralAnalyzer::new(16_000.0, 256)?;
+/// assert_eq!(analyzer.analyze(&frame)?, spectral_magnitude(&frame, 16_000.0)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpectralAnalyzer {
+    sample_rate: f32,
+    plan: FftPlan,
+    re: Vec<f32>,
+    im: Vec<f32>,
+    /// Magnitudes of the first `frame_len / 2 + 1` bins.
+    mag: Vec<f32>,
+}
+
+impl SpectralAnalyzer {
+    /// Creates an analyzer for frames of `frame_len` samples at
+    /// `sample_rate`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidParameter`] for a non-positive
+    /// `sample_rate`, then [`DspError::EmptyInput`] for a zero and
+    /// [`DspError::NonPowerOfTwoFft`] for a non-power-of-two `frame_len` —
+    /// the errors [`spectral_magnitude`] returns, in the same order.
+    pub fn new(sample_rate: f32, frame_len: usize) -> Result<Self, DspError> {
+        if !(sample_rate > 0.0) {
+            return Err(DspError::InvalidParameter {
+                name: "sample_rate",
+                reason: "must be positive",
+            });
+        }
+        let plan = FftPlan::recurrence(frame_len)?;
+        Ok(Self {
+            sample_rate,
+            plan,
+            re: vec![0.0; frame_len],
+            im: vec![0.0; frame_len],
+            mag: Vec::with_capacity(frame_len / 2 + 1),
+        })
     }
-    let mag = rfft_magnitude(frame)?;
-    let sum: f32 = mag.iter().sum();
-    let mean = sum / mag.len() as f32;
-    let peak = mag.iter().fold(0.0f32, |a, &b| a.max(b));
-    let centroid_hz = if sum > 1e-12 {
-        let bin_hz = sample_rate / frame.len() as f32;
-        mag.iter()
-            .enumerate()
-            .map(|(i, &m)| i as f32 * bin_hz * m)
-            .sum::<f32>()
-            / sum
-    } else {
-        0.0
-    };
-    Ok(SpectralSummary {
-        mean,
-        peak,
-        centroid_hz,
-    })
+
+    /// Summarizes the magnitude spectrum of one frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::LengthMismatch`] when the frame length differs
+    /// from the one the analyzer was built for.
+    pub fn analyze(&mut self, frame: &[f32]) -> Result<SpectralSummary, DspError> {
+        let Self {
+            sample_rate,
+            plan,
+            re,
+            im,
+            mag,
+        } = self;
+        plan.rfft_magnitude_into(frame, None, re, im, mag)?;
+        let sum: f32 = mag.iter().sum();
+        let mean = sum / mag.len() as f32;
+        let peak = mag.iter().fold(0.0f32, |a, &b| a.max(b));
+        let centroid_hz = if sum > 1e-12 {
+            let bin_hz = *sample_rate / frame.len() as f32;
+            mag.iter()
+                .enumerate()
+                .map(|(i, &m)| i as f32 * bin_hz * m)
+                .sum::<f32>()
+                / sum
+        } else {
+            0.0
+        };
+        Ok(SpectralSummary {
+            mean,
+            peak,
+            centroid_hz,
+        })
+    }
 }
 
 /// Scalar summary of a magnitude spectrum returned by [`spectral_magnitude`].
@@ -459,6 +550,44 @@ mod tests {
         let hi = spectral_magnitude(&tone(4000.0), sr).unwrap();
         assert!(hi.centroid_hz > lo.centroid_hz + 2000.0);
         assert!((lo.centroid_hz - 500.0).abs() < 400.0, "{}", lo.centroid_hz);
+    }
+
+    #[test]
+    fn spectral_errors_keep_their_precedence() {
+        let invalid_rate = Err(DspError::InvalidParameter {
+            name: "sample_rate",
+            reason: "must be positive",
+        });
+        assert_eq!(spectral_magnitude(&[], 0.0), invalid_rate);
+        assert_eq!(spectral_magnitude(&[0.0; 12], f32::NAN), invalid_rate);
+        assert_eq!(spectral_magnitude(&[], 16_000.0), Err(DspError::EmptyInput));
+        assert_eq!(
+            spectral_magnitude(&[0.0; 12], 16_000.0),
+            Err(DspError::NonPowerOfTwoFft { len: 12 })
+        );
+        let mut analyzer = SpectralAnalyzer::new(16_000.0, 64).unwrap();
+        assert_eq!(
+            analyzer.analyze(&[0.0; 32]),
+            Err(DspError::LengthMismatch {
+                expected: 64,
+                actual: 32
+            })
+        );
+    }
+
+    #[test]
+    fn warm_analyzer_matches_one_shot_bitwise() {
+        let sr = 16_000.0;
+        let mut analyzer = SpectralAnalyzer::new(sr, 128).unwrap();
+        for hz in [300.0f32, 2_500.0, 0.0] {
+            let frame: Vec<f32> = (0..128)
+                .map(|i| (2.0 * std::f32::consts::PI * hz * i as f32 / sr).cos())
+                .collect();
+            let warm = analyzer.analyze(&frame).unwrap();
+            let once = spectral_magnitude(&frame, sr).unwrap();
+            let bits = |s: SpectralSummary| [s.mean, s.peak, s.centroid_hz].map(f32::to_bits);
+            assert_eq!(bits(warm), bits(once), "{hz} Hz");
+        }
     }
 
     #[test]

@@ -98,6 +98,12 @@ fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
+/// Butterflies per group of each radix-2 stage of an `n`-point transform:
+/// `1, 2, 4, …, n / 2`.
+fn stage_halves(n: usize) -> impl DoubleEndedIterator<Item = usize> {
+    (0..n.trailing_zeros()).map(|s| 1 << s)
+}
+
 /// In-place forward FFT of a power-of-two-length buffer.
 ///
 /// Uses the iterative radix-2 decimation-in-time algorithm with bit-reversal
@@ -164,30 +170,46 @@ pub fn fft_inplace(buf: &mut [Complex]) -> Result<(), DspError> {
     Ok(())
 }
 
-/// A precomputed FFT plan for one transform size.
+/// A precomputed FFT plan for one transform size, run over split
+/// (structure-of-arrays) real and imaginary buffers.
 ///
 /// [`fft_inplace`] recomputes the bit-reversal permutation and accumulates
-/// twiddle factors (`w *= w_len`) on every call. A plan trades a one-time
-/// setup for a leaner hot loop: the permutation table and the per-stage
-/// twiddles (`n - 1` of them, evaluated directly from `cos`/`sin` so they
-/// are also slightly *more* accurate than the accumulated product) are
-/// computed once and reused for every frame. `process` takes `&self`, so one
-/// plan can serve any number of callers.
+/// its twiddle factors (`w = w * w_len`) on every call, so each butterfly
+/// waits for the multiply that produces its twiddle. A plan computes the
+/// permutation and the per-stage twiddles (`n - 1` of them) once. Its two
+/// constructors differ only in the twiddle values:
+///
+/// * [`FftPlan::new`] evaluates every twiddle directly from `cos`/`sin`,
+///   slightly *more* accurate than the accumulated product;
+/// * [`FftPlan::recurrence`] stores exactly the products `fft_inplace`
+///   accumulates, so its transform is bit-for-bit `fft_inplace`'s.
+///
+/// [`FftPlan::rfft_magnitude_into`] is the one transform. It loads a real,
+/// optionally windowed frame into separate real and imaginary arrays in
+/// bit-reversed order and runs every radix-2 stage over them. Each butterfly
+/// performs the f32 operations of `Complex`'s `Mul`, `Add` and `Sub`, on the
+/// same operands in the same order, so equal twiddles give equal bits. With
+/// the split slices' lengths known the compiler drops the bounds checks and
+/// vectorizes every stage with four or more butterflies per group. The
+/// caller owns the buffers, so the plan is `&self` and one plan can serve
+/// any number of callers.
 ///
 /// # Example
 ///
 /// ```
-/// use dsp::{fft_inplace, Complex, FftPlan};
+/// use dsp::{fft_inplace, rfft_magnitude, Complex, FftPlan};
 /// # fn main() -> Result<(), dsp::DspError> {
-/// let plan = FftPlan::new(64)?;
-/// let signal: Vec<Complex> = (0..64).map(|i| Complex::new((i % 7) as f32, 0.0)).collect();
-/// let mut a = signal.clone();
-/// let mut b = signal;
-/// plan.process(&mut a)?;
-/// fft_inplace(&mut b)?;
-/// for (x, y) in a.iter().zip(&b) {
-///     assert!((x.re - y.re).abs() < 1e-3 && (x.im - y.im).abs() < 1e-3);
+/// let signal: Vec<f32> = (0..64).map(|i| (i % 7) as f32).collect();
+/// let mut expected: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
+/// fft_inplace(&mut expected)?;
+///
+/// let plan = FftPlan::recurrence(64)?;
+/// let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+/// plan.rfft_magnitude_into(&signal, None, &mut re, &mut im, &mut mag)?;
+/// for (k, c) in expected.iter().enumerate() {
+///     assert_eq!((re[k].to_bits(), im[k].to_bits()), (c.re.to_bits(), c.im.to_bits()));
 /// }
+/// assert_eq!(mag, rfft_magnitude(&signal)?);
 /// # Ok(())
 /// # }
 /// ```
@@ -196,44 +218,92 @@ pub struct FftPlan {
     n: usize,
     /// Bit-reversed index of each position.
     rev: Vec<usize>,
-    /// Twiddles for every butterfly stage, concatenated: `len/2` entries for
-    /// each stage `len = 2, 4, …, n` (`n - 1` in total).
-    twiddles: Vec<Complex>,
+    /// Real parts of the twiddles for every butterfly stage, concatenated:
+    /// `len/2` entries for each stage `len = 2, 4, …, n` (`n - 1` in total).
+    tw_re: Vec<f32>,
+    /// Imaginary parts, laid out as `tw_re`.
+    tw_im: Vec<f32>,
 }
 
 impl FftPlan {
-    /// Builds a plan for transforms of `n` points.
+    /// Builds a plan for transforms of `n` points whose twiddles are
+    /// evaluated directly: `e^{-2πik/len}` from one `cos`/`sin` each.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::NonPowerOfTwoFft`] when `n` is not a power of
     /// two, and [`DspError::EmptyInput`] when it is zero.
     pub fn new(n: usize) -> Result<Self, DspError> {
+        Self::with_twiddles(n, |tw_re, tw_im| {
+            for half in stage_halves(n) {
+                for k in 0..half {
+                    let ang = -2.0 * std::f32::consts::PI * k as f32 / (2 * half) as f32;
+                    tw_re[half - 1 + k] = ang.cos();
+                    tw_im[half - 1 + k] = ang.sin();
+                }
+            }
+        })
+    }
+
+    /// Builds a plan for transforms of `n` points whose twiddles are the
+    /// ones [`fft_inplace`] accumulates: each stage starts at `(1, 0)` and
+    /// multiplies by `w_len = e^{-2πi/len}` once per butterfly, so the plan
+    /// transforms bit-for-bit like `fft_inplace`. Only one `cos`/`sin` pair
+    /// is evaluated per stage.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FftPlan::new`].
+    pub fn recurrence(n: usize) -> Result<Self, DspError> {
+        Self::with_twiddles(n, |tw_re, tw_im| {
+            // (half, w, w_len) of every stage, largest first. The stages'
+            // products are independent, so advancing them in lockstep lets
+            // their multiplies overlap instead of forming one serial chain.
+            let mut chains: Vec<(usize, Complex, Complex)> = stage_halves(n)
+                .rev()
+                .map(|half| {
+                    let ang = -2.0 * std::f32::consts::PI / (2 * half) as f32;
+                    let wlen = Complex::new(ang.cos(), ang.sin());
+                    (half, Complex::new(1.0, 0.0), wlen)
+                })
+                .collect();
+            for k in 0..n / 2 {
+                for (half, w, wlen) in chains.iter_mut().take_while(|(half, ..)| k < *half) {
+                    tw_re[*half - 1 + k] = w.re;
+                    tw_im[*half - 1 + k] = w.im;
+                    *w = *w * *wlen;
+                }
+            }
+        })
+    }
+
+    /// Validates `n`, builds the permutation and lets `fill` write the
+    /// twiddle tables: stage `len` keeps its `len / 2` twiddles from offset
+    /// `len / 2 - 1`, so the stages `len = 2, 4, …, n` fill `n - 1` slots.
+    fn with_twiddles(
+        n: usize,
+        fill: impl FnOnce(&mut [f32], &mut [f32]),
+    ) -> Result<Self, DspError> {
         if n == 0 {
             return Err(DspError::EmptyInput);
         }
         if !is_pow2(n) {
             return Err(DspError::NonPowerOfTwoFft { len: n });
         }
-        let bits = n.trailing_zeros();
-        let rev = if n == 1 {
-            vec![0]
-        } else {
-            (0..n)
-                .map(|i| i.reverse_bits() >> (usize::BITS - bits))
-                .collect()
-        };
-        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            for k in 0..half {
-                let ang = -2.0 * std::f32::consts::PI * k as f32 / len as f32;
-                twiddles.push(Complex::new(ang.cos(), ang.sin()));
-            }
-            len <<= 1;
+        // rev(i) is rev(i / 2) shifted down one bit, with i's low bit on top.
+        let mut rev = vec![0; n];
+        for i in 1..n {
+            rev[i] = rev[i / 2] / 2 + (i % 2) * (n / 2);
         }
-        Ok(Self { n, rev, twiddles })
+        let mut tw_re = vec![0.0; n - 1];
+        let mut tw_im = vec![0.0; n - 1];
+        fill(&mut tw_re, &mut tw_im);
+        Ok(Self {
+            n,
+            rev,
+            tw_re,
+            tw_im,
+        })
     }
 
     /// The transform size this plan was built for.
@@ -246,73 +316,92 @@ impl FftPlan {
         false
     }
 
-    /// In-place forward FFT of `buf` using the precomputed tables.
-    /// Unnormalized, exactly like [`fft_inplace`].
+    /// Forward FFT of a real frame, multiplied sample by sample by `window`
+    /// when one is given, and its magnitude spectrum (the first `n/2 + 1`
+    /// bins) in `out`. Unnormalized, exactly like [`fft_inplace`].
+    ///
+    /// `re` and `im` are the caller's scratch: on return they hold all `n`
+    /// bins of the complex spectrum. Once they and `out` have capacity, the
+    /// call allocates nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::LengthMismatch`] when `buf.len()` differs from
-    /// the planned size.
-    pub fn process(&self, buf: &mut [Complex]) -> Result<(), DspError> {
-        if buf.len() != self.n {
-            return Err(DspError::LengthMismatch {
-                expected: self.n,
-                actual: buf.len(),
-            });
+    /// Returns [`DspError::LengthMismatch`] when `frame.len()` or
+    /// `window.len()` differs from the planned size.
+    pub fn rfft_magnitude_into(
+        &self,
+        frame: &[f32],
+        window: Option<&[f32]>,
+        re: &mut Vec<f32>,
+        im: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), DspError> {
+        let n = self.n;
+        let mismatch = |actual| DspError::LengthMismatch {
+            expected: n,
+            actual,
+        };
+        if frame.len() != n {
+            return Err(mismatch(frame.len()));
         }
-        if self.n == 1 {
-            return Ok(());
+        if let Some(coeffs) = window.filter(|coeffs| coeffs.len() != n) {
+            return Err(mismatch(coeffs.len()));
         }
-        for (i, &j) in self.rev.iter().enumerate() {
-            if j > i {
-                buf.swap(i, j);
-            }
-        }
-        let mut len = 2;
-        let mut offset = 0;
-        while len <= self.n {
-            let half = len / 2;
-            let tw = &self.twiddles[offset..offset + half];
-            for chunk in buf.chunks_mut(len) {
-                for (k, &w) in tw.iter().enumerate() {
-                    let u = chunk[k];
-                    let v = chunk[k + half] * w;
-                    chunk[k] = u + v;
-                    chunk[k + half] = u - v;
+        re.resize(n, 0.0);
+        match window {
+            Some(coeffs) => {
+                for ((&x, &w), &j) in frame.iter().zip(coeffs).zip(&self.rev) {
+                    re[j] = x * w;
                 }
             }
-            offset += half;
-            len <<= 1;
+            None => {
+                for (&x, &j) in frame.iter().zip(&self.rev) {
+                    re[j] = x;
+                }
+            }
         }
+        im.clear();
+        im.resize(n, 0.0);
+        self.butterflies(re, im);
+        out.clear();
+        out.extend(
+            re[..=n / 2]
+                .iter()
+                .zip(&im[..=n / 2])
+                .map(|(&r, &i)| Complex::new(r, i).abs()),
+        );
         Ok(())
     }
 
-    /// Magnitude spectrum of a real signal (first `n/2 + 1` bins), writing
-    /// into caller-provided buffers so the steady state allocates nothing:
-    /// `work` holds the complex transform, `out` the magnitudes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::LengthMismatch`] when `signal.len()` differs from
-    /// the planned size.
-    pub fn rfft_magnitude_into(
-        &self,
-        signal: &[f32],
-        work: &mut Vec<Complex>,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if signal.len() != self.n {
-            return Err(DspError::LengthMismatch {
-                expected: self.n,
-                actual: signal.len(),
-            });
+    /// Every radix-2 stage over bit-reversed `re`/`im` of the planned size.
+    fn butterflies(&self, re: &mut [f32], im: &mut [f32]) {
+        // A running offset rather than `stage_halves`: that form spills in
+        // each group's prologue and measured slower on the scalar stages.
+        let mut half = 1;
+        let mut offset = 0;
+        while half < self.n {
+            let len = 2 * half;
+            let wr = &self.tw_re[offset..offset + half];
+            let wi = &self.tw_im[offset..offset + half];
+            for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+                let (ur, vr) = re.split_at_mut(half);
+                let (ui, vi) = im.split_at_mut(half);
+                let (vr, vi, ui) = (&mut vr[..half], &mut vi[..half], &mut ui[..half]);
+                for k in 0..half {
+                    // `v * w`, then `u + t` and `u - t`, as `Complex` does.
+                    let (a, b, c, d) = (vr[k], vi[k], wr[k], wi[k]);
+                    let tr = a * c - b * d;
+                    let ti = a * d + b * c;
+                    let (xr, xi) = (ur[k], ui[k]);
+                    ur[k] = xr + tr;
+                    ui[k] = xi + ti;
+                    vr[k] = xr - tr;
+                    vi[k] = xi - ti;
+                }
+            }
+            offset += half;
+            half = len;
         }
-        work.clear();
-        work.extend(signal.iter().map(|&x| Complex::new(x, 0.0)));
-        self.process(work)?;
-        out.clear();
-        out.extend(work[..self.n / 2 + 1].iter().map(|c| c.abs()));
-        Ok(())
     }
 }
 
@@ -461,41 +550,73 @@ mod tests {
         assert_close(time_energy, freq_energy, 1e-2);
     }
 
+    /// Runs `plan` over `signal`, returning the complex spectrum and the
+    /// magnitudes.
+    fn run_plan(
+        plan: &FftPlan,
+        signal: &[f32],
+        window: Option<&[f32]>,
+    ) -> (Vec<Complex>, Vec<f32>) {
+        let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+        plan.rfft_magnitude_into(signal, window, &mut re, &mut im, &mut mag)
+            .unwrap();
+        let spectrum = re
+            .iter()
+            .zip(&im)
+            .map(|(&r, &i)| Complex::new(r, i))
+            .collect();
+        (spectrum, mag)
+    }
+
     #[test]
     fn plan_matches_fft_inplace() {
         for n in [1usize, 2, 4, 8, 64, 256] {
+            let signal: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut expected: Vec<Complex> = signal.iter().map(|&x| Complex::from(x)).collect();
+            fft_inplace(&mut expected).unwrap();
+
             let plan = FftPlan::new(n).unwrap();
             assert_eq!(plan.len(), n);
-            let signal: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos()))
-                .collect();
-            let mut a = signal.clone();
-            let mut b = signal;
-            plan.process(&mut a).unwrap();
-            fft_inplace(&mut b).unwrap();
+            let (direct, _) = run_plan(&plan, &signal, None);
             let scale = (n as f32).max(1.0);
-            for (x, y) in a.iter().zip(&b) {
+            for (x, y) in direct.iter().zip(&expected) {
                 assert_close(x.re, y.re, 1e-3 * scale);
                 assert_close(x.im, y.im, 1e-3 * scale);
+            }
+
+            // The recurrence table holds fft_inplace's own twiddles.
+            let (exact, _) = run_plan(&FftPlan::recurrence(n).unwrap(), &signal, None);
+            for (x, y) in exact.iter().zip(&expected) {
+                assert_eq!(
+                    (x.re.to_bits(), x.im.to_bits()),
+                    (y.re.to_bits(), y.im.to_bits())
+                );
             }
         }
     }
 
     #[test]
     fn plan_rejects_bad_sizes() {
-        assert!(matches!(FftPlan::new(0), Err(DspError::EmptyInput)));
-        assert!(matches!(
-            FftPlan::new(12),
-            Err(DspError::NonPowerOfTwoFft { len: 12 })
-        ));
+        for build in [FftPlan::new, FftPlan::recurrence] {
+            assert!(matches!(build(0), Err(DspError::EmptyInput)));
+            assert!(matches!(
+                build(12),
+                Err(DspError::NonPowerOfTwoFft { len: 12 })
+            ));
+        }
         let plan = FftPlan::new(8).unwrap();
-        let mut buf = vec![Complex::zero(); 4];
+        let (mut re, mut im, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let short = Err(DspError::LengthMismatch {
+            expected: 8,
+            actual: 4,
+        });
         assert_eq!(
-            plan.process(&mut buf),
-            Err(DspError::LengthMismatch {
-                expected: 8,
-                actual: 4
-            })
+            plan.rfft_magnitude_into(&[0.0; 4], None, &mut re, &mut im, &mut out),
+            short
+        );
+        assert_eq!(
+            plan.rfft_magnitude_into(&[0.0; 8], Some(&[1.0; 4]), &mut re, &mut im, &mut out),
+            short
         );
     }
 
@@ -503,19 +624,22 @@ mod tests {
     fn plan_rfft_matches_rfft_magnitude() {
         let n = 128;
         let signal: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).sin()).collect();
-        let plan = FftPlan::new(n).unwrap();
-        let mut work = Vec::new();
-        let mut out = Vec::new();
-        plan.rfft_magnitude_into(&signal, &mut work, &mut out)
-            .unwrap();
         let reference = rfft_magnitude(&signal).unwrap();
-        assert_eq!(out.len(), reference.len());
-        for (a, b) in out.iter().zip(&reference) {
+        let (_, direct) = run_plan(&FftPlan::new(n).unwrap(), &signal, None);
+        assert_eq!(direct.len(), reference.len());
+        for (a, b) in direct.iter().zip(&reference) {
             assert_close(*a, *b, 1e-2);
         }
-        assert!(plan
-            .rfft_magnitude_into(&signal[..64], &mut work, &mut out)
-            .is_err());
+
+        let plan = FftPlan::recurrence(n).unwrap();
+        assert_eq!(run_plan(&plan, &signal, None).1, reference);
+        // A window is the same as transforming the pre-windowed frame.
+        let window = crate::Window::Hann.coefficients(n);
+        let windowed: Vec<f32> = signal.iter().zip(&window).map(|(x, w)| x * w).collect();
+        assert_eq!(
+            run_plan(&plan, &signal, Some(&window)).1,
+            rfft_magnitude(&windowed).unwrap()
+        );
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod window;
 pub use error::DspError;
 pub use features::{
     pitch_autocorrelation, rms, spectral_magnitude, zero_crossing_rate, PitchEstimator,
+    SpectralAnalyzer,
 };
 pub use fft::{fft_inplace, ifft_inplace, rfft_magnitude, Complex, FftPlan};
 pub use frame::Frames;

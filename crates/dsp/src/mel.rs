@@ -5,7 +5,7 @@
 //! a bank of triangular filters, log-compressed, and decorrelated with a
 //! DCT-II. This module implements that path exactly.
 
-use crate::fft::{Complex, FftPlan};
+use crate::fft::FftPlan;
 use crate::window::Window;
 use crate::DspError;
 
@@ -216,9 +216,10 @@ pub fn dct_ii_into(input: &[f32], n_out: usize, out: &mut Vec<f32>) {
 /// log → DCT-II.
 ///
 /// The extractor precomputes everything the per-frame path needs — the
-/// [`FftPlan`], the window coefficients, the mel filterbank, and the DCT-II
-/// basis — and owns scratch buffers, so [`MfccExtractor::extract_into`]
-/// performs **zero heap allocations** in the steady state. The borrowing
+/// [`FftPlan`] (directly evaluated twiddles), the window coefficients, the
+/// mel filterbank, and the DCT-II basis — and owns scratch buffers, so
+/// [`MfccExtractor::extract_into`] performs **zero heap allocations** in
+/// the steady state. The borrowing
 /// [`MfccExtractor::extract`] produces identical coefficients through the
 /// same precomputed tables but allocates its temporaries per call.
 ///
@@ -249,15 +250,23 @@ pub struct MfccExtractor {
     /// Row-major `[n_coeffs, n_filters]` DCT-II basis with the orthonormal
     /// scale folded in.
     dct_basis: Vec<f32>,
-    // Reusable per-frame scratch (only touched by `extract_into`).
-    fft_buf: Vec<Complex>,
+    /// Reusable per-frame scratch (only touched by `extract_into`).
+    scratch: MfccScratch,
+}
+
+/// Per-frame buffers of the MFCC path: the split complex spectrum, its
+/// magnitudes and the mel energies.
+#[derive(Debug, Clone, Default)]
+struct MfccScratch {
+    re: Vec<f32>,
+    im: Vec<f32>,
     spectrum: Vec<f32>,
     energies: Vec<f32>,
 }
 
-/// Shared frame pipeline over caller-provided buffers: window+pack into
-/// `fft_buf`, FFT, magnitudes into `spectrum`, filterbank into `energies`,
-/// log in place, DCT basis matmul into `out`.
+/// Shared frame pipeline over caller-provided buffers: windowed FFT
+/// magnitudes into `spectrum`, filterbank into `energies`, log in place,
+/// DCT basis matmul into `out`.
 #[allow(clippy::too_many_arguments)]
 fn mfcc_with_buffers(
     plan: &FftPlan,
@@ -266,21 +275,16 @@ fn mfcc_with_buffers(
     dct_basis: &[f32],
     n_coeffs: usize,
     frame: &[f32],
-    fft_buf: &mut Vec<Complex>,
-    spectrum: &mut Vec<f32>,
-    energies: &mut Vec<f32>,
+    scratch: &mut MfccScratch,
     out: &mut Vec<f32>,
 ) -> Result<(), DspError> {
-    fft_buf.clear();
-    fft_buf.extend(
-        frame
-            .iter()
-            .zip(window_coeffs)
-            .map(|(&x, &w)| Complex::new(x * w, 0.0)),
-    );
-    plan.process(fft_buf)?;
-    spectrum.clear();
-    spectrum.extend(fft_buf[..frame.len() / 2 + 1].iter().map(|c| c.abs()));
+    let MfccScratch {
+        re,
+        im,
+        spectrum,
+        energies,
+    } = scratch;
+    plan.rfft_magnitude_into(frame, Some(window_coeffs), re, im, spectrum)?;
     bank.apply_into(spectrum, energies)?;
     // Floor avoids log(0); 1e-10 is ~-200 dB, far below any real signal.
     for e in energies.iter_mut() {
@@ -344,9 +348,7 @@ impl MfccExtractor {
             plan,
             window_coeffs,
             dct_basis,
-            fft_buf: Vec::new(),
-            spectrum: Vec::new(),
-            energies: Vec::new(),
+            scratch: MfccScratch::default(),
         })
     }
 
@@ -378,9 +380,6 @@ impl MfccExtractor {
                 actual: frame.len(),
             });
         }
-        let mut fft_buf = Vec::new();
-        let mut spectrum = Vec::new();
-        let mut energies = Vec::new();
         let mut out = Vec::new();
         mfcc_with_buffers(
             &self.plan,
@@ -389,9 +388,7 @@ impl MfccExtractor {
             &self.dct_basis,
             self.n_coeffs,
             frame,
-            &mut fft_buf,
-            &mut spectrum,
-            &mut energies,
+            &mut MfccScratch::default(),
             &mut out,
         )?;
         Ok(out)
@@ -418,9 +415,7 @@ impl MfccExtractor {
             window_coeffs,
             dct_basis,
             n_coeffs,
-            fft_buf,
-            spectrum,
-            energies,
+            scratch,
             ..
         } = self;
         mfcc_with_buffers(
@@ -430,9 +425,7 @@ impl MfccExtractor {
             dct_basis,
             *n_coeffs,
             frame,
-            fft_buf,
-            spectrum,
-            energies,
+            scratch,
             out,
         )
     }

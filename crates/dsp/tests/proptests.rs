@@ -22,6 +22,15 @@ fn naive_dft(input: &[Complex]) -> Vec<Complex> {
         .collect()
 }
 
+/// Runs `plan` over a real signal: the split complex spectrum and the
+/// magnitudes.
+fn run_plan(plan: &FftPlan, signal: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+    plan.rfft_magnitude_into(signal, None, &mut re, &mut im, &mut mag)
+        .unwrap();
+    (re, im, mag)
+}
+
 fn signal_strategy(max_pow: u32) -> impl Strategy<Value = Vec<f32>> {
     (1u32..=max_pow)
         .prop_flat_map(|p| prop::collection::vec(-1.0f32..1.0, 1usize << p..=1usize << p))
@@ -54,38 +63,44 @@ proptest! {
 
     /// A precomputed plan produces the same spectrum as the ad-hoc
     /// `fft_inplace` (within accumulation tolerance) for every
-    /// power-of-two size, and both match the naive O(n²) DFT oracle.
+    /// power-of-two size, and both match the naive O(n²) DFT oracle; the
+    /// recurrence plan reproduces `fft_inplace` bit for bit.
     #[test]
     fn fft_plan_matches_fft_inplace_and_dft_oracle(signal in signal_strategy(7)) {
         let input: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        let plan = FftPlan::new(input.len()).unwrap();
-        let mut planned = input.clone();
-        plan.process(&mut planned).unwrap();
+        let (re, im, mag) = run_plan(&FftPlan::new(input.len()).unwrap(), &signal);
         let mut adhoc = input.clone();
         fft_inplace(&mut adhoc).unwrap();
         let oracle = naive_dft(&input);
         let tol = 1e-3 * input.len() as f32;
-        for ((p, a), o) in planned.iter().zip(&adhoc).zip(&oracle) {
-            prop_assert!((p.re - a.re).abs() < tol, "plan {} vs inplace {}", p.re, a.re);
-            prop_assert!((p.im - a.im).abs() < tol, "plan {} vs inplace {}", p.im, a.im);
-            prop_assert!((p.re - o.re).abs() < tol, "plan {} vs dft {}", p.re, o.re);
-            prop_assert!((p.im - o.im).abs() < tol, "plan {} vs dft {}", p.im, o.im);
+        for (k, (a, o)) in adhoc.iter().zip(&oracle).enumerate() {
+            prop_assert!((re[k] - a.re).abs() < tol, "plan {} vs inplace {}", re[k], a.re);
+            prop_assert!((im[k] - a.im).abs() < tol, "plan {} vs inplace {}", im[k], a.im);
+            prop_assert!((re[k] - o.re).abs() < tol, "plan {} vs dft {}", re[k], o.re);
+            prop_assert!((im[k] - o.im).abs() < tol, "plan {} vs dft {}", im[k], o.im);
+        }
+        prop_assert_eq!(mag.len(), input.len() / 2 + 1);
+        for (m, a) in mag.iter().zip(&adhoc) {
+            prop_assert!((m - a.abs()).abs() < tol, "plan |X| {} vs inplace {}", m, a.abs());
+        }
+
+        let (re, im, _) = run_plan(&FftPlan::recurrence(input.len()).unwrap(), &signal);
+        for (k, a) in adhoc.iter().enumerate() {
+            prop_assert_eq!((re[k].to_bits(), im[k].to_bits()), (a.re.to_bits(), a.im.to_bits()));
         }
     }
 
-    /// A plan is reusable: processing the same input twice through one plan
-    /// is bit-for-bit deterministic.
+    /// A plan is reusable: transforming the same input twice through one
+    /// plan and one set of buffers is bit-for-bit deterministic.
     #[test]
     fn fft_plan_is_deterministic_across_calls(signal in signal_strategy(6)) {
         let plan = FftPlan::new(signal.len()).unwrap();
-        let mut first: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        let mut second = first.clone();
-        plan.process(&mut first).unwrap();
-        plan.process(&mut second).unwrap();
-        for (a, b) in first.iter().zip(&second) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
+        let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+        plan.rfft_magnitude_into(&signal, None, &mut re, &mut im, &mut mag).unwrap();
+        let first: Vec<u32> = re.iter().chain(&im).chain(&mag).map(|x| x.to_bits()).collect();
+        plan.rfft_magnitude_into(&signal, None, &mut re, &mut im, &mut mag).unwrap();
+        let second: Vec<u32> = re.iter().chain(&im).chain(&mag).map(|x| x.to_bits()).collect();
+        prop_assert_eq!(first, second);
     }
 
     /// ZCR is always in [0, 1].
