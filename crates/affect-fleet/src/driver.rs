@@ -1,10 +1,10 @@
 //! A deterministic lockstep load driver.
 //!
-//! The bench (`fleet_throughput`), the demo (`examples/realtime_loop
-//! --fleet`), and the CI smoke job all need the same thing: offer every
-//! session one window per round, advance virtual time one tick, repeat.
-//! Keeping that loop here means they measure the same code path instead
-//! of three hand-rolled drivers drifting apart.
+//! The demo (`examples/realtime_loop --fleet`) and the fleet integration
+//! tests all need the same thing: offer every session one window per
+//! round, advance virtual time one tick, repeat. Keeping that loop here
+//! means they exercise the same code path instead of hand-rolled drivers
+//! drifting apart.
 //!
 //! Two pacing modes:
 //!
@@ -15,7 +15,8 @@
 //!   whatever the producer loop can push, backlog grows at saturation,
 //!   and the recorded latency (in *virtual* nanoseconds, since arrival
 //!   stamps come from the shared [`VirtualClock`]) measures queueing
-//!   delay in ticks. This is how the bench builds its p99-vs-load curve.
+//!   delay in ticks. This is how the fleet tests build a backlog and
+//!   drive QoS shedding.
 
 use affect_obs::VirtualClock;
 

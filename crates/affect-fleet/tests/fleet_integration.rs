@@ -1,6 +1,6 @@
-//! Fleet integration tests: end-to-end accounting across shards, QoS
-//! shedding order under pressure, and chaos replay determinism from one
-//! fleet seed.
+//! Fleet integration tests: end-to-end accounting across shards (also at
+//! 512 free-running sessions), QoS shedding order under pressure, chaos
+//! replay determinism from one fleet seed, and fleet-wide metrics.
 
 use std::sync::Arc;
 
@@ -10,9 +10,10 @@ use affect_fleet::{
     drive_lockstep, AdmissionConfig, Fleet, FleetBuilder, FleetConfig, FleetReport, LoadPlan,
     QosTier,
 };
-use affect_obs::VirtualClock;
+use affect_obs::{MetricsRegistry, VirtualClock};
 use affect_rt::{
-    silence_injected_panics, CollectActuator, FaultHook, OverflowPolicy, RuntimeConfig, StageConfig,
+    silence_injected_panics, CollectActuator, FaultHook, NullActuator, OverflowPolicy,
+    RuntimeConfig, StageConfig,
 };
 
 fn small_runtime_config() -> RuntimeConfig {
@@ -91,6 +92,86 @@ fn accounting_holds_across_shards() {
         .collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..64).collect::<Vec<_>>());
+}
+
+/// Accounting at session-count scale: 512 wearers over 4 shards, driven
+/// for 4 free-running rounds with no mid-run drain, so backlog builds and
+/// the QoS gate sheds. The per-shard runtime is sized for session count:
+/// deep rings, one worker, and a deadline generous enough to keep
+/// degradation churn out of the load.
+#[test]
+fn accounting_holds_for_512_free_running_sessions() {
+    const SESSIONS: usize = 512;
+    let runtime = RuntimeConfig {
+        ingest: StageConfig::new(256, OverflowPolicy::Block),
+        classify: StageConfig::new(256, OverflowPolicy::Block),
+        control: StageConfig::new(256, OverflowPolicy::Block),
+        actuate_capacity: 256,
+        deadline_ns: 3_600 * 1_000_000_000,
+        ..small_runtime_config()
+    };
+    let mut config = FleetConfig {
+        shards: 4,
+        runtime,
+        ..FleetConfig::default()
+    };
+    // Admission is not under test: lift the cap and the reserves so every
+    // wearer is admitted regardless of routing skew.
+    config.admission.max_sessions_per_shard = SESSIONS;
+    config.admission.critical_reserve = 0;
+    config.admission.standard_reserve = 0;
+    let clock = Arc::new(VirtualClock::new());
+    let mut builder = FleetBuilder::new(config).unwrap();
+    for key in 0..SESSIONS as u64 {
+        let tier = QosTier::ALL[key as usize % QosTier::ALL.len()];
+        builder
+            .add_session(key, tier, Box::new(NullActuator))
+            .expect("admission cap was lifted");
+    }
+    let fleet = builder
+        .clock(clock.clone())
+        .metrics(Arc::new(MetricsRegistry::new()))
+        .start()
+        .unwrap();
+    let plan = LoadPlan {
+        rounds: 4,
+        window_samples: 256,
+        drain_every: None,
+        ..LoadPlan::default()
+    };
+    drive_lockstep(&fleet, &clock, &plan);
+    fleet.wait_idle();
+    let report = fleet.shutdown();
+    assert!(report.accounted(), "fleet accounting broke: {report:?}");
+    assert_eq!(report.sessions(), SESSIONS);
+    assert_eq!(report.admission.offered.total(), SESSIONS as u64 * 4);
+}
+
+/// Every shard of a fleet registers its sessions on the one shared
+/// registry, so `affect_rt_sessions` counts the whole fleet, not the last
+/// shard to start.
+#[test]
+fn session_gauge_counts_every_shard() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let config = FleetConfig {
+        shards: 3,
+        runtime: small_runtime_config(),
+        ..FleetConfig::default()
+    };
+    let mut builder = FleetBuilder::new(config).unwrap();
+    for key in 0..12u64 {
+        builder
+            .add_session(key, QosTier::Standard, Box::new(NullActuator))
+            .expect("capacity is ample");
+    }
+    let fleet = builder.metrics(Arc::clone(&registry)).start().unwrap();
+    let report = fleet.shutdown();
+    assert!(
+        report.shards.len() == 3 && report.shards.iter().all(|(_, r)| !r.sessions.is_empty()),
+        "every shard must hold sessions for the gauge to sum over"
+    );
+    let gauge = registry.gauge("affect_rt_sessions", "registered sessions", &[]);
+    assert_eq!(gauge.get(), report.sessions() as i64);
 }
 
 #[test]

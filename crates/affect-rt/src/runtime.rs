@@ -187,7 +187,7 @@ pub struct RuntimeConfig {
     pub floor_family: ClassifierKind,
     /// Optional accuracy floor. When set, the effective degradation floor
     /// is raised to the cheapest rung whose indicative accuracy (see the
-    /// `accuracy_energy` bench / `BENCH_accuracy_energy.json`) meets this
+    /// `accuracy_energy` bench / `results/BENCH_accuracy_energy.json`) meets this
     /// value — the controller then always picks the cheapest rung that
     /// still meets the configured accuracy.
     pub min_accuracy: Option<f32>,
@@ -391,7 +391,7 @@ fn pool_key(family: ClassifierKind, precision: Precision) -> (ClassifierKind, Pr
 
 /// Indicative per-family accuracies on the synthetic EMOVO-like corpus,
 /// cheapest family first, as measured by the `accuracy_energy` bench (the
-/// committed numbers live in `BENCH_accuracy_energy.json` — keep the two
+/// committed numbers live in `results/BENCH_accuracy_energy.json` — keep the two
 /// in sync). [`RuntimeConfig`] uses this table to translate a
 /// `min_accuracy` floor into the cheapest ladder rung that still meets it;
 /// the scan walks cheapest-first, so a non-monotonic entry (the LSTM
@@ -971,9 +971,11 @@ impl RuntimeBuilder {
             .registry
             .as_ref()
             .map(|r| Arc::new(RtMetrics::register(r, Arc::clone(&self.clock))));
+        // `add`, not `set`: the shards of a fleet share one registry, and
+        // so one instrument per name.
         if let Some(r) = &self.registry {
             r.gauge("affect_rt_sessions", "registered sessions", &[])
-                .set(sessions.len() as i64);
+                .add(sessions.len() as i64);
         }
         let mem: Arc<MemoryBudget> = match self.memory_budget {
             Some(budget) => budget,

@@ -1,35 +1,43 @@
 //! Decode-throughput sweep over QP × resolution × affect mode, one run
-//! per decoder kernel backend (ISSUE 7 tentpole gate).
+//! per decoder kernel backend.
 //!
 //! Each cell encodes a synthetic clip once, then decodes it repeatedly
 //! with `Decoder::with_kernels` pinned to the `reference` and `simd`
 //! backends, reporting macroblocks per second (the decoder's natural
 //! work unit — `Activity::macroblocks` counts every decoded MB, so the
 //! metric is identical across modes even when the Input Selector drops
-//! NAL units). Writes:
-//!   - `benches/results/decode_sweep.csv` — the full grid with both
-//!     backends' MB/s and the simd/reference speedup per cell
-//!   - `../../BENCH_decode_sweep.json` — the repo-root trajectory file
-//!     CI's bench-smoke job uploads as an artifact
+//! NAL units). A full run adds the paper's calibration clip
+//! (`paper_reference(5)`) in all four modes, the Fig. 6 (middle)
+//! comparison in wall-clock time, and writes
+//! `results/BENCH_decode_sweep.json` through `bench::results`.
+//!
+//! Every run first prints the Input Selector ablation on the calibration
+//! clip: deleted units and PSNR for `S_th` ∈ {0, 70, 140, 280, 560} ×
+//! `f` ∈ {1, 2, 4}, the design-choice study DESIGN.md §7 calls out.
 //!
 //! The acceptance gate: with real vector lanes (backend name other than
-//! `simd-scalar`), at least one cell must reach a ≥ 1.5× speedup. The
-//! gate is skipped in `--test` mode (CI smoke / `cargo test`) and when
-//! the simd backend resolves to the portable scalar lanes, where parity
-//! — not speedup — is the contract.
+//! `simd-scalar`), at least one synthetic cell must reach a ≥ 1.5×
+//! speedup. The calibration-clip rows stay out of the gate's cell set.
+//! The gate is skipped in `--test` mode (CI smoke / `cargo test`) and
+//! when the simd backend resolves to the portable scalar lanes, where
+//! parity — not speedup — is the contract.
 
 use std::time::Instant;
 
 use affect_core::policy::VideoPowerMode;
+use bench::results::write_bench;
 use bench::table::Table;
 use criterion::black_box;
-use h264::adaptive::options_for_mode;
+use h264::adaptive::{options_for_mode, paper_reference};
 use h264::backend::BackendKind;
-use h264::decoder::Decoder;
+use h264::buffers::SelectorParams;
+use h264::decoder::{Decoder, DecoderOptions};
 use h264::encoder::{Encoder, EncoderConfig, GopPattern};
+use h264::quality::mean_psnr;
 use h264::video::synthetic_clip;
+use h264::{Frame, SpsParams};
 
-/// Minimum simd/reference speedup at least one cell must reach.
+/// Minimum simd/reference speedup at least one synthetic cell must reach.
 const SPEEDUP_GATE: f64 = 1.5;
 /// Target wall-clock per (cell, backend) measurement.
 const TARGET_SECS: f64 = 0.25;
@@ -71,8 +79,8 @@ fn grid(test_mode: bool) -> Vec<Cell> {
 
 /// Decodes `stream` `reps` times with the given backend and returns
 /// (MB/s, macroblocks per decode).
-fn measure(kind: BackendKind, cell: &Cell, stream: &[u8], reps: usize) -> (f64, u64) {
-    let options = options_for_mode(cell.mode);
+fn measure(kind: BackendKind, mode: VideoPowerMode, stream: &[u8], reps: usize) -> (f64, u64) {
+    let options = options_for_mode(mode);
     // Warm: touches the stream once and yields the per-decode MB count.
     let mb_per_decode = Decoder::with_kernels(options, kind.kernels())
         .decode(stream)
@@ -91,6 +99,13 @@ fn measure(kind: BackendKind, cell: &Cell, stream: &[u8], reps: usize) -> (f64, 
     (total_mb as f64 / elapsed, mb_per_decode)
 }
 
+/// The QP and frame size the stream's own sequence header declares.
+fn stream_header(stream: &[u8]) -> SpsParams {
+    let mut s = Decoder::new(DecoderOptions::default()).begin_stream();
+    s.decode_chunk(stream).expect("intact stream decodes");
+    *s.sps().expect("the stream opens with a sequence header")
+}
+
 fn mode_label(mode: VideoPowerMode) -> &'static str {
     match mode {
         VideoPowerMode::Standard => "standard",
@@ -100,24 +115,93 @@ fn mode_label(mode: VideoPowerMode) -> &'static str {
     }
 }
 
+/// Measures `stream` in `mode` on both backends, appends the table row and
+/// returns the simd/reference speedup.
+fn sweep_row(
+    table: &mut Table,
+    clip: &str,
+    mode: VideoPowerMode,
+    stream: &[u8],
+    test_mode: bool,
+) -> f64 {
+    // Size the rep count off one timed reference decode so each
+    // measurement fills roughly TARGET_SECS regardless of cell cost.
+    let reps = if test_mode {
+        2
+    } else {
+        let t0 = Instant::now();
+        let _ = Decoder::with_kernels(options_for_mode(mode), BackendKind::Reference.kernels())
+            .decode(stream)
+            .unwrap();
+        let once = t0.elapsed().as_secs_f64().max(1e-6);
+        ((TARGET_SECS / once) as usize).clamp(3, 400)
+    };
+
+    let (ref_mb_s, mb) = measure(BackendKind::Reference, mode, stream, reps);
+    let (simd_mb_s, _) = measure(BackendKind::Simd, mode, stream, reps);
+    let speedup = simd_mb_s / ref_mb_s;
+
+    let sps = stream_header(stream);
+    let size = format!("{}x{}", sps.width(), sps.height());
+    let mode = mode_label(mode);
+    eprintln!(
+        "  {clip:<15} qp {:>2} {size:>8} {mode:<12} ref {ref_mb_s:>9.0} MB/s  \
+         simd {simd_mb_s:>9.0} MB/s  x{speedup:.2}",
+        sps.qp
+    );
+    table.row(vec![
+        clip.to_string(),
+        sps.qp.to_string(),
+        size,
+        mode.to_string(),
+        mb.to_string(),
+        format!("{ref_mb_s:.1}"),
+        format!("{simd_mb_s:.1}"),
+        format!("{speedup:.3}"),
+    ]);
+    speedup
+}
+
+/// The Input Selector's power/quality frontier on the calibration clip.
+fn print_selector_ablation(frames: &[Frame], stream: &[u8]) {
+    eprintln!("\nS_th / f ablation (deleted units, psnr):");
+    for s_th in [0usize, 70, 140, 280, 560] {
+        for f in [1u32, 2, 4] {
+            let mut decoder = Decoder::new(DecoderOptions {
+                deblock: true,
+                selector: Some(SelectorParams::new(s_th, f).unwrap()),
+                resilient: false,
+            });
+            let out = decoder.decode(stream).unwrap();
+            let psnr = mean_psnr(frames, &out.frames).unwrap();
+            eprintln!(
+                "  s_th {s_th:>4}  f {f}: deleted {:>2}  psnr {psnr:.2} dB",
+                out.selection.deleted_units
+            );
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
+    let test_mode = std::env::args().any(|a| a == "--test");
 
     let simd_name = BackendKind::Simd.kernels().name();
     let vector_lanes = simd_name != "simd-scalar";
     eprintln!("decode_sweep: simd backend is `{simd_name}`");
 
+    let (paper_frames, paper_stream) = paper_reference(5).expect("calibration clip encodes");
+    print_selector_ablation(&paper_frames, &paper_stream);
+
     let mut table = Table::new(vec![
+        "clip".into(),
         "qp".into(),
         "size".into(),
         "mode".into(),
         "mb_per_decode".into(),
-        "ref_mb_s".into(),
-        "simd_mb_s".into(),
+        "reference_mb_per_s".into(),
+        "simd_mb_per_s".into(),
         "speedup".into(),
     ]);
-    let mut json_points = Vec::new();
     let mut best_speedup = 0.0f64;
 
     for cell in grid(test_mode) {
@@ -134,51 +218,11 @@ fn main() {
         .unwrap()
         .encode(&frames)
         .unwrap();
-
-        // Size the rep count off one timed reference decode so each
-        // measurement fills roughly TARGET_SECS regardless of cell cost.
-        let reps = if test_mode {
-            2
-        } else {
-            let t0 = Instant::now();
-            let _ = Decoder::with_kernels(
-                options_for_mode(cell.mode),
-                BackendKind::Reference.kernels(),
-            )
-            .decode(&stream)
-            .unwrap();
-            let once = t0.elapsed().as_secs_f64().max(1e-6);
-            ((TARGET_SECS / once) as usize).clamp(3, 400)
-        };
-
-        let (ref_mb_s, mb) = measure(BackendKind::Reference, &cell, &stream, reps);
-        let (simd_mb_s, _) = measure(BackendKind::Simd, &cell, &stream, reps);
-        let speedup = simd_mb_s / ref_mb_s;
+        let speedup = sweep_row(&mut table, "synthetic", cell.mode, &stream, test_mode);
         best_speedup = best_speedup.max(speedup);
-
-        let size = format!("{}x{}", cell.width, cell.height);
-        let mode = mode_label(cell.mode);
-        eprintln!(
-            "  qp {:>2} {:>8} {:<10} ref {:>9.0} MB/s  simd {:>9.0} MB/s  x{:.2}",
-            cell.qp, size, mode, ref_mb_s, simd_mb_s, speedup
-        );
-        table.row(vec![
-            cell.qp.to_string(),
-            size.clone(),
-            mode.to_string(),
-            mb.to_string(),
-            format!("{ref_mb_s:.1}"),
-            format!("{simd_mb_s:.1}"),
-            format!("{speedup:.3}"),
-        ]);
-        json_points.push(format!(
-            "    {{\"qp\": {}, \"size\": \"{}\", \"mode\": \"{}\", \"mb_per_decode\": {}, \
-             \"reference_mb_per_s\": {:.1}, \"simd_mb_per_s\": {:.1}, \"speedup\": {:.3}}}",
-            cell.qp, size, mode, mb, ref_mb_s, simd_mb_s, speedup
-        ));
     }
 
-    eprintln!("decode_sweep: best simd/reference speedup x{best_speedup:.2}");
+    eprintln!("decode_sweep: best synthetic-cell simd/reference speedup x{best_speedup:.2}");
 
     // `--test` keeps the committed results untouched: a 2-rep debug run
     // would overwrite the tracked numbers with noise.
@@ -186,25 +230,21 @@ fn main() {
         return;
     }
 
-    let csv_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/benches/results/decode_sweep.csv"
-    );
-    table.write_csv(csv_path).expect("write csv");
-    eprintln!("wrote {csv_path}");
+    for mode in VideoPowerMode::ALL {
+        sweep_row(&mut table, "paper_reference", mode, &paper_stream, false);
+    }
 
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode_sweep.json");
-    let json = format!(
-        "{{\n  \"bench\": \"decode_sweep\",\n  \"unit\": \"macroblocks_per_sec\",\n  \
-         \"simd_backend\": \"{simd_name}\",\n  \"best_speedup\": {best_speedup:.3},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_points.join(",\n")
-    );
-    std::fs::write(json_path, json).expect("write json");
-    eprintln!("wrote {json_path}");
+    let path = write_bench(
+        "decode_sweep",
+        "macroblocks_per_sec",
+        &[("best_speedup", format!("{best_speedup:.3}"))],
+        &table,
+    )
+    .expect("write BENCH_decode_sweep.json");
+    eprintln!("wrote {}", path.display());
 
-    // The tentpole acceptance gate. With portable scalar lanes the simd
-    // backend is a parity build, not a fast one — conformance covers it.
+    // The acceptance gate. With portable scalar lanes the simd backend is
+    // a parity build, not a fast one — conformance covers it.
     if vector_lanes {
         assert!(
             best_speedup >= SPEEDUP_GATE,

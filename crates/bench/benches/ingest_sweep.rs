@@ -1,5 +1,4 @@
-//! Streaming-ingest throughput sweep over wire chunk size (ISSUE 8
-//! tentpole gate).
+//! Streaming-ingest throughput sweep over wire chunk size.
 //!
 //! Encodes a clip once, then decodes it repeatedly through the chunked
 //! streaming front-end (`Decoder::begin_stream` → `decode_chunk` →
@@ -10,11 +9,9 @@
 //! isolates pure chunking overhead (scanner carry state, per-chunk
 //! buffer management).
 //!
-//! Writes:
-//!   - `benches/results/ingest_sweep.csv` — chunk-size grid with MB/s and
-//!     the overhead ratio vs. whole-buffer decode
-//!   - `../../BENCH_ingest_sweep.json` — the repo-root trajectory file
-//!     CI's bench-smoke job uploads as an artifact
+//! A full run writes the chunk-size grid, with MB/s and the overhead
+//! ratio vs. whole-buffer decode, to `results/BENCH_ingest_sweep.json`
+//! through `bench::results`.
 //!
 //! Two gates, both exercised in every mode (including `--test`):
 //!   - correctness: every chunking's output must equal whole-buffer
@@ -25,6 +22,7 @@
 use std::time::Instant;
 
 use affect_core::policy::VideoPowerMode;
+use bench::results::write_bench;
 use bench::table::Table;
 use criterion::black_box;
 use h264::adaptive::options_for_mode;
@@ -122,10 +120,9 @@ fn main() {
     let mut table = Table::new(vec![
         "chunk_bytes".into(),
         "chunks".into(),
-        "wire_mb_s".into(),
+        "wire_mb_per_s".into(),
         "overhead_vs_whole".into(),
     ]);
-    let mut json_points = Vec::new();
     let mut mtu_overhead = 1.0f64;
 
     for chunk in chunk_sizes(stream.len(), test_mode) {
@@ -152,10 +149,6 @@ fn main() {
             format!("{mb_s:.1}"),
             format!("{overhead:.3}"),
         ]);
-        json_points.push(format!(
-            "    {{\"chunk_bytes\": {chunk}, \"chunks\": {n_chunks}, \"wire_mb_per_s\": {mb_s:.1}, \
-             \"overhead_vs_whole\": {overhead:.3}}}"
-        ));
     }
 
     eprintln!("ingest_sweep: every chunking byte-identical to whole-buffer decode");
@@ -166,23 +159,18 @@ fn main() {
         return;
     }
 
-    let csv_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/benches/results/ingest_sweep.csv"
-    );
-    table.write_csv(csv_path).expect("write csv");
-    eprintln!("wrote {csv_path}");
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest_sweep.json");
-    let json = format!(
-        "{{\n  \"bench\": \"ingest_sweep\",\n  \"unit\": \"wire_mb_per_sec\",\n  \
-         \"stream_bytes\": {},\n  \"whole_buffer_mb_per_s\": {whole_mb_s:.1},\n  \
-         \"mtu_overhead\": {mtu_overhead:.3},\n  \"points\": [\n{}\n  ]\n}}\n",
-        stream.len(),
-        json_points.join(",\n")
-    );
-    std::fs::write(json_path, json).expect("write json");
-    eprintln!("wrote {json_path}");
+    let path = write_bench(
+        "ingest_sweep",
+        "wire_mb_per_sec",
+        &[
+            ("stream_bytes", stream.len().to_string()),
+            ("whole_buffer_mb_per_s", format!("{whole_mb_s:.1}")),
+            ("mtu_overhead", format!("{mtu_overhead:.3}")),
+        ],
+        &table,
+    )
+    .expect("write BENCH_ingest_sweep.json");
+    eprintln!("wrote {}", path.display());
 
     assert!(
         mtu_overhead <= MTU_OVERHEAD_GATE,

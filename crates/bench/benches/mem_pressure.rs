@@ -11,9 +11,8 @@
 //! sessions per tier, evicted windows, pressure-triggered ladder steps,
 //! and throughput over the pressured rounds.
 //!
-//! Outputs:
-//!   - `benches/results/mem_pressure.csv` — the full sweep
-//!   - `../../BENCH_mem_pressure.json` — the repo-root summary
+//! A full run writes the sweep to `results/BENCH_mem_pressure.json`
+//! through `bench::results`.
 //!
 //! Flags:
 //!   - `--test` (passed by `cargo test`) shrinks the run to a smoke
@@ -32,6 +31,7 @@ use affect_core::pipeline::FeatureConfig;
 use affect_fleet::{FleetBuilder, FleetConfig, FleetReport, QosTier, SubmitOutcome};
 use affect_obs::VirtualClock;
 use affect_rt::{NullActuator, OverflowPolicy, PressureBand, RuntimeConfig, StageConfig};
+use bench::results::write_bench;
 use bench::table::Table;
 
 const WINDOW_SAMPLES: usize = 256;
@@ -197,15 +197,14 @@ fn main() {
         "point".into(),
         "target_permille".into(),
         "band".into(),
-        "sessions".into(),
         "evicted_sessions".into(),
         "readmitted_sessions".into(),
         "evicted_windows".into(),
         "pressure_degradations".into(),
         "processed".into(),
         "windows_per_sec".into(),
+        "accounted".into(),
     ]);
-    let mut json_points = Vec::new();
     eprintln!("\nmemory-pressure sweep ({SHARDS} shards, {sessions} sessions, {rounds} rounds):");
     for point in &POINTS {
         // A fixed CI budget collapses the sweep to that budget at every
@@ -231,50 +230,32 @@ fn main() {
             point.label.to_string(),
             point.target_permille.to_string(),
             format!("{:?}", result.band),
-            sessions.to_string(),
             evicted_sessions.to_string(),
             readmitted.to_string(),
             result.evicted_windows.to_string(),
             degradations.to_string(),
             result.processed.to_string(),
             format!("{per_sec:.1}"),
+            // `run_point` has asserted the per-tier accounting.
+            "true".into(),
         ]);
-        json_points.push(format!(
-            "    {{\n      \"point\": \"{}\",\n      \"target_permille\": {},\n      \
-             \"band\": \"{:?}\",\n      \"evicted_sessions\": {},\n      \
-             \"readmitted_sessions\": {},\n      \"evicted_windows\": {},\n      \
-             \"pressure_degradations\": {},\n      \"windows_per_sec\": {:.1},\n      \
-             \"accounted\": true\n    }}",
-            point.label,
-            point.target_permille,
-            result.band,
-            evicted_sessions,
-            readmitted,
-            result.evicted_windows,
-            degradations,
-            per_sec,
-        ));
     }
 
     if test_mode {
-        println!("test mode: skipping csv/json output");
+        println!("test mode: skipping the BENCH output");
         return;
     }
 
-    let csv_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/benches/results/mem_pressure.csv"
-    );
-    table.write_csv(csv_path).expect("write mem sweep csv");
-    println!("wrote {csv_path}");
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mem_pressure.json");
-    let json = format!(
-        "{{\n  \"bench\": \"mem_pressure\",\n  \"unit\": \"windows_per_sec\",\n  \
-         \"shards\": {SHARDS},\n  \"sessions\": {sessions},\n  \"rounds_per_point\": {rounds},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_points.join(",\n")
-    );
-    std::fs::write(json_path, json).expect("write mem_pressure json");
-    println!("wrote {json_path}");
+    let path = write_bench(
+        "mem_pressure",
+        "windows_per_sec",
+        &[
+            ("shards", SHARDS.to_string()),
+            ("sessions", sessions.to_string()),
+            ("rounds_per_point", rounds.to_string()),
+        ],
+        &table,
+    )
+    .expect("write BENCH_mem_pressure.json");
+    println!("wrote {}", path.display());
 }

@@ -9,11 +9,15 @@
 //! `fig6-playback`, `fig7`, `fig9`, `fig10`, `model-table`, `area-table`,
 //! `all`. Add `--quick` to use the fast training profile.
 //!
-//! Tables are printed to stdout and CSV copies land in `results/`.
+//! Tables are printed to stdout and CSV copies land in `<repo>/results`,
+//! whatever the working directory.
 
-use bench::fig3::{full_grid, Fig3Config};
+use affect_core::classifier::ClassifierKind;
+use bench::fig3::{evaluate_classifier, full_grid, ClassifierResult, Fig3Config};
+use bench::results::results_dir;
 use bench::table::{pct, Table};
 use bench::{ext, fig10, fig6, fig7, fig9, tables};
+use datasets::CorpusSpec;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -70,16 +74,22 @@ fn fig3_config(quick: bool) -> Fig3Config {
     }
 }
 
-fn fig3a(quick: bool) -> AnyResult {
-    use affect_core::classifier::ClassifierKind;
-    use datasets::CorpusSpec;
+/// Writes `table` as `<repo>/results/<file>`.
+fn save(table: &Table, file: &str) -> std::io::Result<()> {
+    table.write_csv(results_dir().join(file))
+}
 
-    println!("== Fig. 3(a): confusion matrix, LSTM on RAVDESS-like ==");
-    let r = bench::fig3::evaluate_classifier(
+fn fig3a(quick: bool) -> AnyResult {
+    let r = evaluate_classifier(
         ClassifierKind::Lstm,
         &CorpusSpec::ravdess_like(),
         &fig3_config(quick),
     )?;
+    render_fig3a(&r)
+}
+
+fn render_fig3a(r: &ClassifierResult) -> AnyResult {
+    println!("== Fig. 3(a): confusion matrix, LSTM on RAVDESS-like ==");
     println!("{}", r.confusion);
     println!("overall accuracy: {}", pct(f64::from(r.accuracy)));
 
@@ -95,20 +105,23 @@ fn fig3a(quick: bool) -> AnyResult {
                 .collect(),
         );
     }
-    csv.write_csv("results/fig3a_confusion.csv")?;
+    save(&csv, "fig3a_confusion.csv")?;
     Ok(())
 }
 
 fn fig3b(quick: bool) -> AnyResult {
+    render_fig3b(&full_grid(&fig3_config(quick))?)
+}
+
+fn render_fig3b(results: &[ClassifierResult]) -> AnyResult {
     println!("== Fig. 3(b): accuracy by model and corpus ==");
-    let results = full_grid(&fig3_config(quick))?;
     let mut t = Table::new(vec![
         "corpus".into(),
         "model".into(),
         "accuracy".into(),
         "int8 accuracy".into(),
     ]);
-    for r in &results {
+    for r in results {
         t.row(vec![
             r.corpus.clone(),
             r.kind.to_string(),
@@ -118,7 +131,7 @@ fn fig3b(quick: bool) -> AnyResult {
     }
     println!("{}", t.render());
     println!("paper: accuracies 50-85%; CNN and LSTM outperform the MLP.");
-    t.write_csv("results/fig3b_accuracy.csv")?;
+    save(&t, "fig3b_accuracy.csv")?;
     Ok(())
 }
 
@@ -139,25 +152,30 @@ fn fig3c() -> AnyResult {
         ]);
     }
     println!("{}", t.render());
-    t.write_csv("results/fig3c_weight_size.csv")?;
+    save(&t, "fig3c_weight_size.csv")?;
     Ok(())
 }
 
 fn fig3d(quick: bool) -> AnyResult {
-    use datasets::CorpusSpec;
-
-    println!("== Fig. 3(d): accuracy float vs 8-bit (EMOVO-like) ==");
     let cfg = fig3_config(quick);
+    let results = ClassifierKind::NEURAL
+        .into_iter()
+        .map(|kind| evaluate_classifier(kind, &CorpusSpec::emovo_like(), &cfg))
+        .collect::<Result<Vec<_>, _>>()?;
+    render_fig3d(&results)
+}
+
+fn render_fig3d(results: &[ClassifierResult]) -> AnyResult {
+    println!("== Fig. 3(d): accuracy float vs 8-bit (EMOVO-like) ==");
     let mut t = Table::new(vec![
         "model".into(),
         "float".into(),
         "int8".into(),
         "loss".into(),
     ]);
-    for kind in affect_core::classifier::ClassifierKind::NEURAL {
-        let r = bench::fig3::evaluate_classifier(kind, &CorpusSpec::emovo_like(), &cfg)?;
+    for r in results {
         t.row(vec![
-            kind.to_string(),
+            r.kind.to_string(),
             pct(f64::from(r.accuracy)),
             pct(f64::from(r.int8_accuracy)),
             pct(f64::from(r.accuracy - r.int8_accuracy)),
@@ -165,7 +183,7 @@ fn fig3d(quick: bool) -> AnyResult {
     }
     println!("{}", t.render());
     println!("paper: less than 3% accuracy loss at 8 bits.");
-    t.write_csv("results/fig3d_quant_accuracy.csv")?;
+    save(&t, "fig3d_quant_accuracy.csv")?;
     Ok(())
 }
 
@@ -212,8 +230,8 @@ fn fig6_modes() -> AnyResult {
     }
     println!("standard-mode module breakdown:");
     println!("{}", bt.render());
-    bt.write_csv("results/fig6_breakdown.csv")?;
-    t.write_csv("results/fig6_modes.csv")?;
+    save(&bt, "fig6_breakdown.csv")?;
+    save(&t, "fig6_modes.csv")?;
     Ok(())
 }
 
@@ -241,7 +259,7 @@ fn fig6_playback() -> AnyResult {
         "energy saving vs always-standard: {} (paper: 23.1%)",
         pct(report.saving)
     );
-    t.write_csv("results/fig6_playback.csv")?;
+    save(&t, "fig6_playback.csv")?;
     Ok(())
 }
 
@@ -273,7 +291,7 @@ fn fig6_classified() -> AnyResult {
     println!("{}", t.render());
     println!("the paper reports the oracle-label run (23.1%); the closed loop shows");
     println!("how much of that survives a real SC-driven classifier.");
-    t.write_csv("results/fig6_classified.csv")?;
+    save(&t, "fig6_classified.csv")?;
     Ok(())
 }
 
@@ -294,7 +312,7 @@ fn fig7_cmd() -> AnyResult {
         );
     }
     println!("{}", t.render());
-    t.write_csv("results/fig7_usage.csv")?;
+    save(&t, "fig7_usage.csv")?;
 
     println!("== Fig. 7 (right): emulator specification ==");
     let mut spec = Table::new(vec!["key".into(), "value".into()]);
@@ -302,7 +320,7 @@ fn fig7_cmd() -> AnyResult {
         spec.row(vec![k, v]);
     }
     println!("{}", spec.render());
-    spec.write_csv("results/fig7_spec.csv")?;
+    save(&spec, "fig7_spec.csv")?;
     Ok(())
 }
 
@@ -331,7 +349,7 @@ fn fig9_cmd() -> AnyResult {
             m.warm_starts.to_string(),
         ]);
     }
-    t.write_csv("results/fig9_summary.csv")?;
+    save(&t, "fig9_summary.csv")?;
 
     // Per-app lifespan spans for external plotting.
     let mut spans = Table::new(vec![
@@ -358,7 +376,7 @@ fn fig9_cmd() -> AnyResult {
             }
         }
     }
-    spans.write_csv("results/fig9_timeline.csv")?;
+    save(&spans, "fig9_timeline.csv")?;
     Ok(())
 }
 
@@ -393,7 +411,7 @@ fn fig10_cmd() -> AnyResult {
         pct(r.allocated_saving)
     );
     println!("(averaged over {} workload seeds)", r.runs);
-    t.write_csv("results/fig10_savings.csv")?;
+    save(&t, "fig10_savings.csv")?;
     Ok(())
 }
 
@@ -409,7 +427,7 @@ fn ext_gru(quick: bool) -> AnyResult {
         ]);
     }
     println!("{}", t.render());
-    t.write_csv("results/ext_gru_vs_lstm.csv")?;
+    save(&t, "ext_gru_vs_lstm.csv")?;
     Ok(())
 }
 
@@ -431,7 +449,7 @@ fn ext_limits() -> AnyResult {
     println!("{}", t.render());
     println!("the emotion manager's advantage is a memory-pressure effect:");
     println!("it grows as the limit tightens and vanishes without pressure.");
-    t.write_csv("results/ext_process_limit.csv")?;
+    save(&t, "ext_process_limit.csv")?;
     Ok(())
 }
 
@@ -458,8 +476,8 @@ fn ext_stream() -> AnyResult {
         f.row(vec![s_th.to_string(), pct(*fraction)]);
     }
     println!("{}", f.render());
-    t.write_csv("results/ext_nal_composition.csv")?;
-    f.write_csv("results/ext_droppable_fraction.csv")?;
+    save(&t, "ext_nal_composition.csv")?;
+    save(&f, "ext_droppable_fraction.csv")?;
     Ok(())
 }
 
@@ -481,7 +499,7 @@ fn ext_subjects() -> AnyResult {
         ]);
     }
     println!("{}", t.render());
-    t.write_csv("results/ext_subjects.csv")?;
+    save(&t, "ext_subjects.csv")?;
     Ok(())
 }
 
@@ -498,7 +516,7 @@ fn model_table() -> AnyResult {
         t.row(vec![name, paper.to_string(), ours.to_string(), pct(err)]);
     }
     println!("{}", t.render());
-    t.write_csv("results/model_table.csv")?;
+    save(&t, "model_table.csv")?;
     Ok(())
 }
 
@@ -509,15 +527,23 @@ fn area_table() -> AnyResult {
         t.row(vec![k, v]);
     }
     println!("{}", t.render());
-    t.write_csv("results/area_table.csv")?;
+    save(&t, "area_table.csv")?;
     Ok(())
 }
 
+/// Every figure in order. Fig. 3(a), (b) and (d) render from one run of
+/// the Fig. 3(b) grid, which already trains each of their cells.
 fn all(quick: bool) -> AnyResult {
-    fig3a(quick)?;
-    fig3b(quick)?;
+    let grid = full_grid(&fig3_config(quick))?;
+    let on = |spec: CorpusSpec| grid.iter().filter(move |r| r.corpus == spec.name);
+    let lstm_ravdess = on(CorpusSpec::ravdess_like())
+        .find(|r| r.kind == ClassifierKind::Lstm)
+        .ok_or("the Fig. 3(b) grid has no LSTM/RAVDESS-like cell")?;
+    render_fig3a(lstm_ravdess)?;
+    render_fig3b(&grid)?;
     fig3c()?;
-    fig3d(quick)?;
+    let emovo: Vec<ClassifierResult> = on(CorpusSpec::emovo_like()).cloned().collect();
+    render_fig3d(&emovo)?;
     fig6_modes()?;
     fig6_playback()?;
     fig6_classified()?;
@@ -530,6 +556,9 @@ fn all(quick: bool) -> AnyResult {
     ext_limits()?;
     ext_stream()?;
     ext_subjects()?;
-    println!("\nall experiments regenerated; CSVs in results/");
+    println!(
+        "\nall experiments regenerated; CSVs in {}",
+        results_dir().display()
+    );
     Ok(())
 }

@@ -17,8 +17,8 @@ use std::path::Path;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    pub(crate) header: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {

@@ -66,7 +66,7 @@ impl HdcConfig {
     /// The profile the affect runtime uses: 1024-bit hypervectors with 16
     /// levels — small enough that the whole codebook fits in L2, accurate
     /// enough to beat chance by a wide margin on the synthetic corpora
-    /// (see `BENCH_accuracy_energy.json`).
+    /// (see `results/BENCH_accuracy_energy.json`).
     pub fn new(input_dim: usize, classes: usize, seed: u64) -> Result<Self, NnError> {
         let config = Self {
             dim_bits: 1024,
@@ -493,7 +493,7 @@ impl HdcClassifier {
     }
 
     /// Estimated integer word operations per classification, the cost
-    /// model `BENCH_accuracy_energy.json` reports: ~4 ops per
+    /// model `results/BENCH_accuracy_energy.json` reports: ~4 ops per
     /// channel-word for the bind lookup + carry-save bundle, 2 per
     /// class-word for the XOR + popcount lookup, plus the per-word
     /// threshold compare. Deterministic in the config, so CI can gate on

@@ -51,8 +51,8 @@
 //! runs the sharded `affect-fleet` runtime instead of one `affect-rt`
 //! instance: sessions are consistent-hash routed across shards, cycled
 //! over the three QoS tiers (critical → LSTM, standard → CNN, best effort
-//! → MLP), and driven in lockstep by the same load driver the
-//! `fleet_throughput` bench uses. With `--chaos <seed>` each shard gets a
+//! → MLP), and driven in lockstep by the same load driver the fleet
+//! integration tests use. With `--chaos <seed>` each shard gets a
 //! decorrelated fault stream derived from the one fleet seed
 //! (`FaultPlan::for_shard`), and the printed fate ledger is byte-stable —
 //! the CI chaos job diffs two invocations.
@@ -582,7 +582,7 @@ fn run_chaos(
 }
 
 /// The `--fleet <shards>` entry point: the sharded runtime, driven by the
-/// same lockstep load driver as the `fleet_throughput` bench. Sessions
+/// same lockstep load driver as the fleet integration tests. Sessions
 /// cycle over the QoS tiers; with a chaos seed, each shard injects a
 /// decorrelated fault stream derived from the one fleet seed, and the
 /// printed fate ledger is byte-stable across invocations (the CI chaos

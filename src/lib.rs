@@ -48,7 +48,9 @@
 //!
 //! The runnable examples cover the paper's case studies end to end:
 //! `cargo run --release --example quickstart`, `video_playback`,
-//! `app_management`, `classifier_study`.
+//! `app_management`. The Fig. 3 classifier study is
+//! `cargo run --release -p bench --bin repro -- --quick fig3b`, and the
+//! Sec. 2 parameter budgets are `repro model-table`.
 
 /// The paper's core contribution: emotion model, classifiers, policies and
 /// the system controller (`affect-core`).
