@@ -59,11 +59,11 @@ pub enum FaultAction {
     /// Sleep this many wall-clock nanoseconds, then process normally
     /// (latency/jitter injection).
     DelayNs(u64),
-    /// Panic the worker while holding the window. Supported by the
-    /// supervised feature and classify stages; the single-threaded ingest,
-    /// control and actuate stages treat it as [`FaultAction::DropWindow`]
-    /// (panicking the producer or an unsupervised worker would take the
-    /// whole pipeline down, which is not an interesting experiment).
+    /// Panic the worker while holding the window. Every worker stage
+    /// (feature, classify, control, actuate) is supervised, so the panic
+    /// costs that window and a worker restart. Only ingest treats it as
+    /// [`FaultAction::DropWindow`]: it runs on the producer's thread, and
+    /// panicking the caller is not an interesting experiment.
     Panic,
 }
 

@@ -28,13 +28,15 @@
 //!   `docs/DEGRADATION.md` for the full ladder semantics.
 //! - **Honest accounting** — `produced == processed + dropped` per
 //!   session, always: load shedding is explicit, never silent.
-//! - **Supervision** — feature and classify workers run each window inside
-//!   a per-message unwind boundary: a panic (injected via [`FaultHook`] or
-//!   organic) costs one window, restarts the worker with exponential
-//!   backoff, and retires it only after a restart budget. Repeated
-//!   classifier failures trip a per-session circuit breaker straight to
-//!   the session's floor family (the HDC rung by default); an optional
-//!   watchdog force-drains stalled queues. See `docs/ROBUSTNESS.md`.
+//! - **Supervision** — every stage worker (feature, classify, control,
+//!   actuate) runs each window inside a per-message unwind boundary: a
+//!   panic (injected via [`FaultHook`] or organic, including one in user
+//!   [`Actuator`] code) costs one window, restarts the worker with
+//!   exponential backoff, and retires it only after a restart budget.
+//!   Repeated classifier failures trip a per-session circuit breaker
+//!   straight to the session's floor family (the HDC rung by default); an
+//!   optional watchdog force-drains stalled queues. See
+//!   `docs/ROBUSTNESS.md`.
 //!
 //! Everything is built on `std::thread` + mutex/condvar rings; the crate
 //! adds no dependencies beyond the workspace's own crates.

@@ -22,9 +22,16 @@
 //! Classifier models are not `Send` (layers are plain `Box<dyn Layer>`),
 //! so each classify worker *builds its own* pool at startup — the three
 //! scaled neural families (per configured precision) plus the integer-only
-//! HDC rung — and dispatches on the (family, precision) pair stamped into
-//! the message; a session's family switch is picked up by whichever worker
-//! handles its next window.
+//! HDC rung — and dispatches on the family stamped into the window at
+//! extraction plus the session's precision; a session's family switch is
+//! picked up by whichever worker handles its next window.
+//!
+//! Each stage is a step function: it takes one window's envelope (session,
+//! sequence number, arrival time, payload) and returns the next stage's
+//! envelope, or drops the window. One supervised loop drives all four
+//! stages: it pops, resolves the fault hook's verdict, runs the step inside
+//! the per-window unwind boundary, forwards or accounts the result, and
+//! applies the restart budget.
 //!
 //! ## Accounting invariant
 //!
@@ -48,7 +55,7 @@
 //! [`RuntimeConfig::min_accuracy`] to the cheapest rung meeting that
 //! accuracy. See `docs/DEGRADATION.md` for the full ladder semantics.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -97,14 +104,14 @@ impl StageConfig {
     }
 }
 
-/// Supervision parameters for the feature and classify worker pools and
-/// the per-session classify circuit breaker.
+/// Supervision parameters for every stage worker (feature, classify,
+/// control and actuate) and the per-session classify circuit breaker.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisionConfig {
     /// Panics one worker may survive before it is retired. Each caught
     /// panic costs the in-flight window (accounted as dropped) and a
     /// backoff pause; exceeding the budget retires the worker, and the
-    /// last worker of a pool to retire closes and drains its input queue
+    /// last worker of a stage to retire closes and drains its input queue
     /// so the accounting invariant still converges.
     pub restart_budget: u32,
     /// Backoff after the first caught panic, milliseconds. Doubles per
@@ -544,9 +551,6 @@ impl ClassifyCounters {
 /// only when [`RuntimeBuilder::metrics`] supplied a registry; every update
 /// is a relaxed atomic op, so the warm path stays allocation-free.
 struct RtMetrics {
-    /// Clock the stage spans time against (same source as latency
-    /// accounting, so virtual-clock tests see deterministic spans).
-    clock: Arc<dyn Clock>,
     feature_latency: Arc<Histogram>,
     classify_latency: Arc<Histogram>,
     control_latency: Arc<Histogram>,
@@ -579,7 +583,7 @@ struct RtMetrics {
 }
 
 impl RtMetrics {
-    fn register(registry: &MetricsRegistry, clock: Arc<dyn Clock>) -> Self {
+    fn register(registry: &MetricsRegistry) -> Self {
         let stage_latency = |stage: &str| {
             registry.histogram(
                 "affect_rt_stage_latency_ns",
@@ -588,7 +592,6 @@ impl RtMetrics {
             )
         };
         Self {
-            clock,
             feature_latency: stage_latency("feature"),
             classify_latency: stage_latency("classify"),
             control_latency: stage_latency("control"),
@@ -699,129 +702,804 @@ impl RtMetrics {
     }
 }
 
-/// Builds one stage queue, wiring in the `affect_rt_queue_*` series when a
-/// registry is attached.
-fn make_ring<T>(
-    registry: Option<&MetricsRegistry>,
-    capacity: usize,
-    policy: OverflowPolicy,
-    stage: &str,
-) -> Ring<T> {
-    match registry {
-        Some(r) => Ring::with_metrics(capacity, policy, ring_metrics(r, stage)),
-        None => Ring::new(capacity, policy),
-    }
-}
-
-/// Registers the `affect_rt_queue_*` series for one stage's ring.
-fn ring_metrics(registry: &MetricsRegistry, stage: &str) -> RingMetrics {
-    RingMetrics {
-        pushed: registry.counter(
-            "affect_rt_queue_pushed_total",
-            "messages accepted into a stage queue",
-            &[("stage", stage)],
-        ),
-        popped: registry.counter(
-            "affect_rt_queue_popped_total",
-            "messages handed to a stage's consumers",
-            &[("stage", stage)],
-        ),
-        shed: registry.counter(
-            "affect_rt_queue_shed_total",
-            "messages shed by the stage queue's overflow policy",
-            &[("stage", stage)],
-        ),
-        depth: registry.gauge(
-            "affect_rt_queue_depth",
-            "current queue depth of a stage",
-            &[("stage", stage)],
-        ),
-    }
-}
-
-/// Type-erased view of one stage queue, so a single watchdog thread can
-/// monitor queues of four different message types.
-trait WatchedQueue: Send + Sync {
-    fn popped(&self) -> u64;
-    fn depth(&self) -> usize;
-    /// Drains everything currently queued, returning the owning session of
-    /// each drained message.
-    fn drain_sessions(&self) -> Vec<usize>;
-}
-
-struct WatchedRing<T> {
-    ring: Arc<Ring<T>>,
-    session_of: fn(&T) -> usize,
-}
-
-impl<T: Send> WatchedQueue for WatchedRing<T> {
-    fn popped(&self) -> u64 {
-        self.ring.snapshot().popped
-    }
-
-    fn depth(&self) -> usize {
-        self.ring.depth()
-    }
-
-    fn drain_sessions(&self) -> Vec<usize> {
-        let mut sessions = Vec::new();
-        while let Some(msg) = self.ring.try_pop() {
-            sessions.push((self.session_of)(&msg));
-        }
-        sessions
-    }
-}
-
-/// Wakes `wait_idle` whenever any accounting counter moves.
+/// Wakes waiters whenever any accounting counter moves.
+#[derive(Default)]
 struct Progress {
     generation: Mutex<u64>,
     changed: Condvar,
 }
 
 impl Progress {
-    fn new() -> Self {
-        Self {
-            generation: Mutex::new(0),
-            changed: Condvar::new(),
-        }
-    }
-
     fn bump(&self) {
         *self.generation.lock().expect("progress lock poisoned") += 1;
         self.changed.notify_all();
     }
+
+    /// Blocks until `done` holds. The wait is timed: a counter can move
+    /// between the check and the wait, so the notification alone is never
+    /// relied on.
+    fn wait_until(&self, done: impl Fn() -> bool) {
+        let mut generation = self.generation.lock().expect("progress lock poisoned");
+        while !done() {
+            generation = self
+                .changed
+                .wait_timeout(generation, Duration::from_millis(20))
+                .expect("progress lock poisoned")
+                .0;
+        }
+    }
 }
 
-struct IngestMsg {
+/// One window in flight between two stages: its session, its sequence
+/// number in that session's stream, its arrival time, and the payload the
+/// next stage consumes.
+struct Envelope<T> {
     session: usize,
     seq: u64,
     arrival_ns: u64,
-    samples: Vec<f32>,
+    body: T,
 }
 
-struct ClassifyMsg {
-    session: usize,
-    seq: u64,
-    arrival_ns: u64,
-    family: ClassifierKind,
-    /// The session's inference precision, stamped alongside the family so
-    /// the classify worker picks the matching pool entry.
-    precision: Precision,
-    features: Tensor,
+impl<T> Envelope<T> {
+    /// The same window carrying the next stage's payload.
+    fn with<U>(&self, body: U) -> Envelope<U> {
+        Envelope {
+            session: self.session,
+            seq: self.seq,
+            arrival_ns: self.arrival_ns,
+            body,
+        }
+    }
 }
 
-struct ControlMsg {
-    session: usize,
-    seq: u64,
-    arrival_ns: u64,
-    emotion: Option<Emotion>,
+/// A stage's input: its ring, and how many of the stage's workers still
+/// run. The last worker out closes and drains the ring.
+struct Inbox<T> {
+    ring: Ring<Envelope<T>>,
+    workers: AtomicUsize,
 }
 
-struct ActuateMsg {
-    session: usize,
-    seq: u64,
-    arrival_ns: u64,
-    events: Vec<ControlEvent>,
+impl<T> Inbox<T> {
+    /// Builds the ring, registering its `affect_rt_queue_*` series when a
+    /// registry is attached.
+    fn new(
+        registry: Option<&MetricsRegistry>,
+        stage: &str,
+        queue: StageConfig,
+        workers: usize,
+    ) -> Self {
+        let ring = match registry {
+            Some(r) => Ring::with_metrics(
+                queue.capacity,
+                queue.policy,
+                RingMetrics {
+                    pushed: r.counter(
+                        "affect_rt_queue_pushed_total",
+                        "messages accepted into a stage queue",
+                        &[("stage", stage)],
+                    ),
+                    popped: r.counter(
+                        "affect_rt_queue_popped_total",
+                        "messages handed to a stage's consumers",
+                        &[("stage", stage)],
+                    ),
+                    shed: r.counter(
+                        "affect_rt_queue_shed_total",
+                        "messages shed by the stage queue's overflow policy",
+                        &[("stage", stage)],
+                    ),
+                    depth: r.gauge(
+                        "affect_rt_queue_depth",
+                        "current queue depth of a stage",
+                        &[("stage", stage)],
+                    ),
+                },
+            ),
+            None => Ring::new(queue.capacity, queue.policy),
+        };
+        Self {
+            ring,
+            workers: AtomicUsize::new(workers),
+        }
+    }
+
+    fn report(&self, stage: &'static str) -> StageReport {
+        let stats = self.ring.snapshot();
+        StageReport {
+            stage,
+            pushed: stats.pushed,
+            popped: stats.popped,
+            shed: stats.shed,
+            depth_high_water: stats.depth_high_water,
+            capacity: self.ring.capacity(),
+        }
+    }
+}
+
+/// What a stage does with one window once the fault hook has spoken.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Proceed,
+    Drop,
+    Panic,
+}
+
+/// Everything the stage workers, the watchdog and the [`Runtime`] handle
+/// share. Each thread holds one `Arc` of it.
+struct Shared {
+    config: RuntimeConfig,
+    clock: Arc<dyn Clock>,
+    sessions: Vec<SessionState>,
+    progress: Progress,
+    metrics: Option<RtMetrics>,
+    faults: FaultCounters,
+    classify_counters: ClassifyCounters,
+    hook: Option<Arc<dyn FaultHook>>,
+    mem: Arc<MemoryBudget>,
+    /// Degradation steps triggered by memory pressure alone (deadline met).
+    pressure_degradations: AtomicU64,
+    ingest: Inbox<Vec<f32>>,
+    /// Feature → classify: the session's family when extracted, and the
+    /// features in that family's layout.
+    classify: Inbox<(ClassifierKind, Tensor)>,
+    control: Inbox<Option<Emotion>>,
+    actuate: Inbox<Vec<ControlEvent>>,
+    watchdog_stop: AtomicBool,
+}
+
+impl Shared {
+    fn new(
+        config: RuntimeConfig,
+        clock: Arc<dyn Clock>,
+        sessions: Vec<SessionState>,
+        registry: Option<&MetricsRegistry>,
+        hook: Option<Arc<dyn FaultHook>>,
+        memory_budget: Option<Arc<MemoryBudget>>,
+    ) -> Self {
+        // Registration order is the registry's render order: the runtime's
+        // series, the session gauge, the memory series, then the queues.
+        let metrics = registry.map(RtMetrics::register);
+        // `add`, not `set`: the shards of a fleet share one registry, and
+        // so one instrument per name.
+        if let Some(r) = registry {
+            r.gauge("affect_rt_sessions", "registered sessions", &[])
+                .add(sessions.len() as i64);
+        }
+        let mem = memory_budget.unwrap_or_else(|| {
+            let budget = MemoryBudget::new(config.memory_budget_bytes);
+            Arc::new(match registry {
+                Some(r) => budget.with_metrics(r),
+                None => budget,
+            })
+        });
+        let workers = config.workers;
+        let actuate = StageConfig::new(config.actuate_capacity, OverflowPolicy::Block);
+        Self {
+            ingest: Inbox::new(registry, "ingest", config.ingest, workers),
+            classify: Inbox::new(registry, "classify", config.classify, workers),
+            control: Inbox::new(registry, "control", config.control, 1),
+            actuate: Inbox::new(registry, "actuate", actuate, 1),
+            config,
+            clock,
+            sessions,
+            progress: Progress::default(),
+            metrics,
+            faults: FaultCounters::default(),
+            classify_counters: ClassifyCounters::default(),
+            hook,
+            mem,
+            pressure_degradations: AtomicU64::new(0),
+            watchdog_stop: AtomicBool::new(false),
+        }
+    }
+
+    /// Adds `n` to a report counter and, with a registry attached, to its
+    /// series.
+    fn add(&self, report: &AtomicU64, series: impl Fn(&RtMetrics) -> &Arc<ObsCounter>, n: u64) {
+        report.fetch_add(n, Ordering::SeqCst);
+        if let Some(m) = &self.metrics {
+            series(m).add(n);
+        }
+    }
+
+    /// Counts one event in a report counter and its series.
+    fn count(&self, report: &AtomicU64, series: impl Fn(&RtMetrics) -> &Arc<ObsCounter>) {
+        self.add(report, series, 1);
+    }
+
+    /// Times a stage body into its latency series (none without a
+    /// registry), against the runtime clock.
+    fn span(&self, series: impl Fn(&RtMetrics) -> &Arc<Histogram>) -> Option<Span<'_>> {
+        self.metrics
+            .as_ref()
+            .map(|m| Span::enter(series(m), &*self.clock))
+    }
+
+    /// Accounts one window as dropped and wakes waiters.
+    fn drop_window(&self, session: usize) {
+        self.count(&self.sessions[session].dropped, |m| &m.dropped);
+        self.progress.bump();
+    }
+
+    /// Asks the fault hook what to do with one window at one stage,
+    /// sleeping out an injected delay. Without a hook every window
+    /// proceeds.
+    fn verdict(&self, stage: Stage, session: usize, seq: u64) -> Verdict {
+        match self
+            .hook
+            .as_ref()
+            .map(|hook| hook.inject(stage, session, seq))
+        {
+            None | Some(FaultAction::None) => Verdict::Proceed,
+            Some(FaultAction::DelayNs(ns)) => {
+                std::thread::sleep(Duration::from_nanos(ns));
+                Verdict::Proceed
+            }
+            Some(FaultAction::DropWindow) => Verdict::Drop,
+            Some(FaultAction::Panic) => Verdict::Panic,
+        }
+    }
+
+    /// Pushes an envelope into a ring, accounting every shed outcome as its
+    /// session's drop so the accounting invariant holds. Returns whether
+    /// `env` itself was queued.
+    fn offer<T>(&self, ring: &Ring<Envelope<T>>, env: Envelope<T>) -> bool {
+        match ring.push(env) {
+            PushOutcome::Stored => true,
+            PushOutcome::Evicted(old) => {
+                self.drop_window(old.session);
+                true
+            }
+            PushOutcome::Rejected(old) | PushOutcome::Closed(old) => {
+                self.drop_window(old.session);
+                false
+            }
+        }
+    }
+
+    /// Books one caught worker panic: decides restart (with exponential
+    /// backoff) versus retirement. Returns `true` when the worker should
+    /// keep running, `false` when it exhausted its restart budget.
+    fn survive_panic(&self, consecutive_panics: u32, panics_survived: u32) -> bool {
+        let supervision = &self.config.supervision;
+        self.count(&self.faults.worker_panics, |m| &m.worker_panics);
+        if panics_survived > supervision.restart_budget {
+            self.count(&self.faults.workers_lost, |m| &m.workers_lost);
+            return false;
+        }
+        self.count(&self.faults.worker_restarts, |m| &m.worker_restarts);
+        let backoff = supervision.backoff_for(consecutive_panics);
+        if backoff > 0 {
+            std::thread::sleep(Duration::from_millis(backoff));
+        }
+        true
+    }
+
+    /// Books one classify failure against a session's circuit breaker,
+    /// tripping it (family forced to the session's floor) after the
+    /// configured streak.
+    fn breaker_on_failure(&self, session: usize) {
+        let state = &self.sessions[session];
+        match state.breaker.load(Ordering::SeqCst) {
+            BREAKER_HALF_OPEN => {
+                // The recovery probe failed: reopen and re-pin the floor.
+                // The gauge still counts this breaker from the original
+                // trip (half-open is "open, probing"), so no `add` here.
+                state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
+                state.set_family(state.floor);
+                self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
+            }
+            BREAKER_CLOSED => {
+                let failures = state.breaker_failures.fetch_add(1, Ordering::SeqCst) + 1;
+                if failures >= self.config.supervision.breaker_threshold {
+                    state.breaker_failures.store(0, Ordering::SeqCst);
+                    state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
+                    // Trip straight to the floor of the fallback chain — no
+                    // stepwise descent while the classifier is demonstrably
+                    // broken.
+                    state.set_family(state.floor);
+                    self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
+                    if let Some(m) = &self.metrics {
+                        m.breakers_open.add(1);
+                    }
+                }
+            }
+            _ => {} // already open: nothing below the floor to fall to
+        }
+    }
+
+    /// Books one classify success: closes a half-open breaker when the
+    /// probe window (a richer-than-floor family) came through.
+    fn breaker_on_success(&self, session: usize, family: ClassifierKind) {
+        let state = &self.sessions[session];
+        state.breaker_failures.store(0, Ordering::SeqCst);
+        if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN
+            && family.rung() > state.floor.rung()
+        {
+            state.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
+            self.count(&self.faults.breaker_closes, |m| &m.breaker_closes);
+            if let Some(m) = &self.metrics {
+                m.breakers_open.sub(1);
+            }
+        }
+    }
+
+    /// Snapshots per-session accounting and per-stage queue statistics.
+    fn report(&self) -> RuntimeReport {
+        let sessions = self
+            .sessions
+            .iter()
+            .enumerate()
+            .map(|(index, s)| SessionReport {
+                session: index,
+                produced: s.produced.load(Ordering::SeqCst),
+                processed: s.processed.load(Ordering::SeqCst),
+                dropped: s.dropped.load(Ordering::SeqCst),
+                deadline_misses: s.misses.load(Ordering::SeqCst),
+                degradations: s.degradations.load(Ordering::SeqCst),
+                recoveries: s.recoveries.load(Ordering::SeqCst),
+                family: s.family(),
+                decision_interval: s.interval.load(Ordering::SeqCst),
+                latency: s.latency.snapshot(),
+                evicted: s.evicted.load(Ordering::SeqCst),
+            })
+            .collect();
+        let mut mem = MemReport::snapshot(&self.mem);
+        mem.pressure_degradations = self.pressure_degradations.load(Ordering::SeqCst);
+        RuntimeReport {
+            sessions,
+            stages: vec![
+                self.ingest.report("ingest"),
+                self.classify.report("classify"),
+                self.control.report("control"),
+                self.actuate.report("actuate"),
+            ],
+            classify: self.classify_counters.snapshot(),
+            faults: self.faults.snapshot(),
+            mem,
+        }
+    }
+
+    /// The watchdog thread: every `poll_ms` it checks each stage ring, in
+    /// pipeline order, until shutdown.
+    fn watchdog(&self, config: WatchdogConfig) {
+        // Per ring: pop count at the last poll, and how many consecutive
+        // polls it sat non-empty without popping.
+        let mut last = [(0, 0); 4];
+        while !self.watchdog_stop.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(config.poll_ms));
+            self.shed_if_stalled(&self.ingest, &mut last[0], config.stall_polls);
+            self.shed_if_stalled(&self.classify, &mut last[1], config.stall_polls);
+            self.shed_if_stalled(&self.control, &mut last[2], config.stall_polls);
+            self.shed_if_stalled(&self.actuate, &mut last[3], config.stall_polls);
+        }
+    }
+
+    /// Drains a ring that held messages but popped none for `stall_polls`
+    /// consecutive polls, accounting every drained window as dropped.
+    fn shed_if_stalled<T>(
+        &self,
+        inbox: &Inbox<T>,
+        (last_popped, stalled): &mut (u64, u32),
+        stall_polls: u32,
+    ) {
+        let popped = inbox.ring.snapshot().popped;
+        if inbox.ring.depth() > 0 && popped == *last_popped {
+            *stalled += 1;
+            if *stalled >= stall_polls {
+                *stalled = 0;
+                while let Some(env) = inbox.ring.try_pop() {
+                    self.count(&self.faults.watchdog_sheds, |m| &m.watchdog_sheds);
+                    self.drop_window(env.session);
+                }
+            }
+        } else {
+            *stalled = 0;
+        }
+        *last_popped = popped;
+    }
+}
+
+/// One stage's per-window work, driven by [`run_stage`]. A step owns its
+/// worker's private state; it takes one window's envelope and returns the
+/// envelope for the next stage, or `None` when the window is dropped. A
+/// step never touches a ring: popping, batching, the fault verdict, the
+/// unwind boundary, forwarding and drop accounting belong to the loop.
+trait Step {
+    /// Payload this stage consumes.
+    type In;
+    /// Payload this stage hands to the next one.
+    type Out;
+    /// The stage, as the fault hook sees it.
+    const STAGE: Stage;
+
+    /// Windows the loop drains per wakeup.
+    fn batch_limit(&self, _shared: &Shared) -> usize {
+        1
+    }
+
+    /// Called once per drained batch, before its first window.
+    fn start_batch(&mut self, _shared: &Shared, _len: usize) {}
+
+    /// A gate run before the unwind boundary (and so before an injected
+    /// panic); `false` drops the window.
+    fn admit(&mut self, _shared: &Shared, _body: &Self::In) -> bool {
+        true
+    }
+
+    /// Processes one window.
+    fn step(&mut self, shared: &Shared, env: Envelope<Self::In>) -> Option<Envelope<Self::Out>>;
+
+    /// Called after every window of a batch has been handled (not when
+    /// the worker retires mid-batch).
+    fn end_batch(&mut self, _shared: &Shared) {}
+
+    /// Called once when the worker leaves its loop.
+    fn finish(&mut self, _shared: &Shared) {}
+}
+
+/// The supervised loop every stage worker runs. It pops a window (and,
+/// when the step allows, drains a batch), resolves each window's fault
+/// verdict, runs the step inside the per-window unwind boundary and
+/// forwards the result to `output` or accounts the drop. A caught panic
+/// costs the in-flight window and a backoff pause; past the restart budget
+/// the worker retires, and the stage's last worker out closes and drains
+/// `input`, so the accounting invariant still converges. Returns the step,
+/// so shutdown can take its state back.
+fn run_stage<S: Step>(
+    shared: &Shared,
+    mut step: S,
+    input: &Inbox<S::In>,
+    output: Option<&Inbox<S::Out>>,
+) -> S {
+    // The batch lives outside the unwind boundary, so a panic mid-batch
+    // never loses the rest of the drain.
+    let mut batch = VecDeque::new();
+    let mut consecutive_panics = 0u32;
+    let mut panics_survived = 0u32;
+    'run: while let Some(first) = input.ring.pop() {
+        let limit = step.batch_limit(shared);
+        batch.push_back(first);
+        while batch.len() < limit {
+            match input.ring.try_pop() {
+                Some(env) => batch.push_back(env),
+                None => break,
+            }
+        }
+        step.start_batch(shared, batch.len());
+        while let Some(env) = batch.pop_front() {
+            let session = env.session;
+            let verdict = shared.verdict(S::STAGE, session, env.seq);
+            if verdict == Verdict::Drop || !step.admit(shared, &env.body) {
+                shared.drop_window(session);
+                continue;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if verdict == Verdict::Panic {
+                    std::panic::panic_any(InjectedPanic);
+                }
+                step.step(shared, env)
+            }));
+            match outcome {
+                Ok(Some(next)) => {
+                    consecutive_panics = 0;
+                    if let Some(output) = output {
+                        shared.offer(&output.ring, next);
+                    }
+                }
+                Ok(None) => {
+                    consecutive_panics = 0;
+                    shared.drop_window(session);
+                }
+                Err(_panic) => {
+                    shared.drop_window(session);
+                    consecutive_panics += 1;
+                    panics_survived += 1;
+                    if !shared.survive_panic(consecutive_panics, panics_survived) {
+                        for rest in batch.drain(..) {
+                            shared.drop_window(rest.session);
+                        }
+                        break 'run;
+                    }
+                }
+            }
+        }
+        step.end_batch(shared);
+    }
+    step.finish(shared);
+    // Last worker out (retired or shut down) closes and drains the ring so
+    // blocked producers wake and nothing queued is silently lost.
+    if input.workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+        input.ring.close();
+        while let Some(env) = input.ring.try_pop() {
+            shared.drop_window(env.session);
+        }
+    }
+    step
+}
+
+/// Feature extraction in the layout of the session's current family.
+struct FeatureStep(FeaturePipeline);
+
+impl Step for FeatureStep {
+    type In = Vec<f32>;
+    type Out = (ClassifierKind, Tensor);
+    const STAGE: Stage = Stage::Feature;
+
+    /// The NaN gate: a sensor fault costs exactly this window, never the
+    /// session — rejected before the feature pipeline can smear
+    /// non-finite values into state shared across windows.
+    fn admit(&mut self, shared: &Shared, samples: &Vec<f32>) -> bool {
+        if samples.iter().all(|s| s.is_finite()) {
+            return true;
+        }
+        shared.count(&shared.faults.rejected_windows, |m| &m.rejected_windows);
+        false
+    }
+
+    fn step(&mut self, shared: &Shared, env: Envelope<Self::In>) -> Option<Envelope<Self::Out>> {
+        let span = shared.span(|m| &m.feature_latency);
+        let family = shared.sessions[env.session].family();
+        let features = match family {
+            ClassifierKind::Mlp | ClassifierKind::Hdc => self.0.extract_flat(&env.body),
+            ClassifierKind::Cnn => self.0.extract_strip(&env.body),
+            ClassifierKind::Lstm => self.0.extract_sequence(&env.body),
+        };
+        drop(span);
+        Some(env.with((family, features.ok()?)))
+    }
+}
+
+/// Classification through this worker's own model pool.
+struct ClassifyStep {
+    /// Keyed by [`pool_key`]: the three neural families per precision in
+    /// use, plus the one integer-only HDC rung.
+    pool: HashMap<(ClassifierKind, Precision), AffectClassifier>,
+    /// The worker's persistent inference arena: every forward pass across
+    /// every family draws its intermediates from here, so steady state runs
+    /// allocation-free. It and the decision buffer are plain reusable
+    /// buffers — safe to keep using after an unwind.
+    scratch: Scratch,
+    decision: Decision,
+    /// `ModelTables` bytes charged for the pool.
+    table_bytes: u64,
+    /// Arena counters and size at the end of the last batch.
+    last_allocs: u64,
+    last_reuses: u64,
+    last_scratch_bytes: u64,
+}
+
+impl ClassifyStep {
+    /// Builds the pool on the worker thread (models are not `Send`),
+    /// identical across workers by seed. Int8 variants are built only when
+    /// some session runs quantized. The pool's tables are resident for the
+    /// worker's whole life: the neural families' parameters (4 bytes each
+    /// at f32, 1 at int8) plus the HDC bound/prototype tables.
+    fn new(shared: &Shared, models: &[ModelConfig; 3], flat_dim: usize) -> Self {
+        let seed = shared.config.model_seed;
+        let need_int8 = shared
+            .sessions
+            .iter()
+            .any(|s| s.precision == Precision::Int8);
+        let mut pool = HashMap::new();
+        let mut table_bytes = 0u64;
+        for model in models {
+            let clf = AffectClassifier::from_config(model, emotion_labels(), seed)
+                .expect("trial-built before spawn");
+            pool.insert((clf.family(), Precision::F32), clf);
+            table_bytes += (model.param_count() * std::mem::size_of::<f32>()) as u64;
+            if need_int8 {
+                let mut clf = AffectClassifier::from_config(model, emotion_labels(), seed)
+                    .expect("trial-built before spawn");
+                clf.set_precision(Precision::Int8)
+                    .expect("fresh models always quantize");
+                pool.insert((clf.family(), Precision::Int8), clf);
+                table_bytes += model.param_count() as u64;
+            }
+        }
+        let mut hdc = AffectClassifier::hdc(flat_dim, emotion_labels(), seed)
+            .expect("trial-built before spawn");
+        if let Some(h) = hdc.hdc_mut() {
+            table_bytes += h.storage_bytes() as u64;
+        }
+        shared.mem.charge(MemConsumer::ModelTables, table_bytes);
+        pool.insert(pool_key(ClassifierKind::Hdc, Precision::Int8), hdc);
+        Self {
+            pool,
+            scratch: Scratch::new(),
+            decision: Decision::default(),
+            table_bytes,
+            last_allocs: 0,
+            last_reuses: 0,
+            last_scratch_bytes: 0,
+        }
+    }
+}
+
+impl Step for ClassifyStep {
+    type In = (ClassifierKind, Tensor);
+    type Out = Option<Emotion>;
+    const STAGE: Stage = Stage::Classify;
+
+    /// The batching window: one wakeup amortises over up to
+    /// `classify_batch` queued windows. Under memory pressure it collapses
+    /// to 1, so the worker stops hoarding queued windows and peak in-flight
+    /// feature tensors shrink while the ladder machinery catches up. One
+    /// atomic load per wakeup.
+    fn batch_limit(&self, shared: &Shared) -> usize {
+        if shared.mem.band() >= PressureBand::Yellow {
+            1
+        } else {
+            shared.config.classify_batch
+        }
+    }
+
+    fn start_batch(&mut self, shared: &Shared, len: usize) {
+        let counters = &shared.classify_counters;
+        counters.batches.fetch_add(1, Ordering::SeqCst);
+        counters.max_batch.fetch_max(len as u64, Ordering::SeqCst);
+        if let Some(m) = &shared.metrics {
+            m.batch_size.record(len as u64);
+        }
+    }
+
+    fn step(&mut self, shared: &Shared, env: Envelope<Self::In>) -> Option<Envelope<Self::Out>> {
+        let (family, ref features) = env.body;
+        let key = pool_key(family, shared.sessions[env.session].precision);
+        let span = shared.span(|m| &m.classify_latency);
+        let clf = self.pool.get_mut(&key).expect("all families pooled");
+        let result = clf.classify_with(
+            features.data(),
+            features.shape(),
+            &mut self.scratch,
+            &mut self.decision,
+        );
+        drop(span);
+        let counters = &shared.classify_counters;
+        counters.windows.fetch_add(1, Ordering::SeqCst);
+        if result.is_err() {
+            shared.breaker_on_failure(env.session);
+            return None;
+        }
+        shared.count(&counters.family_windows[family.rung()], |m| {
+            &m.classify_family[family.rung()]
+        });
+        if let (Some(m), Precision::Int8) = (&shared.metrics, key.1) {
+            m.int8_windows.inc();
+        }
+        shared.breaker_on_success(env.session, family);
+        Some(env.with(self.decision.emotion()))
+    }
+
+    fn end_batch(&mut self, shared: &Shared) {
+        let (allocs, reuses) = (self.scratch.alloc_events(), self.scratch.reuse_events());
+        let (new_allocs, new_reuses) = (allocs - self.last_allocs, reuses - self.last_reuses);
+        let counters = &shared.classify_counters;
+        shared.add(&counters.scratch_allocs, |m| &m.scratch_allocs, new_allocs);
+        shared.add(&counters.scratch_reuses, |m| &m.scratch_reuses, new_reuses);
+        // Re-measure the arena only when it actually grew (an acquire
+        // allocated a fresh buffer), i.e. during warm-up — a steady-state
+        // batch pays nothing here.
+        if allocs != self.last_allocs {
+            let bytes = self.scratch.pooled_bytes() as u64;
+            if bytes > self.last_scratch_bytes {
+                shared
+                    .mem
+                    .charge(MemConsumer::ScratchPools, bytes - self.last_scratch_bytes);
+            }
+            self.last_scratch_bytes = bytes;
+        }
+        self.last_allocs = allocs;
+        self.last_reuses = reuses;
+    }
+
+    fn finish(&mut self, shared: &Shared) {
+        let mem = &shared.mem;
+        mem.release(MemConsumer::ScratchPools, self.last_scratch_bytes);
+        mem.release(MemConsumer::ModelTables, self.table_bytes);
+    }
+}
+
+/// Policy: each session's controller turns its emotion into control
+/// events.
+struct ControlStep(Vec<SystemController>);
+
+impl Step for ControlStep {
+    type In = Option<Emotion>;
+    type Out = Vec<ControlEvent>;
+    const STAGE: Stage = Stage::Control;
+
+    fn step(&mut self, shared: &Shared, env: Envelope<Self::In>) -> Option<Envelope<Self::Out>> {
+        let span = shared.span(|m| &m.control_latency);
+        let events = match env.body {
+            Some(emotion) => self.0[env.session]
+                .observe_emotion(emotion)
+                .unwrap_or_default(),
+            None => Vec::new(),
+        };
+        drop(span);
+        Some(env.with(events))
+    }
+}
+
+/// The end of a window's trip: the session's actuator applies the events,
+/// then the end-to-end latency feeds the deadline and pressure streaks that
+/// walk the degradation ladder. The step counts the window processed
+/// itself; there is no next stage.
+struct ActuateStep {
+    actuators: Vec<Box<dyn Actuator>>,
+    /// Per session: consecutive missed and on-time windows.
+    streaks: Vec<(u32, u32)>,
+}
+
+impl Step for ActuateStep {
+    type In = Vec<ControlEvent>;
+    type Out = ();
+    const STAGE: Stage = Stage::Actuate;
+
+    fn step(&mut self, shared: &Shared, env: Envelope<Self::In>) -> Option<Envelope<Self::Out>> {
+        let done = env.with(());
+        let session = env.session;
+        let config = &shared.config;
+        let span = shared.span(|m| &m.actuate_latency);
+        let actuator = &mut self.actuators[session];
+        // The hook runs before latency is read so a gated test actuator can
+        // hold the window while a virtual clock advances — the measured
+        // latency is then exact.
+        actuator.on_window(env.seq);
+        let now = shared.clock.now_nanos();
+        for event in env.body {
+            actuator.actuate(event, now);
+        }
+        let state = &shared.sessions[session];
+        let latency = now.saturating_sub(env.arrival_ns);
+        state.latency.record(latency);
+        if let Some(m) = &shared.metrics {
+            m.e2e_latency.record(latency);
+        }
+        let missed = latency > config.deadline_ns;
+        if missed {
+            shared.count(&state.misses, |m| &m.misses);
+        }
+        // Memory pressure is a second degradation trigger beside the
+        // deadline: a Yellow-or-worse band feeds the same miss/ok-streak
+        // machinery, so sustained pressure walks the session down the
+        // ladder and a Green band lets it climb back. One atomic load per
+        // window.
+        let pressured = shared.mem.band() >= PressureBand::Yellow;
+        let (misses, oks) = &mut self.streaks[session];
+        if missed || pressured {
+            *oks = 0;
+            *misses += 1;
+            if *misses >= config.miss_streak {
+                *misses = 0;
+                if degrade(state, config.degraded_interval) {
+                    shared.count(&state.degradations, |m| &m.degradations);
+                    if !missed {
+                        shared.pressure_degradations.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        } else {
+            *misses = 0;
+            *oks += 1;
+            if *oks >= config.ok_streak {
+                *oks = 0;
+                if recover(state) {
+                    shared.count(&state.recoveries, |m| &m.recoveries);
+                }
+            }
+        }
+        shared.count(&state.processed, |m| &m.processed);
+        drop(span);
+        shared.progress.bump();
+        Some(done)
+    }
+}
+
+/// The class labels every classifier is built with.
+fn emotion_labels() -> Vec<String> {
+    Emotion::ALL.iter().map(|e| e.name().to_string()).collect()
 }
 
 /// Everything a run leaves behind after [`Runtime::shutdown`].
@@ -947,11 +1625,10 @@ impl RuntimeBuilder {
         let pipeline = FeaturePipeline::new(config.feature.clone())?;
         let models = config.model_configs(&pipeline);
         let flat_dim = pipeline.flat_dim();
-        let labels: Vec<String> = Emotion::ALL.iter().map(|e| e.name().to_string()).collect();
         for model in &models {
-            AffectClassifier::from_config(model, labels.clone(), config.model_seed)?;
+            AffectClassifier::from_config(model, emotion_labels(), config.model_seed)?;
         }
-        AffectClassifier::hdc(flat_dim, labels.clone(), config.model_seed)?;
+        AffectClassifier::hdc(flat_dim, emotion_labels(), config.model_seed)?;
 
         let floor = config.effective_floor();
         let (actuators, sessions): (Vec<Box<dyn Actuator>>, Vec<SessionState>) = self
@@ -961,654 +1638,83 @@ impl RuntimeBuilder {
                 (actuator, SessionState::new(family, floor, precision))
             })
             .unzip();
-        let sessions = Arc::new(sessions);
-        // Int8 pool entries are only built when some session can use them.
-        let need_int8 = sessions.iter().any(|s| s.precision == Precision::Int8);
-        let progress = Arc::new(Progress::new());
-        let fault_counters = Arc::new(FaultCounters::default());
-        let fault_hook = self.fault_hook.clone();
-        let metrics: Option<Arc<RtMetrics>> = self
-            .registry
-            .as_ref()
-            .map(|r| Arc::new(RtMetrics::register(r, Arc::clone(&self.clock))));
-        // `add`, not `set`: the shards of a fleet share one registry, and
-        // so one instrument per name.
-        if let Some(r) = &self.registry {
-            r.gauge("affect_rt_sessions", "registered sessions", &[])
-                .add(sessions.len() as i64);
-        }
-        let mem: Arc<MemoryBudget> = match self.memory_budget {
-            Some(budget) => budget,
-            None => {
-                let budget = MemoryBudget::new(config.memory_budget_bytes);
-                Arc::new(match &self.registry {
-                    Some(r) => budget.with_metrics(r),
-                    None => budget,
-                })
-            }
-        };
-        let registry = self.registry.as_deref();
-        let ingest: Arc<Ring<IngestMsg>> = Arc::new(make_ring(
-            registry,
-            config.ingest.capacity,
-            config.ingest.policy,
-            "ingest",
-        ));
-        let classify: Arc<Ring<ClassifyMsg>> = Arc::new(make_ring(
-            registry,
-            config.classify.capacity,
-            config.classify.policy,
-            "classify",
-        ));
-        let control: Arc<Ring<ControlMsg>> = Arc::new(make_ring(
-            registry,
-            config.control.capacity,
-            config.control.policy,
-            "control",
-        ));
-        let actuate: Arc<Ring<ActuateMsg>> = Arc::new(make_ring(
-            registry,
-            config.actuate_capacity,
-            OverflowPolicy::Block,
-            "actuate",
+        let shared = Arc::new(Shared::new(
+            config,
+            self.clock,
+            sessions,
+            self.registry.as_deref(),
+            self.fault_hook,
+            self.memory_budget,
         ));
         // Ring bytes are fixed at construction: capacity × slot size, the
-        // ingest slots widened by the window payload (each queued IngestMsg
-        // owns a `window_samples` f32 buffer) and the classify slots by the
-        // flat feature vector. Released at shutdown.
-        let ring_bytes = (config.ingest.capacity
-            * (std::mem::size_of::<IngestMsg>()
-                + config.window_samples * std::mem::size_of::<f32>())
-            + config.classify.capacity
-                * (std::mem::size_of::<ClassifyMsg>() + flat_dim * std::mem::size_of::<f32>())
-            + config.control.capacity * std::mem::size_of::<ControlMsg>()
-            + config.actuate_capacity * std::mem::size_of::<ActuateMsg>())
-            as u64;
-        mem.charge(MemConsumer::RingQueues, ring_bytes);
+        // ingest slots widened by the window payload and the classify slots
+        // by the flat feature vector. Released at shutdown.
+        let ring_bytes = {
+            use std::mem::size_of;
+            let config = &shared.config;
+            (config.ingest.capacity
+                * (size_of::<Envelope<Vec<f32>>>() + config.window_samples * size_of::<f32>())
+                + config.classify.capacity
+                    * (size_of::<Envelope<(ClassifierKind, Tensor)>>()
+                        + flat_dim * size_of::<f32>())
+                + config.control.capacity * size_of::<Envelope<Option<Emotion>>>()
+                + config.actuate_capacity * size_of::<Envelope<Vec<ControlEvent>>>())
+                as u64
+        };
+        shared.mem.charge(MemConsumer::RingQueues, ring_bytes);
 
-        let mut feature_workers = Vec::with_capacity(config.workers);
-        let feature_live = Arc::new(AtomicUsize::new(config.workers));
-        for _ in 0..config.workers {
-            let ingest = Arc::clone(&ingest);
-            let classify = Arc::clone(&classify);
-            let sessions = Arc::clone(&sessions);
-            let progress = Arc::clone(&progress);
-            let metrics = metrics.clone();
-            let feature = config.feature.clone();
-            let hook = fault_hook.clone();
-            let faults = Arc::clone(&fault_counters);
-            let live = Arc::clone(&feature_live);
-            let supervision = config.supervision;
-            feature_workers.push(std::thread::spawn(move || {
-                let mut pipeline =
-                    FeaturePipeline::new(feature).expect("config validated before spawn");
-                let mut consecutive_panics = 0u32;
-                let mut panics_survived = 0u32;
-                while let Some(msg) = ingest.pop() {
-                    let session = msg.session;
-                    let action = match &hook {
-                        Some(h) => h.inject(Stage::Feature, session, msg.seq),
-                        None => FaultAction::None,
-                    };
-                    if action == FaultAction::DropWindow {
-                        drop_window(&sessions, session, &progress, metrics.as_deref());
-                        continue;
-                    }
-                    if let FaultAction::DelayNs(ns) = action {
-                        std::thread::sleep(Duration::from_nanos(ns));
-                    }
-                    // The NaN gate: a sensor fault costs exactly this
-                    // window, never the session — rejected before the
-                    // feature pipeline can smear non-finite values into
-                    // state shared across windows.
-                    if msg.samples.iter().any(|s| !s.is_finite()) {
-                        faults.rejected_windows.fetch_add(1, Ordering::SeqCst);
-                        if let Some(m) = &metrics {
-                            m.rejected_windows.inc();
-                        }
-                        drop_window(&sessions, session, &progress, metrics.as_deref());
-                        continue;
-                    }
-                    // Per-window unwind boundary: a panic (injected or
-                    // organic) loses only this window.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if action == FaultAction::Panic {
-                            std::panic::panic_any(InjectedPanic);
-                        }
-                        let span = metrics
-                            .as_ref()
-                            .map(|m| Span::enter(&m.feature_latency, &*m.clock));
-                        let family = sessions[session].family();
-                        let features = match family {
-                            ClassifierKind::Mlp | ClassifierKind::Hdc => {
-                                pipeline.extract_flat(&msg.samples)
-                            }
-                            ClassifierKind::Cnn => pipeline.extract_strip(&msg.samples),
-                            ClassifierKind::Lstm => pipeline.extract_sequence(&msg.samples),
-                        };
-                        drop(span);
-                        features.map(|features| ClassifyMsg {
-                            session: msg.session,
-                            seq: msg.seq,
-                            arrival_ns: msg.arrival_ns,
-                            family,
-                            precision: sessions[session].precision,
-                            features,
-                        })
-                    }));
-                    match outcome {
-                        Ok(Ok(out)) => {
-                            consecutive_panics = 0;
-                            offer(
-                                &classify,
-                                out,
-                                |m| m.session,
-                                &sessions,
-                                &progress,
-                                metrics.as_deref(),
-                            );
-                        }
-                        Ok(Err(_)) => {
-                            consecutive_panics = 0;
-                            drop_window(&sessions, session, &progress, metrics.as_deref());
-                        }
-                        Err(_panic) => {
-                            drop_window(&sessions, session, &progress, metrics.as_deref());
-                            consecutive_panics += 1;
-                            panics_survived += 1;
-                            if !survive_panic(
-                                &faults,
-                                metrics.as_deref(),
-                                &supervision,
-                                consecutive_panics,
-                                panics_survived,
-                            ) {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Last worker out (retired or shutdown) closes and drains
-                // the queue so blocked producers wake and nothing queued
-                // is silently lost.
-                if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    ingest.close();
-                    while let Some(m) = ingest.try_pop() {
-                        drop_window(&sessions, m.session, &progress, metrics.as_deref());
-                    }
-                }
-            }));
-        }
-
-        let classify_counters = Arc::new(ClassifyCounters::default());
-        let mut classify_workers = Vec::with_capacity(config.workers);
-        let classify_live = Arc::new(AtomicUsize::new(config.workers));
-        for _ in 0..config.workers {
-            let classify = Arc::clone(&classify);
-            let control = Arc::clone(&control);
-            let sessions = Arc::clone(&sessions);
-            let progress = Arc::clone(&progress);
-            let counters = Arc::clone(&classify_counters);
-            let metrics = metrics.clone();
-            let models = models.clone();
-            let batch_limit = config.classify_batch;
-            let seed = config.model_seed;
-            let labels = labels.clone();
-            let hook = fault_hook.clone();
-            let faults = Arc::clone(&fault_counters);
-            let live = Arc::clone(&classify_live);
-            let supervision = config.supervision;
-            let mem = Arc::clone(&mem);
-            classify_workers.push(std::thread::spawn(move || {
-                // Models are not Send; build this worker's own pool of all
-                // four families (identical across workers by seed), keyed
-                // by (family, precision). Int8 variants are built only when
-                // some session runs quantized; the single HDC instance is
-                // integer-only and serves every precision. The pool's
-                // tables are resident for the worker's whole life: the
-                // neural families' parameters (4 bytes each at f32, 1 at
-                // int8) plus the HDC bound/prototype tables.
-                let mut pool: HashMap<(ClassifierKind, Precision), AffectClassifier> =
-                    HashMap::new();
-                let mut table_bytes = 0u64;
-                for model in &models {
-                    let clf = AffectClassifier::from_config(model, labels.clone(), seed)
-                        .expect("trial-built before spawn");
-                    pool.insert((clf.family(), Precision::F32), clf);
-                    table_bytes += (model.param_count() * std::mem::size_of::<f32>()) as u64;
-                    if need_int8 {
-                        let mut clf = AffectClassifier::from_config(model, labels.clone(), seed)
-                            .expect("trial-built before spawn");
-                        clf.set_precision(Precision::Int8)
-                            .expect("fresh models always quantize");
-                        pool.insert((clf.family(), Precision::Int8), clf);
-                        table_bytes += model.param_count() as u64;
-                    }
-                }
-                let mut hdc = AffectClassifier::hdc(flat_dim, labels.clone(), seed)
-                    .expect("trial-built before spawn");
-                if let Some(h) = hdc.hdc_mut() {
-                    table_bytes += h.storage_bytes() as u64;
-                }
-                mem.charge(MemConsumer::ModelTables, table_bytes);
-                pool.insert(pool_key(ClassifierKind::Hdc, Precision::Int8), hdc);
-                // The worker's persistent inference arena: every forward
-                // pass across every family draws its intermediates from
-                // here, so steady state runs allocation-free.
-                let mut scratch = Scratch::new();
-                let mut decision = Decision::default();
-                let mut batch: std::collections::VecDeque<ClassifyMsg> =
-                    std::collections::VecDeque::with_capacity(batch_limit);
-                let mut consecutive_panics = 0u32;
-                let mut panics_survived = 0u32;
-                let mut last_allocs = 0u64;
-                let mut last_reuses = 0u64;
-                let mut last_scratch_bytes = 0u64;
-                'pool: while let Some(msg) = classify.pop() {
-                    // Under memory pressure the batching window collapses
-                    // to 1: the worker stops hoarding queued windows, so
-                    // peak in-flight feature tensors shrink while the
-                    // ladder machinery catches up. One atomic load per
-                    // wakeup.
-                    let batch_limit = if mem.band() >= PressureBand::Yellow {
-                        1
-                    } else {
-                        batch_limit
-                    };
-                    // Batching window: after the blocking pop, drain
-                    // whatever else is already queued (up to the limit) so
-                    // one wakeup amortises over several windows. The batch
-                    // buffer lives *outside* the unwind boundary below, so
-                    // a panic mid-batch never loses the rest of the drain.
-                    batch.push_back(msg);
-                    while batch.len() < batch_limit {
-                        match classify.try_pop() {
-                            Some(next) => batch.push_back(next),
-                            None => break,
-                        }
-                    }
-                    counters.batches.fetch_add(1, Ordering::SeqCst);
-                    counters
-                        .max_batch
-                        .fetch_max(batch.len() as u64, Ordering::SeqCst);
-                    if let Some(m) = &metrics {
-                        m.batch_size.record(batch.len() as u64);
-                    }
-                    while let Some(msg) = batch.pop_front() {
-                        let session = msg.session;
-                        let family = msg.family;
-                        let precision = pool_key(msg.family, msg.precision).1;
-                        let action = match &hook {
-                            Some(h) => h.inject(Stage::Classify, session, msg.seq),
-                            None => FaultAction::None,
-                        };
-                        if action == FaultAction::DropWindow {
-                            drop_window(&sessions, session, &progress, metrics.as_deref());
-                            continue;
-                        }
-                        if let FaultAction::DelayNs(ns) = action {
-                            std::thread::sleep(Duration::from_nanos(ns));
-                        }
-                        // Per-window unwind boundary. The scratch arena and
-                        // decision buffer are plain reusable buffers — safe
-                        // to keep using after an unwind.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if action == FaultAction::Panic {
-                                std::panic::panic_any(InjectedPanic);
-                            }
-                            let span = metrics
-                                .as_ref()
-                                .map(|m| Span::enter(&m.classify_latency, &*m.clock));
-                            let clf = pool
-                                .get_mut(&pool_key(msg.family, msg.precision))
-                                .expect("all families pooled");
-                            let result = clf.classify_with(
-                                msg.features.data(),
-                                msg.features.shape(),
-                                &mut scratch,
-                                &mut decision,
-                            );
-                            drop(span);
-                            result.map(|()| ControlMsg {
-                                session: msg.session,
-                                seq: msg.seq,
-                                arrival_ns: msg.arrival_ns,
-                                emotion: decision.emotion(),
-                            })
-                        }));
-                        match outcome {
-                            Ok(Ok(out)) => {
-                                consecutive_panics = 0;
-                                counters.windows.fetch_add(1, Ordering::SeqCst);
-                                counters.family_windows[family.rung()]
-                                    .fetch_add(1, Ordering::SeqCst);
-                                if let Some(m) = &metrics {
-                                    m.classify_family[family.rung()].inc();
-                                    if precision == Precision::Int8 {
-                                        m.int8_windows.inc();
-                                    }
-                                }
-                                breaker_on_success(
-                                    &sessions[session],
-                                    family,
-                                    &faults,
-                                    metrics.as_deref(),
-                                );
-                                offer(
-                                    &control,
-                                    out,
-                                    |m| m.session,
-                                    &sessions,
-                                    &progress,
-                                    metrics.as_deref(),
-                                );
-                            }
-                            Ok(Err(_)) => {
-                                consecutive_panics = 0;
-                                counters.windows.fetch_add(1, Ordering::SeqCst);
-                                breaker_on_failure(
-                                    &sessions[session],
-                                    supervision.breaker_threshold,
-                                    &faults,
-                                    metrics.as_deref(),
-                                );
-                                drop_window(&sessions, session, &progress, metrics.as_deref());
-                            }
-                            Err(_panic) => {
-                                drop_window(&sessions, session, &progress, metrics.as_deref());
-                                consecutive_panics += 1;
-                                panics_survived += 1;
-                                if !survive_panic(
-                                    &faults,
-                                    metrics.as_deref(),
-                                    &supervision,
-                                    consecutive_panics,
-                                    panics_survived,
-                                ) {
-                                    // Retiring mid-batch: account the rest
-                                    // of the drained batch before leaving.
-                                    for rest in batch.drain(..) {
-                                        drop_window(
-                                            &sessions,
-                                            rest.session,
-                                            &progress,
-                                            metrics.as_deref(),
-                                        );
-                                    }
-                                    break 'pool;
-                                }
-                            }
-                        }
-                    }
-                    let allocs = scratch.alloc_events();
-                    let reuses = scratch.reuse_events();
-                    counters
-                        .scratch_allocs
-                        .fetch_add(allocs - last_allocs, Ordering::SeqCst);
-                    counters
-                        .scratch_reuses
-                        .fetch_add(reuses - last_reuses, Ordering::SeqCst);
-                    if let Some(m) = &metrics {
-                        m.scratch_allocs.add(allocs - last_allocs);
-                        m.scratch_reuses.add(reuses - last_reuses);
-                    }
-                    // Re-measure the arena only when it actually grew (an
-                    // acquire allocated a fresh buffer), i.e. during
-                    // warm-up — a steady-state batch pays nothing here.
-                    if allocs != last_allocs {
-                        let bytes = scratch.pooled_bytes() as u64;
-                        if bytes > last_scratch_bytes {
-                            mem.charge(MemConsumer::ScratchPools, bytes - last_scratch_bytes);
-                        }
-                        last_scratch_bytes = bytes;
-                    }
-                    last_allocs = allocs;
-                    last_reuses = reuses;
-                }
-                mem.release(MemConsumer::ScratchPools, last_scratch_bytes);
-                mem.release(MemConsumer::ModelTables, table_bytes);
-                if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    classify.close();
-                    while let Some(m) = classify.try_pop() {
-                        drop_window(&sessions, m.session, &progress, metrics.as_deref());
-                    }
-                }
-            }));
-        }
-
+        let workers = shared.config.workers;
+        let feature_workers = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let pipeline = FeaturePipeline::new(shared.config.feature.clone());
+                    let step = FeatureStep(pipeline.expect("config validated before spawn"));
+                    run_stage(&shared, step, &shared.ingest, Some(&shared.classify));
+                })
+            })
+            .collect();
+        let classify_workers = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let models = models.clone();
+                std::thread::spawn(move || {
+                    let step = ClassifyStep::new(&shared, &models, flat_dim);
+                    run_stage(&shared, step, &shared.classify, Some(&shared.control));
+                })
+            })
+            .collect();
         let control_worker = {
-            let control = Arc::clone(&control);
-            let actuate = Arc::clone(&actuate);
-            let sessions = Arc::clone(&sessions);
-            let progress = Arc::clone(&progress);
-            let policy = config.policy.clone();
-            let smoothing = config.smoothing_window;
-            let metrics = metrics.clone();
-            let n_sessions = sessions.len();
-            let hook = fault_hook.clone();
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let mut controllers: Vec<SystemController> = (0..n_sessions)
-                    .map(|_| SystemController::new(policy.clone(), smoothing))
-                    .collect();
-                while let Some(msg) = control.pop() {
-                    // Single-threaded stage: `Panic` degrades to a drop —
-                    // losing the only control worker would wedge the
-                    // pipeline rather than exercise recovery.
-                    if let Some(h) = &hook {
-                        match h.inject(Stage::Control, msg.session, msg.seq) {
-                            FaultAction::None => {}
-                            FaultAction::DelayNs(ns) => {
-                                std::thread::sleep(Duration::from_nanos(ns));
-                            }
-                            FaultAction::DropWindow | FaultAction::Panic => {
-                                drop_window(&sessions, msg.session, &progress, metrics.as_deref());
-                                continue;
-                            }
-                        }
-                    }
-                    let span = metrics
-                        .as_ref()
-                        .map(|m| Span::enter(&m.control_latency, &*m.clock));
-                    let events = match msg.emotion {
-                        Some(emotion) => controllers[msg.session]
-                            .observe_emotion(emotion)
-                            .unwrap_or_default(),
-                        None => Vec::new(),
-                    };
-                    drop(span);
-                    let out = ActuateMsg {
-                        session: msg.session,
-                        seq: msg.seq,
-                        arrival_ns: msg.arrival_ns,
-                        events,
-                    };
-                    offer(
-                        &actuate,
-                        out,
-                        |m| m.session,
-                        &sessions,
-                        &progress,
-                        metrics.as_deref(),
-                    );
-                }
+                let config = &shared.config;
+                let controller =
+                    || SystemController::new(config.policy.clone(), config.smoothing_window);
+                let step = ControlStep(shared.sessions.iter().map(|_| controller()).collect());
+                run_stage(&shared, step, &shared.control, Some(&shared.actuate));
             })
         };
-
-        let pressure_degradations = Arc::new(AtomicU64::new(0));
         let actuate_worker = {
-            let actuate = Arc::clone(&actuate);
-            let sessions = Arc::clone(&sessions);
-            let progress = Arc::clone(&progress);
-            let clock = Arc::clone(&self.clock);
-            let metrics = metrics.clone();
-            let mut actuators = actuators;
-            let deadline = config.deadline_ns;
-            let miss_streak_limit = config.miss_streak;
-            let ok_streak_limit = config.ok_streak;
-            let degraded_interval = config.degraded_interval;
-            let hook = fault_hook.clone();
-            let mem = Arc::clone(&mem);
-            let pressure_degradations = Arc::clone(&pressure_degradations);
-            std::thread::spawn(move || {
-                let mut miss_streaks = vec![0u32; actuators.len()];
-                let mut ok_streaks = vec![0u32; actuators.len()];
-                while let Some(msg) = actuate.pop() {
-                    if let Some(h) = &hook {
-                        match h.inject(Stage::Actuate, msg.session, msg.seq) {
-                            FaultAction::None => {}
-                            FaultAction::DelayNs(ns) => {
-                                std::thread::sleep(Duration::from_nanos(ns));
-                            }
-                            FaultAction::DropWindow | FaultAction::Panic => {
-                                drop_window(&sessions, msg.session, &progress, metrics.as_deref());
-                                continue;
-                            }
-                        }
-                    }
-                    let span = metrics
-                        .as_ref()
-                        .map(|m| Span::enter(&m.actuate_latency, &*m.clock));
-                    let actuator = &mut actuators[msg.session];
-                    // The hook runs before latency is read so a gated test
-                    // actuator can hold the window while a virtual clock
-                    // advances — the measured latency is then exact.
-                    actuator.on_window(msg.seq);
-                    let now = clock.now_nanos();
-                    for event in msg.events {
-                        actuator.actuate(event, now);
-                    }
-                    let state = &sessions[msg.session];
-                    let latency = now.saturating_sub(msg.arrival_ns);
-                    state.latency.record(latency);
-                    if let Some(m) = &metrics {
-                        m.e2e_latency.record(latency);
-                    }
-                    let missed = latency > deadline;
-                    if missed {
-                        state.misses.fetch_add(1, Ordering::SeqCst);
-                        if let Some(m) = &metrics {
-                            m.misses.inc();
-                        }
-                    }
-                    // Memory pressure is a second degradation trigger
-                    // beside the deadline: a Yellow-or-worse band feeds the
-                    // same miss/ok-streak machinery, so sustained pressure
-                    // walks the session down the ladder and a Green band
-                    // lets it climb back. One atomic load per window.
-                    let pressured = mem.band() >= PressureBand::Yellow;
-                    if missed || pressured {
-                        ok_streaks[msg.session] = 0;
-                        miss_streaks[msg.session] += 1;
-                        if miss_streaks[msg.session] >= miss_streak_limit {
-                            miss_streaks[msg.session] = 0;
-                            if degrade(state, degraded_interval) {
-                                if !missed {
-                                    pressure_degradations.fetch_add(1, Ordering::SeqCst);
-                                }
-                                if let Some(m) = &metrics {
-                                    m.degradations.inc();
-                                }
-                            }
-                        }
-                    } else {
-                        miss_streaks[msg.session] = 0;
-                        ok_streaks[msg.session] += 1;
-                        if ok_streaks[msg.session] >= ok_streak_limit {
-                            ok_streaks[msg.session] = 0;
-                            if recover(state) {
-                                if let Some(m) = &metrics {
-                                    m.recoveries.inc();
-                                }
-                            }
-                        }
-                    }
-                    state.processed.fetch_add(1, Ordering::SeqCst);
-                    if let Some(m) = &metrics {
-                        m.processed.inc();
-                    }
-                    drop(span);
-                    progress.bump();
-                }
-                actuators
-            })
+            let shared = Arc::clone(&shared);
+            let step = ActuateStep {
+                streaks: vec![(0, 0); actuators.len()],
+                actuators,
+            };
+            std::thread::spawn(move || run_stage(&shared, step, &shared.actuate, None).actuators)
         };
-
-        let watchdog_stop = Arc::new(AtomicBool::new(false));
-        let watchdog_worker = config.watchdog.map(|wcfg| {
-            let views: Vec<Box<dyn WatchedQueue>> = vec![
-                Box::new(WatchedRing {
-                    ring: Arc::clone(&ingest),
-                    session_of: |m: &IngestMsg| m.session,
-                }),
-                Box::new(WatchedRing {
-                    ring: Arc::clone(&classify),
-                    session_of: |m: &ClassifyMsg| m.session,
-                }),
-                Box::new(WatchedRing {
-                    ring: Arc::clone(&control),
-                    session_of: |m: &ControlMsg| m.session,
-                }),
-                Box::new(WatchedRing {
-                    ring: Arc::clone(&actuate),
-                    session_of: |m: &ActuateMsg| m.session,
-                }),
-            ];
-            let sessions = Arc::clone(&sessions);
-            let progress = Arc::clone(&progress);
-            let metrics = metrics.clone();
-            let faults = Arc::clone(&fault_counters);
-            let stop = Arc::clone(&watchdog_stop);
-            std::thread::spawn(move || {
-                // Per queue: pop count at the last poll, and how many
-                // consecutive polls it sat non-empty without popping.
-                let mut last: Vec<(u64, u32)> = vec![(0, 0); views.len()];
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(wcfg.poll_ms));
-                    for (view, (last_popped, stalled)) in views.iter().zip(last.iter_mut()) {
-                        let popped = view.popped();
-                        if view.depth() > 0 && popped == *last_popped {
-                            *stalled += 1;
-                            if *stalled >= wcfg.stall_polls {
-                                *stalled = 0;
-                                for session in view.drain_sessions() {
-                                    faults.watchdog_sheds.fetch_add(1, Ordering::SeqCst);
-                                    if let Some(m) = &metrics {
-                                        m.watchdog_sheds.inc();
-                                    }
-                                    drop_window(&sessions, session, &progress, metrics.as_deref());
-                                }
-                            }
-                        } else {
-                            *stalled = 0;
-                        }
-                        *last_popped = popped;
-                    }
-                }
-            })
+        let watchdog_worker = shared.config.watchdog.map(|watchdog| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.watchdog(watchdog))
         });
 
         Ok(Runtime {
-            config,
-            clock: self.clock,
-            sessions,
-            progress,
-            metrics,
-            fault_hook,
-            fault_counters,
-            ingest,
-            classify,
-            control,
-            actuate,
-            classify_counters,
+            shared,
             feature_workers,
             classify_workers,
             control_worker,
             actuate_worker,
             watchdog_worker,
-            watchdog_stop,
-            mem,
             ring_bytes,
-            pressure_degradations,
         })
     }
 }
@@ -1630,9 +1736,6 @@ fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
         state.interval.store(degraded_interval, Ordering::SeqCst);
         changed = true;
     }
-    if changed {
-        state.degradations.fetch_add(1, Ordering::SeqCst);
-    }
     changed
 }
 
@@ -1649,7 +1752,6 @@ fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
 fn recover(state: &SessionState) -> bool {
     if state.interval.load(Ordering::SeqCst) > 1 {
         state.interval.store(1, Ordering::SeqCst);
-        state.recoveries.fetch_add(1, Ordering::SeqCst);
         return true;
     }
     if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN {
@@ -1661,204 +1763,66 @@ fn recover(state: &SessionState) -> bool {
                 state.breaker.store(BREAKER_HALF_OPEN, Ordering::SeqCst);
             }
             state.set_family(richer);
-            state.recoveries.fetch_add(1, Ordering::SeqCst);
             return true;
         }
     }
     false
 }
 
-/// Accounts one window as dropped and wakes `wait_idle`.
-fn drop_window(
-    sessions: &[SessionState],
-    session: usize,
-    progress: &Progress,
-    metrics: Option<&RtMetrics>,
-) {
-    sessions[session].dropped.fetch_add(1, Ordering::SeqCst);
-    if let Some(m) = metrics {
-        m.dropped.inc();
-    }
-    progress.bump();
-}
-
-/// Books one caught worker panic: decides restart (with exponential
-/// backoff) versus retirement. Returns `true` when the worker should keep
-/// running, `false` when it exhausted its restart budget.
-fn survive_panic(
-    faults: &FaultCounters,
-    metrics: Option<&RtMetrics>,
-    supervision: &SupervisionConfig,
-    consecutive_panics: u32,
-    panics_survived: u32,
-) -> bool {
-    faults.worker_panics.fetch_add(1, Ordering::SeqCst);
-    if let Some(m) = metrics {
-        m.worker_panics.inc();
-    }
-    if panics_survived > supervision.restart_budget {
-        faults.workers_lost.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = metrics {
-            m.workers_lost.inc();
-        }
-        return false;
-    }
-    faults.worker_restarts.fetch_add(1, Ordering::SeqCst);
-    if let Some(m) = metrics {
-        m.worker_restarts.inc();
-    }
-    let backoff = supervision.backoff_for(consecutive_panics);
-    if backoff > 0 {
-        std::thread::sleep(Duration::from_millis(backoff));
-    }
-    true
-}
-
-/// Books one classify failure against a session's circuit breaker,
-/// tripping it (family forced to the session's floor) after the configured
-/// streak.
-fn breaker_on_failure(
-    state: &SessionState,
-    threshold: u32,
-    faults: &FaultCounters,
-    metrics: Option<&RtMetrics>,
-) {
-    match state.breaker.load(Ordering::SeqCst) {
-        BREAKER_HALF_OPEN => {
-            // The recovery probe failed: reopen and re-pin the floor.
-            state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-            state.set_family(state.floor);
-            faults.breaker_trips.fetch_add(1, Ordering::SeqCst);
-            if let Some(m) = metrics {
-                // The gauge still counts this breaker from the original
-                // trip (half-open is "open, probing"), so no `add` here.
-                m.breaker_trips.inc();
-            }
-        }
-        BREAKER_CLOSED => {
-            let failures = state.breaker_failures.fetch_add(1, Ordering::SeqCst) + 1;
-            if failures >= threshold {
-                state.breaker_failures.store(0, Ordering::SeqCst);
-                state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-                // Trip straight to the floor of the fallback chain — no
-                // stepwise descent while the classifier is demonstrably
-                // broken.
-                state.set_family(state.floor);
-                faults.breaker_trips.fetch_add(1, Ordering::SeqCst);
-                if let Some(m) = metrics {
-                    m.breaker_trips.inc();
-                    m.breakers_open.add(1);
-                }
-            }
-        }
-        _ => {} // already open: nothing below the floor to fall to
-    }
-}
-
-/// Books one classify success: closes a half-open breaker when the probe
-/// window (a richer-than-floor family) came through.
-fn breaker_on_success(
-    state: &SessionState,
-    family: ClassifierKind,
-    faults: &FaultCounters,
-    metrics: Option<&RtMetrics>,
-) {
-    state.breaker_failures.store(0, Ordering::SeqCst);
-    if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN
-        && family.rung() > state.floor.rung()
-    {
-        state.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
-        faults.breaker_closes.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = metrics {
-            m.breaker_closes.inc();
-            m.breakers_open.sub(1);
-        }
-    }
-}
-
-/// Pushes a message downstream, translating every shed outcome into the
-/// owning session's `dropped` counter so the accounting invariant holds.
-fn offer<T>(
-    ring: &Ring<T>,
-    msg: T,
-    session_of: impl Fn(&T) -> usize,
-    sessions: &[SessionState],
-    progress: &Progress,
-    metrics: Option<&RtMetrics>,
-) {
-    match ring.push(msg) {
-        PushOutcome::Stored => {}
-        PushOutcome::Evicted(old) | PushOutcome::Rejected(old) | PushOutcome::Closed(old) => {
-            drop_window(sessions, session_of(&old), progress, metrics);
-        }
-    }
-}
-
 /// The live multi-session streaming runtime. Build via [`RuntimeBuilder`].
 pub struct Runtime {
-    config: RuntimeConfig,
-    clock: Arc<dyn Clock>,
-    sessions: Arc<Vec<SessionState>>,
-    progress: Arc<Progress>,
-    metrics: Option<Arc<RtMetrics>>,
-    fault_hook: Option<Arc<dyn FaultHook>>,
-    fault_counters: Arc<FaultCounters>,
-    ingest: Arc<Ring<IngestMsg>>,
-    classify: Arc<Ring<ClassifyMsg>>,
-    control: Arc<Ring<ControlMsg>>,
-    actuate: Arc<Ring<ActuateMsg>>,
-    classify_counters: Arc<ClassifyCounters>,
+    shared: Arc<Shared>,
     feature_workers: Vec<JoinHandle<()>>,
     classify_workers: Vec<JoinHandle<()>>,
     control_worker: JoinHandle<()>,
     actuate_worker: JoinHandle<Vec<Box<dyn Actuator>>>,
     watchdog_worker: Option<JoinHandle<()>>,
-    watchdog_stop: Arc<AtomicBool>,
-    mem: Arc<MemoryBudget>,
     /// Ring bytes charged at start, released at shutdown.
     ring_bytes: u64,
-    /// Degradation steps triggered by memory pressure alone (deadline met).
-    pressure_degradations: Arc<AtomicU64>,
 }
 
 impl Runtime {
+    fn session(&self, session: SessionId) -> &SessionState {
+        &self.shared.sessions[session.0]
+    }
+
     /// Number of registered sessions.
     pub fn sessions(&self) -> usize {
-        self.sessions.len()
+        self.shared.sessions.len()
     }
 
     /// The configuration the runtime was started with.
     pub fn config(&self) -> &RuntimeConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The classifier family currently in force for a session.
     pub fn session_family(&self, session: SessionId) -> ClassifierKind {
-        self.sessions[session.0].family()
+        self.session(session).family()
     }
 
     /// The decision interval currently in force for a session.
     pub fn session_interval(&self, session: SessionId) -> u32 {
-        self.sessions[session.0].interval.load(Ordering::SeqCst)
+        self.session(session).interval.load(Ordering::SeqCst)
     }
 
     /// Current depth of the ingest queue — the runtime's cheapest
     /// backpressure signal. A fleet's admission layer polls this to shed
     /// best-effort windows *before* they cost a queue slot.
     pub fn ingest_depth(&self) -> usize {
-        self.ingest.depth()
+        self.shared.ingest.ring.depth()
     }
 
     /// Capacity of the ingest queue (denominator for pressure ratios).
     pub fn ingest_capacity(&self) -> usize {
-        self.ingest.capacity()
+        self.shared.ingest.ring.capacity()
     }
 
     /// The runtime's memory-budget accountant. A fleet governor polls its
     /// [`PressureBand`] to drive eviction; a chaos harness injects phantom
     /// charges through it.
     pub fn memory_budget(&self) -> &Arc<MemoryBudget> {
-        &self.mem
+        &self.shared.mem
     }
 
     /// Evicts a session: future [`Runtime::submit`] calls for it become
@@ -1874,23 +1838,11 @@ impl Runtime {
     ///
     /// Returns `false` when the session was already evicted.
     pub fn remove_session(&self, session: SessionId) -> bool {
-        let state = &self.sessions[session.0];
+        let state = self.session(session);
         if state.evicted.swap(true, Ordering::SeqCst) {
             return false;
         }
-        let mut generation = self
-            .progress
-            .generation
-            .lock()
-            .expect("progress lock poisoned");
-        while !state.accounted() {
-            let (next, _timeout) = self
-                .progress
-                .changed
-                .wait_timeout(generation, Duration::from_millis(20))
-                .expect("progress lock poisoned");
-            generation = next;
-        }
+        self.shared.progress.wait_until(|| state.accounted());
         true
     }
 
@@ -1898,14 +1850,12 @@ impl Runtime {
     /// counters continuing from where eviction left them. Returns `false`
     /// when the session was not evicted.
     pub fn readmit_session(&self, session: SessionId) -> bool {
-        self.sessions[session.0]
-            .evicted
-            .swap(false, Ordering::SeqCst)
+        self.session(session).evicted.swap(false, Ordering::SeqCst)
     }
 
     /// Whether a session is currently evicted.
     pub fn session_evicted(&self, session: SessionId) -> bool {
-        self.sessions[session.0].evicted.load(Ordering::SeqCst)
+        self.session(session).evicted.load(Ordering::SeqCst)
     }
 
     /// Submits one analysis window for a session. The window is stamped
@@ -1925,7 +1875,8 @@ impl Runtime {
     ///
     /// Panics when `session` did not come from this runtime's builder.
     pub fn submit(&self, session: SessionId, samples: Vec<f32>) -> bool {
-        let state = &self.sessions[session.0];
+        let shared = &*self.shared;
+        let state = self.session(session);
         // An evicted session's windows are refused before they are
         // produced: nothing enters any counter, so the accounting frozen
         // at eviction time stays exact.
@@ -1933,204 +1884,73 @@ impl Runtime {
             return false;
         }
         let seq = state.next_seq.fetch_add(1, Ordering::SeqCst);
-        state.produced.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = &self.metrics {
-            m.submitted.inc();
-        }
+        shared.count(&state.produced, |m| &m.submitted);
         let interval = u64::from(state.interval.load(Ordering::SeqCst).max(1));
-        if !seq.is_multiple_of(interval) {
-            // Decimated: the widened decision interval sheds this window
-            // before it costs any pipeline work.
-            drop_window(
-                &self.sessions,
-                session.0,
-                &self.progress,
-                self.metrics.as_deref(),
-            );
+        // Decimation sheds the window before it costs any pipeline work.
+        // Panicking the *producer's* thread is never interesting, so at
+        // ingest a `Panic` verdict is a drop too: "the sensor dropped this
+        // window".
+        if !seq.is_multiple_of(interval)
+            || shared.verdict(Stage::Ingest, session.0, seq) != Verdict::Proceed
+        {
+            shared.drop_window(session.0);
             return false;
         }
-        if let Some(h) = &self.fault_hook {
-            match h.inject(Stage::Ingest, session.0, seq) {
-                FaultAction::None => {}
-                FaultAction::DelayNs(ns) => std::thread::sleep(Duration::from_nanos(ns)),
-                // Panicking the *producer's* thread is never interesting;
-                // at ingest both destructive actions mean "the sensor
-                // dropped this window".
-                FaultAction::DropWindow | FaultAction::Panic => {
-                    drop_window(
-                        &self.sessions,
-                        session.0,
-                        &self.progress,
-                        self.metrics.as_deref(),
-                    );
-                    return false;
-                }
-            }
-        }
-        let msg = IngestMsg {
+        let env = Envelope {
             session: session.0,
             seq,
-            arrival_ns: self.clock.now_nanos(),
-            samples,
+            arrival_ns: shared.clock.now_nanos(),
+            body: samples,
         };
-        match self.ingest.push(msg) {
-            PushOutcome::Stored => true,
-            PushOutcome::Evicted(old) => {
-                drop_window(
-                    &self.sessions,
-                    old.session,
-                    &self.progress,
-                    self.metrics.as_deref(),
-                );
-                true
-            }
-            PushOutcome::Rejected(old) | PushOutcome::Closed(old) => {
-                drop_window(
-                    &self.sessions,
-                    old.session,
-                    &self.progress,
-                    self.metrics.as_deref(),
-                );
-                false
-            }
-        }
-    }
-
-    fn all_accounted(&self) -> bool {
-        self.sessions.iter().all(SessionState::accounted)
+        shared.offer(&shared.ingest.ring, env)
     }
 
     /// Blocks until every submitted window is accounted for (processed or
     /// dropped), i.e. the pipeline has fully drained.
     pub fn wait_idle(&self) {
-        let mut generation = self
+        let sessions = &self.shared.sessions;
+        self.shared
             .progress
-            .generation
-            .lock()
-            .expect("progress lock poisoned");
-        while !self.all_accounted() {
-            // Timed wait: a counter can move between our check and the
-            // wait, so never rely on the notification alone.
-            let (next, _timeout) = self
-                .progress
-                .changed
-                .wait_timeout(generation, Duration::from_millis(20))
-                .expect("progress lock poisoned");
-            generation = next;
-        }
+            .wait_until(|| sessions.iter().all(SessionState::accounted));
     }
 
     /// Snapshots per-session accounting and per-stage queue statistics.
     /// Callable at any time; a post-[`Runtime::wait_idle`] snapshot
     /// satisfies [`RuntimeReport::all_accounted`].
     pub fn report(&self) -> RuntimeReport {
-        snapshot_report(
-            &self.sessions,
-            &self.ingest,
-            &self.classify,
-            &self.control,
-            &self.actuate,
-            &self.classify_counters,
-            &self.fault_counters,
-            &self.mem,
-            &self.pressure_degradations,
-        )
+        self.shared.report()
     }
 
     /// Stops accepting work, drains the pipeline stage by stage, joins all
     /// workers and returns the final report plus each session's actuator.
     pub fn shutdown(self) -> ShutdownOutcome {
+        let shared = &self.shared;
         // Stop the watchdog first so it cannot mistake the staged drain
         // below for a stall and shed in-flight windows.
-        self.watchdog_stop.store(true, Ordering::SeqCst);
+        shared.watchdog_stop.store(true, Ordering::SeqCst);
         if let Some(watchdog) = self.watchdog_worker {
             watchdog.join().expect("watchdog panicked");
         }
         // Close upstream first and join before closing the next stage, so
         // in-flight windows drain instead of being cut off mid-pipeline.
-        self.ingest.close();
+        shared.ingest.ring.close();
         for worker in self.feature_workers {
             worker.join().expect("feature worker panicked");
         }
-        self.classify.close();
+        shared.classify.ring.close();
         for worker in self.classify_workers {
             worker.join().expect("classify worker panicked");
         }
-        self.control.close();
+        shared.control.ring.close();
         self.control_worker.join().expect("control worker panicked");
-        self.actuate.close();
+        shared.actuate.ring.close();
         let actuators = self.actuate_worker.join().expect("actuate worker panicked");
 
-        let report = snapshot_report(
-            &self.sessions,
-            &self.ingest,
-            &self.classify,
-            &self.control,
-            &self.actuate,
-            &self.classify_counters,
-            &self.fault_counters,
-            &self.mem,
-            &self.pressure_degradations,
-        );
+        let report = shared.report();
         // The report above snapshots usage *with* the rings still charged
         // (that is what the run held); the release happens after.
-        self.mem.release(MemConsumer::RingQueues, self.ring_bytes);
+        shared.mem.release(MemConsumer::RingQueues, self.ring_bytes);
         ShutdownOutcome { report, actuators }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn snapshot_report(
-    sessions: &[SessionState],
-    ingest: &Ring<IngestMsg>,
-    classify: &Ring<ClassifyMsg>,
-    control: &Ring<ControlMsg>,
-    actuate: &Ring<ActuateMsg>,
-    classify_counters: &ClassifyCounters,
-    fault_counters: &FaultCounters,
-    mem: &MemoryBudget,
-    pressure_degradations: &AtomicU64,
-) -> RuntimeReport {
-    let sessions = sessions
-        .iter()
-        .enumerate()
-        .map(|(index, s)| SessionReport {
-            session: index,
-            produced: s.produced.load(Ordering::SeqCst),
-            processed: s.processed.load(Ordering::SeqCst),
-            dropped: s.dropped.load(Ordering::SeqCst),
-            deadline_misses: s.misses.load(Ordering::SeqCst),
-            degradations: s.degradations.load(Ordering::SeqCst),
-            recoveries: s.recoveries.load(Ordering::SeqCst),
-            family: s.family(),
-            decision_interval: s.interval.load(Ordering::SeqCst),
-            latency: s.latency.snapshot(),
-            evicted: s.evicted.load(Ordering::SeqCst),
-        })
-        .collect();
-    let stage = |name: &'static str, stats: crate::ring::RingStats, capacity: usize| StageReport {
-        stage: name,
-        pushed: stats.pushed,
-        popped: stats.popped,
-        shed: stats.shed,
-        depth_high_water: stats.depth_high_water,
-        capacity,
-    };
-    RuntimeReport {
-        sessions,
-        stages: vec![
-            stage("ingest", ingest.snapshot(), ingest.capacity()),
-            stage("classify", classify.snapshot(), classify.capacity()),
-            stage("control", control.snapshot(), control.capacity()),
-            stage("actuate", actuate.snapshot(), actuate.capacity()),
-        ],
-        classify: classify_counters.snapshot(),
-        faults: fault_counters.snapshot(),
-        mem: {
-            let mut snapshot = MemReport::snapshot(mem);
-            snapshot.pressure_degradations = pressure_degradations.load(Ordering::SeqCst);
-            snapshot
-        },
     }
 }
 
@@ -2142,81 +1962,101 @@ mod tests {
         SessionState::new(ClassifierKind::Lstm, ClassifierKind::Hdc, Precision::F32)
     }
 
+    /// A runtime's shared context over `sessions`, with no workers.
+    fn shared(config: RuntimeConfig, sessions: Vec<SessionState>) -> Shared {
+        Shared::new(
+            config,
+            Arc::new(SystemClock::new()),
+            sessions,
+            None,
+            None,
+            None,
+        )
+    }
+
     #[test]
     fn breaker_trips_to_floor_after_threshold_failures() {
-        let s = state();
-        let faults = FaultCounters::default();
-        breaker_on_failure(&s, 3, &faults, None);
-        breaker_on_failure(&s, 3, &faults, None);
+        // Session 1's floor is raised to MLP.
+        let shared = shared(
+            RuntimeConfig::default(),
+            vec![
+                state(),
+                SessionState::new(ClassifierKind::Lstm, ClassifierKind::Mlp, Precision::F32),
+            ],
+        );
+        let s = &shared.sessions[0];
+        shared.breaker_on_failure(0);
+        shared.breaker_on_failure(0);
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_CLOSED);
         assert_eq!(s.family(), ClassifierKind::Lstm);
-        breaker_on_failure(&s, 3, &faults, None);
+        shared.breaker_on_failure(0);
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
         assert_eq!(s.family(), ClassifierKind::Hdc, "tripped straight to HDC");
-        assert_eq!(faults.breaker_trips.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.faults.breaker_trips.load(Ordering::SeqCst), 1);
         // With the floor raised to MLP, the trip pins MLP instead.
-        let s = SessionState::new(ClassifierKind::Lstm, ClassifierKind::Mlp, Precision::F32);
         for _ in 0..3 {
-            breaker_on_failure(&s, 3, &faults, None);
+            shared.breaker_on_failure(1);
         }
-        assert_eq!(s.family(), ClassifierKind::Mlp);
+        assert_eq!(shared.sessions[1].family(), ClassifierKind::Mlp);
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let s = state();
-        let faults = FaultCounters::default();
-        breaker_on_failure(&s, 3, &faults, None);
-        breaker_on_failure(&s, 3, &faults, None);
-        breaker_on_success(&s, ClassifierKind::Lstm, &faults, None);
-        breaker_on_failure(&s, 3, &faults, None);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_CLOSED);
+        let shared = shared(RuntimeConfig::default(), vec![state()]);
+        shared.breaker_on_failure(0);
+        shared.breaker_on_failure(0);
+        shared.breaker_on_success(0, ClassifierKind::Lstm);
+        shared.breaker_on_failure(0);
+        assert_eq!(
+            shared.sessions[0].breaker.load(Ordering::SeqCst),
+            BREAKER_CLOSED
+        );
     }
 
     #[test]
     fn recovery_probe_closes_breaker_on_success() {
-        let s = state();
-        let faults = FaultCounters::default();
+        let shared = shared(RuntimeConfig::default(), vec![state()]);
+        let s = &shared.sessions[0];
         for _ in 0..3 {
-            breaker_on_failure(&s, 3, &faults, None);
+            shared.breaker_on_failure(0);
         }
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
         // The ordinary recovery machinery launches the probe: the family
         // upgrade marks the breaker half-open.
-        assert!(recover(&s));
+        assert!(recover(s));
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
         assert_eq!(s.family(), ClassifierKind::Mlp);
         // No further upgrades while the probe is in flight.
-        assert!(!recover(&s));
+        assert!(!recover(s));
         // Floor-family (HDC) stragglers still in the pipe must not close
         // the breaker…
-        breaker_on_success(&s, ClassifierKind::Hdc, &faults, None);
+        shared.breaker_on_success(0, ClassifierKind::Hdc);
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
         // …but the probe family succeeding does.
-        breaker_on_success(&s, ClassifierKind::Mlp, &faults, None);
+        shared.breaker_on_success(0, ClassifierKind::Mlp);
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_CLOSED);
-        assert_eq!(faults.breaker_closes.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.faults.breaker_closes.load(Ordering::SeqCst), 1);
         // With the breaker closed, recovery continues up the ladder.
-        assert!(recover(&s));
+        assert!(recover(s));
         assert_eq!(s.family(), ClassifierKind::Cnn);
-        assert!(recover(&s));
+        assert!(recover(s));
         assert_eq!(s.family(), ClassifierKind::Lstm);
     }
 
     #[test]
     fn failed_probe_reopens_and_repins_floor() {
-        let s = state();
-        let faults = FaultCounters::default();
+        let shared = shared(RuntimeConfig::default(), vec![state()]);
+        let s = &shared.sessions[0];
         for _ in 0..3 {
-            breaker_on_failure(&s, 3, &faults, None);
+            shared.breaker_on_failure(0);
         }
         assert_eq!(s.family(), ClassifierKind::Hdc);
-        assert!(recover(&s));
+        assert!(recover(s));
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
-        breaker_on_failure(&s, 3, &faults, None);
+        shared.breaker_on_failure(0);
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
         assert_eq!(s.family(), ClassifierKind::Hdc);
-        assert_eq!(faults.breaker_trips.load(Ordering::SeqCst), 2);
+        assert_eq!(shared.faults.breaker_trips.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -2308,16 +2148,20 @@ mod tests {
 
     #[test]
     fn survive_panic_respects_budget_and_counts() {
-        let faults = FaultCounters::default();
-        let sup = SupervisionConfig {
-            restart_budget: 2,
-            backoff_base_ms: 0,
-            backoff_max_ms: 0,
-            breaker_threshold: 3,
+        let config = RuntimeConfig {
+            supervision: SupervisionConfig {
+                restart_budget: 2,
+                backoff_base_ms: 0,
+                backoff_max_ms: 0,
+                breaker_threshold: 3,
+            },
+            ..RuntimeConfig::default()
         };
-        assert!(survive_panic(&faults, None, &sup, 1, 1));
-        assert!(survive_panic(&faults, None, &sup, 2, 2));
-        assert!(!survive_panic(&faults, None, &sup, 3, 3));
+        let shared = shared(config, vec![state()]);
+        assert!(shared.survive_panic(1, 1));
+        assert!(shared.survive_panic(2, 2));
+        assert!(!shared.survive_panic(3, 3));
+        let faults = &shared.faults;
         assert_eq!(faults.worker_panics.load(Ordering::SeqCst), 3);
         assert_eq!(faults.worker_restarts.load(Ordering::SeqCst), 2);
         assert_eq!(faults.workers_lost.load(Ordering::SeqCst), 1);

@@ -3,6 +3,7 @@
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use affect_core::classifier::ClassifierKind;
 use affect_core::emotion::Emotion;
@@ -10,6 +11,7 @@ use affect_core::pipeline::FeatureConfig;
 use affect_obs::{Clock, VirtualClock};
 use affect_rt::{
     Actuator, CollectActuator, OverflowPolicy, RuntimeBuilder, RuntimeConfig, StageConfig,
+    WatchdogConfig,
 };
 use biosignal::VoiceWindowStream;
 
@@ -299,4 +301,46 @@ fn drop_newest_rejects_under_pressure_and_accounts() {
     assert_eq!(report.processed, admitted);
     // Drop-newest preserves in-flight work: the first window always wins.
     assert_eq!(*seqs.lock().unwrap().first().unwrap(), 0);
+}
+
+#[test]
+fn watchdog_drains_a_wedged_stage() {
+    const SUBMITTED: u64 = 20;
+
+    let mut config = fast_config();
+    config.workers = 1;
+    config.ingest = StageConfig::new(4, OverflowPolicy::DropOldest);
+    config.classify = StageConfig::new(2, OverflowPolicy::Block);
+    config.control = StageConfig::new(2, OverflowPolicy::Block);
+    config.actuate_capacity = 2;
+    config.deadline_ns = 60_000_000_000;
+    config.watchdog = Some(WatchdogConfig {
+        poll_ms: 5,
+        stall_polls: 2,
+    });
+    let (actuator, permits, _seqs) = GatedActuator::new();
+    let mut builder = RuntimeBuilder::new(config).unwrap();
+    let session = builder.add_session(Box::new(actuator));
+    let runtime = builder.start().unwrap();
+
+    // The gated actuator wedges the actuate stage, so every ring behind it
+    // fills and stops moving: the watchdog must shed the stalled rings.
+    let window = vec![0.1f32; 1024];
+    for _ in 0..SUBMITTED {
+        runtime.submit(session, window.clone());
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    for _ in 0..SUBMITTED {
+        let _ = permits.send(());
+    }
+    runtime.wait_idle();
+    let outcome = runtime.shutdown();
+
+    let report = &outcome.report;
+    assert!(report.all_accounted(), "watchdog sheds are accounted");
+    assert_eq!(report.sessions[session.index()].produced, SUBMITTED);
+    assert!(
+        report.faults.watchdog_sheds > 0,
+        "the stalled rings were shed"
+    );
 }

@@ -3,11 +3,14 @@
 //! or the other sessions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use affect_core::controller::ControlEvent;
 use affect_core::pipeline::FeatureConfig;
 use affect_rt::{
-    silence_injected_panics, CollectActuator, FaultAction, FaultHook, RuntimeBuilder,
+    silence_injected_panics, Actuator, CollectActuator, FaultAction, FaultHook, RuntimeBuilder,
     RuntimeConfig, Stage, SupervisionConfig, WatchdogConfig,
 };
 
@@ -211,13 +214,13 @@ fn windows_submitted_after_retirement_drain_from_the_closed_ring() {
     assert_eq!(report.faults.worker_restarts, 0, "budget 0 allows none");
 }
 
-/// Drops every window at a chosen stage.
-struct DropAt(Stage);
+/// Injects one action into every window at a chosen stage.
+struct FaultAt(Stage, FaultAction);
 
-impl FaultHook for DropAt {
+impl FaultHook for FaultAt {
     fn inject(&self, stage: Stage, _session: usize, _seq: u64) -> FaultAction {
         if stage == self.0 {
-            FaultAction::DropWindow
+            self.1
         } else {
             FaultAction::None
         }
@@ -226,20 +229,107 @@ impl FaultHook for DropAt {
 
 #[test]
 fn drops_at_every_stage_keep_the_invariant() {
-    for stage in Stage::ALL {
-        let mut builder = RuntimeBuilder::new(fast_config()).unwrap();
-        let session = builder.add_session(Box::<CollectActuator>::default());
-        let runtime = builder.fault_hook(Arc::new(DropAt(stage))).start().unwrap();
-        for _ in 0..8 {
-            runtime.submit(session, vec![0.2; 1024]);
+    silence_injected_panics();
+    let config = RuntimeConfig {
+        supervision: SupervisionConfig {
+            backoff_base_ms: 0,
+            backoff_max_ms: 0,
+            ..SupervisionConfig::default()
+        },
+        ..fast_config()
+    };
+    // One panic rule at every worker stage: a panic costs its window.
+    // Ingest runs on the caller's thread, so there a panic is a drop.
+    for action in [FaultAction::DropWindow, FaultAction::Panic] {
+        for stage in Stage::ALL {
+            let mut builder = RuntimeBuilder::new(config.clone()).unwrap();
+            let session = builder.add_session(Box::<CollectActuator>::default());
+            let runtime = builder
+                .fault_hook(Arc::new(FaultAt(stage, action)))
+                .start()
+                .unwrap();
+            for _ in 0..8 {
+                runtime.submit(session, vec![0.2; 1024]);
+            }
+            runtime.wait_idle();
+            let report = runtime.shutdown().report;
+            let s = &report.sessions[session.index()];
+            assert!(s.accounted(), "{action:?} at {stage:?}");
+            assert_eq!(s.produced, 8, "{action:?} at {stage:?}");
+            assert_eq!(s.processed, 0, "{action:?} at {stage:?}: all dropped");
+            let panics = if action == FaultAction::Panic && stage != Stage::Ingest {
+                8
+            } else {
+                0
+            };
+            assert_eq!(
+                report.faults.worker_panics, panics,
+                "{action:?} at {stage:?}"
+            );
+            assert_eq!(report.faults.workers_lost, 0, "{action:?} at {stage:?}");
         }
-        runtime.wait_idle();
-        let report = runtime.shutdown().report;
-        let s = &report.sessions[session.index()];
-        assert!(s.accounted(), "stage {stage:?}");
-        assert_eq!(s.produced, 8, "stage {stage:?}");
-        assert_eq!(s.processed, 0, "stage {stage:?}: all dropped");
     }
+}
+
+/// User actuation code that panics on one window and records the others.
+struct PanicsOnWindow {
+    panic_at: u64,
+    seen: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Actuator for PanicsOnWindow {
+    fn actuate(&mut self, _event: ControlEvent, _now_nanos: u64) {}
+
+    fn on_window(&mut self, seq: u64) {
+        if seq == self.panic_at {
+            panic!("actuator fault on window {seq}");
+        }
+        self.seen.lock().unwrap().push(seq);
+    }
+}
+
+#[test]
+fn panicking_actuator_costs_one_window_not_the_runtime() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut builder = RuntimeBuilder::new(fast_config()).unwrap();
+    let session = builder.add_session(Box::new(PanicsOnWindow {
+        panic_at: 2,
+        seen: Arc::clone(&seen),
+    }));
+    let runtime = Arc::new(builder.start().unwrap());
+    for _ in 0..6 {
+        runtime.submit(session, vec![0.2; 1024]);
+    }
+    // Wait on a helper thread, so a wedged runtime fails the test instead
+    // of hanging it.
+    let (done, converged) = channel();
+    let waiter = {
+        let runtime = Arc::clone(&runtime);
+        std::thread::spawn(move || {
+            runtime.wait_idle();
+            let _ = done.send(());
+        })
+    };
+    converged
+        .recv_timeout(Duration::from_secs(10))
+        .expect("wait_idle must converge after an actuator panic");
+    waiter.join().unwrap();
+    let runtime = Arc::try_unwrap(runtime).unwrap_or_else(|_| panic!("waiter joined"));
+    let outcome = runtime.shutdown();
+
+    let report = outcome.report;
+    assert!(report.all_accounted());
+    let s = &report.sessions[session.index()];
+    assert_eq!(s.produced, 6);
+    assert_eq!(s.processed, 5, "only the panicking window is lost");
+    assert_eq!(s.dropped, 1);
+    assert_eq!(report.faults.worker_panics, 1);
+    assert_eq!(report.faults.workers_lost, 0);
+    assert_eq!(outcome.actuators.len(), 1, "shutdown returns the actuator");
+    // Two feature and classify workers may reorder windows.
+    let mut seen = seen.lock().unwrap().clone();
+    seen.sort_unstable();
+    assert_eq!(seen, [0, 1, 3, 4, 5]);
 }
 
 #[test]
