@@ -8,12 +8,11 @@
 //! units will be m/f"). Surviving bytes flow through the 128×16-bit
 //! Pre-store Buffer into the 128-bit Circular Buffer under a hand-shake
 //! that avoids read/write conflicts; [`BufferChain::pump`] simulates that
-//! flow tick by tick and reports the transfer/stall counts the power model
-//! consumes.
+//! flow tick by tick, counting each buffer's occupancy rather than moving
+//! bytes, and reports the transfer/stall counts the power model consumes.
 
 use crate::nal::NalUnit;
 use crate::CodecError;
-use std::collections::VecDeque;
 
 /// Input Selector parameters (the paper's `S_th` and `f`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,51 +87,6 @@ pub fn select_units(units: &[NalUnit], params: SelectorParams) -> SelectionRepor
     report
 }
 
-/// A bounded byte FIFO standing in for an on-chip buffer.
-#[derive(Debug, Clone)]
-pub struct ByteFifo {
-    queue: VecDeque<u8>,
-    capacity: usize,
-}
-
-impl ByteFifo {
-    /// Creates a FIFO holding at most `capacity` bytes.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Free space in bytes.
-    pub fn free(&self) -> usize {
-        self.capacity - self.queue.len()
-    }
-
-    /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// `true` when no bytes are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Pushes as many of `bytes` as fit; returns how many were accepted.
-    pub fn push(&mut self, bytes: &[u8]) -> usize {
-        let n = bytes.len().min(self.free());
-        self.queue.extend(&bytes[..n]);
-        n
-    }
-
-    /// Pops up to `n` bytes.
-    pub fn pop(&mut self, n: usize) -> Vec<u8> {
-        let n = n.min(self.queue.len());
-        self.queue.drain(..n).collect()
-    }
-}
-
 /// Statistics from pumping a bitstream through the buffer chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferStats {
@@ -166,14 +120,15 @@ impl BufferStats {
 ///
 /// ```
 /// use h264::buffers::BufferChain;
-/// let mut chain = BufferChain::paper_sized();
-/// let stats = chain.pump(&vec![0xAB; 1000]);
+/// let stats = BufferChain::paper_sized().pump(1000);
 /// assert_eq!(stats.delivered, 1000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BufferChain {
-    prestore: ByteFifo,
-    circular: ByteFifo,
+    /// Pre-store Buffer capacity (bytes).
+    prestore_capacity: usize,
+    /// Circular Buffer capacity (bytes).
+    circular_capacity: usize,
     /// Producer write width per tick (bytes).
     write_width: usize,
     /// Parser read width per tick (bytes).
@@ -186,41 +141,44 @@ impl BufferChain {
     /// parser reads.
     pub fn paper_sized() -> Self {
         Self {
-            prestore: ByteFifo::new(256),
-            circular: ByteFifo::new(16),
+            prestore_capacity: 256,
+            circular_capacity: 16,
             write_width: 16,
             read_width: 4,
         }
     }
 
-    /// Pumps `bytes` through the chain until fully delivered, returning the
-    /// transfer statistics. Each tick the producer writes up to its width
-    /// into the Pre-store Buffer (stalling when full), the Circular Buffer
-    /// refills from the Pre-store Buffer, and the parser drains its width —
-    /// the hand-shake guarantees no byte is lost.
-    pub fn pump(&mut self, bytes: &[u8]) -> BufferStats {
+    /// Pumps `len` bytes through the chain until fully delivered, returning
+    /// the transfer statistics. Each tick the producer writes up to its
+    /// width into the Pre-store Buffer (stalling when full), the Circular
+    /// Buffer refills from the Pre-store Buffer, and the parser drains its
+    /// width — the hand-shake guarantees no byte is lost. Only occupancies
+    /// are tracked: the parser reads the unit's payload, not these bytes.
+    pub fn pump(&self, len: usize) -> BufferStats {
         let mut stats = BufferStats::default();
-        let mut offset = 0usize;
-        // Guard against a zero-width misconfiguration looping forever.
-        let read_width = self.read_width.max(1);
-        let write_width = self.write_width.max(1);
-        while offset < bytes.len() || !self.prestore.is_empty() || !self.circular.is_empty() {
+        let (mut remaining, mut prestore, mut circular) = (len, 0usize, 0usize);
+        while remaining > 0 || prestore > 0 || circular > 0 {
             stats.ticks += 1;
             // Producer → Pre-store.
-            if offset < bytes.len() {
-                let want = write_width.min(bytes.len() - offset);
-                let accepted = self.prestore.push(&bytes[offset..offset + want]);
+            if remaining > 0 {
+                let want = self.write_width.min(remaining);
+                let accepted = want.min(self.prestore_capacity - prestore);
+                prestore += accepted;
+                remaining -= accepted;
                 stats.prestore_writes += accepted;
-                offset += accepted;
                 if accepted < want {
                     stats.producer_stalls += 1;
                 }
             }
             // Pre-store → Circular (hand-shake: only move what fits).
-            let moved = self.prestore.pop(self.circular.free());
-            stats.circular_writes += self.circular.push(&moved);
+            let moved = prestore.min(self.circular_capacity - circular);
+            prestore -= moved;
+            circular += moved;
+            stats.circular_writes += moved;
             // Circular → parser.
-            stats.delivered += self.circular.pop(read_width).len();
+            let read = circular.min(self.read_width);
+            circular -= read;
+            stats.delivered += read;
         }
         stats
     }
@@ -281,39 +239,25 @@ mod tests {
     }
 
     #[test]
-    fn fifo_respects_capacity() {
-        let mut f = ByteFifo::new(4);
-        assert_eq!(f.push(&[1, 2, 3, 4, 5, 6]), 4);
-        assert_eq!(f.free(), 0);
-        assert_eq!(f.pop(2), vec![1, 2]);
-        assert_eq!(f.push(&[7]), 1);
-        assert_eq!(f.pop(10), vec![3, 4, 7]);
-    }
-
-    #[test]
     fn chain_delivers_every_byte() {
-        let mut chain = BufferChain::paper_sized();
-        let data: Vec<u8> = (0..2048).map(|i| (i % 251) as u8).collect();
-        let stats = chain.pump(&data);
-        assert_eq!(stats.delivered, data.len());
-        assert_eq!(stats.prestore_writes, data.len());
-        assert_eq!(stats.circular_writes, data.len());
+        let stats = BufferChain::paper_sized().pump(2048);
+        assert_eq!(stats.delivered, 2048);
+        assert_eq!(stats.prestore_writes, 2048);
+        assert_eq!(stats.circular_writes, 2048);
     }
 
     #[test]
     fn producer_faster_than_consumer_stalls() {
         // Producer writes 16/tick, consumer reads 4/tick: the pre-store
         // fills and the producer must stall on a long stream.
-        let mut chain = BufferChain::paper_sized();
-        let stats = chain.pump(&vec![1u8; 10_000]);
+        let stats = BufferChain::paper_sized().pump(10_000);
         assert!(stats.producer_stalls > 0);
         assert_eq!(stats.delivered, 10_000);
     }
 
     #[test]
     fn empty_input_is_free() {
-        let mut chain = BufferChain::paper_sized();
-        let stats = chain.pump(&[]);
+        let stats = BufferChain::paper_sized().pump(0);
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.ticks, 0);
     }

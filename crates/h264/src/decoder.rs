@@ -9,7 +9,7 @@ use crate::expgolomb::BitReader;
 use crate::frame::{Frame, BLOCKS_PER_MB, BLOCK_SIZE, MB_SIZE};
 use crate::inter::MotionVector;
 use crate::intra::{predict, IntraMode};
-use crate::nal::{write_annex_b, NalType, NalUnit};
+use crate::nal::{NalType, NalUnit};
 use crate::stream::{AnnexBScanner, IngestStats, ParameterSetCache, ScannerConfig};
 use crate::CodecError;
 use std::rc::Rc;
@@ -577,7 +577,6 @@ impl SpsParams {
 pub struct DecodeStream {
     dec: Decoder,
     scanner: AnnexBScanner,
-    chain: BufferChain,
     buffer: BufferStats,
     activity: Activity,
     selection: SelectionReport,
@@ -598,7 +597,6 @@ impl DecodeStream {
         Self {
             dec,
             scanner: AnnexBScanner::new(scanner),
-            chain: BufferChain::paper_sized(),
             buffer: BufferStats::default(),
             activity: Activity::default(),
             selection: SelectionReport::default(),
@@ -657,8 +655,7 @@ impl DecodeStream {
         self.selection.kept_bytes += size;
 
         // Pump the unit's wire bytes through the Pre-store/Circular chain.
-        let wire = write_annex_b(std::slice::from_ref(&unit));
-        let stats = self.chain.pump(&wire);
+        let stats = BufferChain::paper_sized().pump(size);
         self.activity.buffer_bytes += (stats.prestore_writes + stats.circular_writes) as u64;
         self.buffer.merge(&stats);
 
@@ -917,7 +914,7 @@ fn record_skip(ctx: &mut SliceContext, mb_x: usize, mb_y: usize) {
 mod tests {
     use super::*;
     use crate::encoder::{Encoder, EncoderConfig, GopPattern};
-    use crate::nal::split_annex_b;
+    use crate::nal::{split_annex_b, write_annex_b};
     use crate::quality::mean_psnr;
     use crate::video::synthetic_clip;
 

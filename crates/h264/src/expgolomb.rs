@@ -110,7 +110,7 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Returns `true` when fewer than `n` bits remain.
+    /// Bits left to read.
     pub fn remaining_bits(&self) -> usize {
         self.bytes.len() * 8 - self.pos
     }
@@ -152,6 +152,20 @@ impl<'a> BitReader<'a> {
     /// Returns [`CodecError::BitstreamExhausted`] on truncation and
     /// [`CodecError::InvalidSyntax`] for a prefix longer than 31 bits.
     pub fn read_ue(&mut self) -> Result<u32, CodecError> {
+        // Word at a time: with eight bytes readable from the current byte,
+        // the window holds at least 57 unread bits, so a code with at most
+        // 28 prefix zeros (2z + 1 <= 57 bits) lies wholly inside it.
+        if let Some(word) = self.bytes[self.pos / 8..].first_chunk::<8>() {
+            let window = u64::from_be_bytes(*word) << (self.pos % 8);
+            let zeros = window.leading_zeros();
+            if zeros <= 28 {
+                let len = 2 * zeros + 1;
+                self.pos += len as usize;
+                return Ok((window >> (64 - len)) as u32 - 1);
+            }
+        }
+        // Bit at a time near the end of the data and for longer prefixes,
+        // which also yields the exact truncation and prefix errors.
         let mut zeros = 0u8;
         while !self.read_bit()? {
             zeros += 1;
