@@ -230,6 +230,34 @@ impl ModelConfig {
         }
     }
 
+    /// The scaled configuration of a neural family for inputs of `shape`:
+    /// a flat `[n]` vector for the MLP, a `[1, n]` strip for the CNN and a
+    /// `[T, F]` sequence for the LSTM.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AffectError::InvalidParameter`] for the HDC family, which
+    /// has no [`Sequential`] model, or a shape the family does not read.
+    pub fn scaled_for(
+        kind: ClassifierKind,
+        shape: &[usize],
+        classes: usize,
+    ) -> Result<Self, AffectError> {
+        match (kind, shape) {
+            (ClassifierKind::Mlp, &[input_dim]) => Ok(Self::scaled_mlp(input_dim, classes)),
+            (ClassifierKind::Cnn, &[1, input_len]) => Ok(Self::scaled_cnn(input_len, classes)),
+            (ClassifierKind::Lstm, &[_, input_dim]) => Ok(Self::scaled_lstm(input_dim, classes)),
+            (ClassifierKind::Hdc, _) => Err(AffectError::InvalidParameter {
+                name: "kind",
+                reason: "HDC has no Sequential model",
+            }),
+            _ => Err(AffectError::InvalidParameter {
+                name: "shape",
+                reason: "not the input shape of this family",
+            }),
+        }
+    }
+
     /// Which family this configuration belongs to.
     pub fn kind(&self) -> ClassifierKind {
         match self {
@@ -559,7 +587,7 @@ impl AffectClassifier {
     }
 
     /// The underlying neural model (e.g. to train it with
-    /// [`nn::train::fit`]); `None` for the HDC family.
+    /// [`crate::training::train`]); `None` for the HDC family.
     pub fn model_mut(&mut self) -> Option<&mut Sequential> {
         match &mut self.backend {
             Backend::Net(model) => Some(model),
@@ -712,6 +740,20 @@ mod tests {
             let model = cfg.build(1).unwrap();
             assert_eq!(model.param_count(), cfg.param_count(), "{:?}", cfg.kind());
         }
+    }
+
+    #[test]
+    fn scaled_for_reads_each_family_shape() {
+        let scaled = |kind, shape: &[usize]| ModelConfig::scaled_for(kind, shape, 4);
+        let mlp = ModelConfig::scaled_mlp(57, 4);
+        assert_eq!(scaled(ClassifierKind::Mlp, &[57]), Ok(mlp));
+        let cnn = ModelConfig::scaled_cnn(96, 4);
+        assert_eq!(scaled(ClassifierKind::Cnn, &[1, 96]), Ok(cnn));
+        let lstm = ModelConfig::scaled_lstm(19, 4);
+        assert_eq!(scaled(ClassifierKind::Lstm, &[9, 19]), Ok(lstm));
+        assert!(scaled(ClassifierKind::Hdc, &[57]).is_err());
+        assert!(scaled(ClassifierKind::Mlp, &[9, 19]).is_err());
+        assert!(scaled(ClassifierKind::Cnn, &[2, 96]).is_err());
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //!   modes and app-priority hints (the paper's Sec. 4/5 control knobs).
 //! * [`controller`] — the system controller that consumes an emotion stream
 //!   and emits control events.
+//! * [`training`] — the one training recipe: feature standardization
+//!   ([`training::Normalization`]) and Adam fitting of a built model.
 //!
 //! # Example
 //!
@@ -61,6 +63,7 @@ pub mod error;
 pub mod pipeline;
 pub mod policy;
 pub mod smoothing;
+pub mod training;
 
 pub use classifier::{AffectClassifier, ClassifierKind, ModelConfig};
 pub use controller::{ControlEvent, SystemController};

@@ -31,17 +31,12 @@ use std::time::Instant;
 
 use affect_core::classifier::{ClassifierKind, ModelConfig};
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
+use affect_core::training::{train, NormScope, Normalization};
 use bench::results::write_bench;
 use bench::table::Table;
 use criterion::black_box;
-use datasets::{
-    extract_dataset, features::apply_feature_normalization, features::apply_normalization,
-    features::normalize_features_in_place, features::normalize_in_place, Corpus, CorpusSpec,
-    FeatureLayout, TrainTestSplit,
-};
+use datasets::{ActorSplit, Corpus, CorpusSpec, FeatureLayout};
 use nn::hdc::HdcClassifier;
-use nn::optim::Adam;
-use nn::train::{fit, FitConfig};
 use nn::{Precision, Scratch, Sequential, Tensor};
 
 /// Estimated-ops gate: HDC must be at least this many times cheaper than
@@ -134,63 +129,42 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
+    let mut pipeline = FeaturePipeline::new(FeatureConfig {
+        sample_rate: spec.sample_rate,
+        frame_len: 256,
+        hop: 128,
+        ..FeatureConfig::default()
+    })
+    .expect("pipeline");
 
     for kind in ClassifierKind::NEURAL {
-        let mut pipeline = FeaturePipeline::new(FeatureConfig {
-            sample_rate: spec.sample_rate,
-            frame_len: 256,
-            hop: 128,
-            ..FeatureConfig::default()
-        })
-        .expect("pipeline");
         let layout = FeatureLayout::for_kind(kind);
-        let (xs, ys) = extract_dataset(&corpus, &mut pipeline, layout).expect("features");
-        let split = TrainTestSplit::by_actor(&corpus, 0.25, seed).expect("split");
-        let mut train_x = TrainTestSplit::gather(&split.train, &xs);
-        let train_y = TrainTestSplit::gather(&split.train, &ys);
-        let mut test_x = TrainTestSplit::gather(&split.test, &xs);
-        let test_y = TrainTestSplit::gather(&split.test, &ys);
-        match layout {
-            FeatureLayout::Flat => {
-                let (mean, std) = normalize_in_place(&mut train_x).expect("norm");
-                apply_normalization(&mut test_x, &mean, &std).expect("norm");
-            }
-            _ => {
-                let fpf = pipeline.features_per_frame();
-                let (mean, std) = normalize_features_in_place(&mut train_x, fpf).expect("norm");
-                apply_feature_normalization(&mut test_x, &mean, &std).expect("norm");
-            }
-        }
-
-        let sample = &train_x[0];
-        let config = match kind {
-            ClassifierKind::Mlp => ModelConfig::scaled_mlp(sample.shape()[0], classes),
-            ClassifierKind::Cnn => ModelConfig::scaled_cnn(sample.shape()[1], classes),
-            ClassifierKind::Lstm => ModelConfig::scaled_lstm(sample.shape()[1], classes),
-            ClassifierKind::Hdc => unreachable!("neural loop"),
-        };
-        let mut model = config.build(seed).expect("model");
-        let mut optimizer = Adam::new(0.004);
-        fit(
+        let ActorSplit {
+            mut train_x,
+            train_y,
+            mut test_x,
+            test_y,
+        } = ActorSplit::extract(&corpus, &mut pipeline, layout, seed).expect("features");
+        let shape = train_x[0].shape().to_vec();
+        let mut model = ModelConfig::scaled_for(kind, &shape, classes)
+            .and_then(|config| config.build(seed))
+            .expect("model");
+        let scope = NormScope::PerFeature(pipeline.features_per_frame());
+        train(
             &mut model,
-            &train_x,
+            &mut train_x,
             &train_y,
-            &mut optimizer,
-            &FitConfig {
-                epochs,
-                batch_size: 8,
-                seed,
-                verbose: false,
-            },
+            scope,
+            epochs,
+            0.004,
+            seed,
         )
-        .expect("training");
+        .expect("training")
+        .apply(&mut test_x)
+        .expect("norm");
 
         let params = model.param_count();
-        let time_steps = if sample.shape().len() > 1 {
-            sample.shape()[0]
-        } else {
-            1
-        };
+        let time_steps = if shape.len() > 1 { shape[0] } else { 1 };
         let mut scratch = Scratch::new();
         let once = {
             let t0 = Instant::now();
@@ -238,21 +212,15 @@ fn main() {
     // The HDC rung: integer-only, trained in one pass, measured on the
     // same flat features as the MLP.
     {
-        let mut pipeline = FeaturePipeline::new(FeatureConfig {
-            sample_rate: spec.sample_rate,
-            frame_len: 256,
-            hop: 128,
-            ..FeatureConfig::default()
-        })
-        .expect("pipeline");
-        let (xs, ys) = extract_dataset(&corpus, &mut pipeline, FeatureLayout::Flat).expect("flat");
-        let split = TrainTestSplit::by_actor(&corpus, 0.25, seed).expect("split");
-        let mut train_x = TrainTestSplit::gather(&split.train, &xs);
-        let train_y = TrainTestSplit::gather(&split.train, &ys);
-        let mut test_x = TrainTestSplit::gather(&split.test, &xs);
-        let test_y = TrainTestSplit::gather(&split.test, &ys);
-        let (mean, std) = normalize_in_place(&mut train_x).expect("norm");
-        apply_normalization(&mut test_x, &mean, &std).expect("norm");
+        let ActorSplit {
+            mut train_x,
+            train_y,
+            mut test_x,
+            test_y,
+        } = ActorSplit::extract(&corpus, &mut pipeline, FeatureLayout::Flat, seed).expect("flat");
+        Normalization::fit_in_place(&mut train_x, NormScope::PerDimension)
+            .and_then(|norm| norm.apply(&mut test_x))
+            .expect("norm");
 
         let mut clf = HdcClassifier::new(
             nn::hdc::HdcConfig::new(train_x[0].len(), classes, seed).expect("hdc config"),

@@ -6,10 +6,12 @@
 //! backends, reporting macroblocks per second (the decoder's natural
 //! work unit — `Activity::macroblocks` counts every decoded MB, so the
 //! metric is identical across modes even when the Input Selector drops
-//! NAL units). A full run adds the paper's calibration clip
-//! (`paper_reference(5)`) in all four modes, the Fig. 6 (middle)
-//! comparison in wall-clock time, and writes
-//! `results/BENCH_decode_sweep.json` through `bench::results`.
+//! NAL units). The two backends are timed in interleaved rounds
+//! (`bench::results::interleave`), so a drift in host speed lands on both
+//! sides of every round's speedup; the figures are medians over the rounds.
+//! A full run adds the paper's calibration clip (`paper_reference(5)`) in
+//! all four modes, the Fig. 6 (middle) comparison in wall-clock time, and
+//! writes `results/BENCH_decode_sweep.json` through `bench::results`.
 //!
 //! Every run first prints the Input Selector ablation on the calibration
 //! clip: deleted units and PSNR for `S_th` ∈ {0, 70, 140, 280, 560} ×
@@ -25,7 +27,7 @@
 use std::time::Instant;
 
 use affect_core::policy::VideoPowerMode;
-use bench::results::write_bench;
+use bench::results::{interleave, write_bench};
 use bench::table::Table;
 use criterion::black_box;
 use h264::adaptive::{options_for_mode, paper_reference};
@@ -39,8 +41,8 @@ use h264::{Frame, SpsParams};
 
 /// Minimum simd/reference speedup at least one synthetic cell must reach.
 const SPEEDUP_GATE: f64 = 1.5;
-/// Target wall-clock per (cell, backend) measurement.
-const TARGET_SECS: f64 = 0.25;
+/// Target wall-clock per backend in one round of a cell.
+const TARGET_SECS: f64 = 0.1;
 
 struct Cell {
     qp: u8,
@@ -77,16 +79,9 @@ fn grid(test_mode: bool) -> Vec<Cell> {
     cells
 }
 
-/// Decodes `stream` `reps` times with the given backend and returns
-/// (MB/s, macroblocks per decode).
-fn measure(kind: BackendKind, mode: VideoPowerMode, stream: &[u8], reps: usize) -> (f64, u64) {
+/// Decodes `stream` `reps` times with the given backend and returns MB/s.
+fn measure(kind: BackendKind, mode: VideoPowerMode, stream: &[u8], reps: usize) -> f64 {
     let options = options_for_mode(mode);
-    // Warm: touches the stream once and yields the per-decode MB count.
-    let mb_per_decode = Decoder::with_kernels(options, kind.kernels())
-        .decode(stream)
-        .expect("intact stream decodes")
-        .activity
-        .macroblocks;
     let start = Instant::now();
     let mut total_mb = 0u64;
     for _ in 0..reps {
@@ -95,8 +90,7 @@ fn measure(kind: BackendKind, mode: VideoPowerMode, stream: &[u8], reps: usize) 
             .expect("intact stream decodes");
         total_mb += out.activity.macroblocks;
     }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    (total_mb as f64 / elapsed, mb_per_decode)
+    total_mb as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
 /// The QP and frame size the stream's own sequence header declares.
@@ -124,22 +118,27 @@ fn sweep_row(
     stream: &[u8],
     test_mode: bool,
 ) -> f64 {
-    // Size the rep count off one timed reference decode so each
-    // measurement fills roughly TARGET_SECS regardless of cell cost.
+    // Size the rep count off one timed reference decode, which also warms
+    // the stream and yields the per-decode MB count, so each measurement
+    // fills roughly TARGET_SECS regardless of cell cost.
+    let t0 = Instant::now();
+    let mb = Decoder::with_kernels(options_for_mode(mode), BackendKind::Reference.kernels())
+        .decode(stream)
+        .expect("intact stream decodes")
+        .activity
+        .macroblocks;
     let reps = if test_mode {
         2
     } else {
-        let t0 = Instant::now();
-        let _ = Decoder::with_kernels(options_for_mode(mode), BackendKind::Reference.kernels())
-            .decode(stream)
-            .unwrap();
         let once = t0.elapsed().as_secs_f64().max(1e-6);
-        ((TARGET_SECS / once) as usize).clamp(3, 400)
+        ((TARGET_SECS / once) as usize).clamp(3, 5000)
     };
 
-    let (ref_mb_s, mb) = measure(BackendKind::Reference, mode, stream, reps);
-    let (simd_mb_s, _) = measure(BackendKind::Simd, mode, stream, reps);
-    let speedup = simd_mb_s / ref_mb_s;
+    let m = interleave(
+        || measure(BackendKind::Reference, mode, stream, reps),
+        || measure(BackendKind::Simd, mode, stream, reps),
+    );
+    let (ref_mb_s, simd_mb_s, speedup) = (m.baseline, m.cell, m.ratio);
 
     let sps = stream_header(stream);
     let size = format!("{}x{}", sps.width(), sps.height());

@@ -9,9 +9,12 @@
 //! isolates pure chunking overhead (scanner carry state, per-chunk
 //! buffer management).
 //!
-//! A full run writes the chunk-size grid, with MB/s and the overhead
-//! ratio vs. whole-buffer decode, to `results/BENCH_ingest_sweep.json`
-//! through `bench::results`.
+//! Each chunk size is timed in interleaved rounds with the whole-buffer
+//! baseline (`bench::results::interleave`), so a drift in host speed lands
+//! on both sides of every round's ratio; the figures are medians over the
+//! rounds. A full run writes the chunk-size grid, with MB/s and the
+//! overhead ratio vs. whole-buffer decode, to
+//! `results/BENCH_ingest_sweep.json` through `bench::results`.
 //!
 //! Two gates, both exercised in every mode (including `--test`):
 //!   - correctness: every chunking's output must equal whole-buffer
@@ -22,7 +25,7 @@
 use std::time::Instant;
 
 use affect_core::policy::VideoPowerMode;
-use bench::results::write_bench;
+use bench::results::{interleave, write_bench};
 use bench::table::Table;
 use criterion::black_box;
 use h264::adaptive::options_for_mode;
@@ -32,8 +35,8 @@ use h264::video::synthetic_clip;
 
 /// Max allowed slowdown vs. whole-buffer decode at MTU-sized chunks.
 const MTU_OVERHEAD_GATE: f64 = 2.0;
-/// Target wall-clock per chunk-size measurement.
-const TARGET_SECS: f64 = 0.25;
+/// Target wall-clock per timed side of one round.
+const TARGET_SECS: f64 = 0.05;
 
 fn chunk_sizes(len: usize, test_mode: bool) -> Vec<usize> {
     if test_mode {
@@ -106,15 +109,18 @@ fn main() {
         let once = t0.elapsed().as_secs_f64().max(1e-6);
         ((TARGET_SECS / once) as usize).clamp(3, 400)
     };
-    let start = Instant::now();
-    for _ in 0..reps {
-        let _ = Decoder::new(options).decode(black_box(&stream)).unwrap();
-    }
-    let whole_mb_s = stream_mb * reps as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    // Wire MB/s of `reps` decodes.
+    let mb_per_s = |decode: &dyn Fn() -> DecodeOutput| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            let _ = decode();
+        }
+        stream_mb * reps as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    };
+    let whole = || Decoder::new(options).decode(black_box(&stream)).unwrap();
     eprintln!(
-        "ingest_sweep: {} byte stream, whole-buffer baseline {:.1} MB/s ({reps} reps)",
-        stream.len(),
-        whole_mb_s
+        "ingest_sweep: {} byte stream, {reps} decodes per side of a round",
+        stream.len()
     );
 
     let mut table = Table::new(vec![
@@ -124,32 +130,39 @@ fn main() {
         "overhead_vs_whole".into(),
     ]);
     let mut mtu_overhead = 1.0f64;
+    let mut whole_rates = Vec::new();
 
     for chunk in chunk_sizes(stream.len(), test_mode) {
         // Correctness gate: every chunking equals whole-buffer decode.
         let out = decode_chunked(options, &stream, chunk);
         assert_equivalent(chunk, &out, &reference);
 
-        let start = Instant::now();
-        for _ in 0..reps {
-            let _ = decode_chunked(options, &stream, chunk);
-        }
-        let mb_s = stream_mb * reps as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        let overhead = whole_mb_s / mb_s.max(1e-9);
+        let m = interleave(
+            || mb_per_s(&whole),
+            || mb_per_s(&|| decode_chunked(options, &stream, chunk)),
+        );
+        // The median of the per-round chunked / whole time ratios: with an
+        // odd round count, the inverse of the median rate ratio.
+        let overhead = 1.0 / m.ratio;
+        whole_rates.push(m.baseline);
         if chunk == 1500 {
             mtu_overhead = overhead;
         }
         let n_chunks = stream.len().div_ceil(chunk);
         eprintln!(
-            "  chunk {chunk:>7} B  {n_chunks:>6} chunks  {mb_s:>8.1} MB/s  x{overhead:.2} vs whole"
+            "  chunk {chunk:>7} B  {n_chunks:>6} chunks  {:>8.1} MB/s  x{overhead:.2} vs whole \
+             ({:.1} MB/s)",
+            m.cell, m.baseline
         );
         table.row(vec![
             chunk.to_string(),
             n_chunks.to_string(),
-            format!("{mb_s:.1}"),
+            format!("{:.1}", m.cell),
             format!("{overhead:.3}"),
         ]);
     }
+    whole_rates.sort_by(f64::total_cmp);
+    let whole_mb_s = whole_rates[whole_rates.len() / 2];
 
     eprintln!("ingest_sweep: every chunking byte-identical to whole-buffer decode");
 

@@ -10,19 +10,26 @@
 //! `all`. Add `--quick` to use the fast training profile.
 //!
 //! Tables are printed to stdout and CSV copies land in `<repo>/results`,
-//! whatever the working directory.
+//! or in `<repo>/results/quick` with `--quick`, whatever the working
+//! directory.
 
 use affect_core::classifier::ClassifierKind;
 use bench::fig3::{evaluate_classifier, full_grid, ClassifierResult, Fig3Config};
-use bench::results::results_dir;
+use bench::results::repo_root;
 use bench::table::{pct, Table};
 use bench::{ext, fig10, fig6, fig7, fig9, tables};
 use datasets::CorpusSpec;
 use std::process::ExitCode;
+use std::sync::OnceLock;
+
+/// The CSV directory of this run's profile, relative to the repo root. A
+/// quick run writes beside the full profile's CSVs, not over them.
+static RESULTS: OnceLock<&'static str> = OnceLock::new();
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    RESULTS.get_or_init(|| if quick { "results/quick" } else { "results" });
     let command = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -74,9 +81,13 @@ fn fig3_config(quick: bool) -> Fig3Config {
     }
 }
 
-/// Writes `table` as `<repo>/results/<file>`.
+/// Writes `table` as `<repo>/<RESULTS>/<file>`.
 fn save(table: &Table, file: &str) -> std::io::Result<()> {
-    table.write_csv(results_dir().join(file))
+    table.write_csv(repo_root().join(results()).join(file))
+}
+
+fn results() -> &'static str {
+    RESULTS.get().expect("set at the start of main")
 }
 
 fn fig3a(quick: bool) -> AnyResult {
@@ -556,9 +567,6 @@ fn all(quick: bool) -> AnyResult {
     ext_limits()?;
     ext_stream()?;
     ext_subjects()?;
-    println!(
-        "\nall experiments regenerated; CSVs in {}",
-        results_dir().display()
-    );
+    println!("\nall experiments regenerated; CSVs in {}", results());
     Ok(())
 }

@@ -5,8 +5,8 @@
 
 use crate::fig3::Fig3Config;
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
-use datasets::features::{apply_feature_normalization, normalize_features_in_place};
-use datasets::{extract_dataset, Corpus, CorpusSpec, FeatureLayout, TrainTestSplit};
+use affect_core::training::{train, NormScope};
+use datasets::{ActorSplit, Corpus, CorpusSpec, FeatureLayout};
 use h264::adaptive::paper_reference;
 use h264::nal::{NalType, StreamInfo};
 use mobile_sim::device::DeviceConfig;
@@ -16,8 +16,6 @@ use mobile_sim::sim::compare_policies;
 use mobile_sim::subjects::SubjectProfile;
 use nn::layers::{Dense, Gru, Lstm};
 use nn::metrics::accuracy;
-use nn::optim::Adam;
-use nn::train::{fit, FitConfig};
 use nn::Sequential;
 
 /// One row of the recurrent-cell comparison.
@@ -31,9 +29,12 @@ pub struct RecurrentCellRow {
     pub accuracy: f32,
 }
 
-/// Trains matched two-layer LSTM and GRU classifiers on the RAVDESS-like
-/// corpus — the GRU reaches LSTM-class accuracy at 3/4 the parameters,
-/// extending the paper's Sec. 2 model-choice guidance.
+/// Trains two-layer LSTM and GRU classifiers of the same hidden size (32)
+/// on the RAVDESS-like corpus, with the same split, recipe and seeds, and
+/// reports each one's parameter count and held-out accuracy. A GRU layer
+/// has three gates to the LSTM's four, so its stack has about 3/4 the
+/// parameters; the accuracies are measured, not assumed (EXPERIMENTS.md
+/// quotes them).
 ///
 /// # Errors
 ///
@@ -51,20 +52,13 @@ pub fn gru_vs_lstm(
         hop: 128,
         ..FeatureConfig::default()
     })?;
-    let (xs, ys) = extract_dataset(&corpus, &mut pipeline, FeatureLayout::Sequence)?;
-    let split = TrainTestSplit::by_actor(&corpus, 0.25, config.seed)?;
-    let mut train_x = TrainTestSplit::gather(&split.train, &xs);
-    let train_y = TrainTestSplit::gather(&split.train, &ys);
-    let mut test_x = TrainTestSplit::gather(&split.test, &xs);
-    let test_y = TrainTestSplit::gather(&split.test, &ys);
+    let data = ActorSplit::extract(&corpus, &mut pipeline, FeatureLayout::Sequence, config.seed)?;
     let fpf = pipeline.features_per_frame();
-    let (mean, std) = normalize_features_in_place(&mut train_x, fpf)?;
-    apply_feature_normalization(&mut test_x, &mean, &std)?;
-
     let hidden = 32usize;
     let classes = spec.emotions.len();
     let mut rows = Vec::new();
     for cell in ["LSTM", "GRU"] {
+        let (mut train_x, mut test_x) = (data.train_x.clone(), data.test_x.clone());
         let mut model = Sequential::new();
         match cell {
             "LSTM" => {
@@ -78,23 +72,20 @@ pub fn gru_vs_lstm(
         }
         model.push(Dense::new(hidden, classes, config.seed + 2)?);
         let params = model.param_count();
-        let mut optimizer = Adam::new(0.004);
-        fit(
+        train(
             &mut model,
-            &train_x,
-            &train_y,
-            &mut optimizer,
-            &FitConfig {
-                epochs: config.epochs,
-                batch_size: 8,
-                seed: config.seed,
-                verbose: false,
-            },
-        )?;
+            &mut train_x,
+            &data.train_y,
+            NormScope::PerFeature(fpf),
+            config.epochs,
+            0.004,
+            config.seed,
+        )?
+        .apply(&mut test_x)?;
         rows.push(RecurrentCellRow {
             cell,
             params,
-            accuracy: accuracy(&mut model, &test_x, &test_y)?,
+            accuracy: accuracy(&mut model, &test_x, &data.test_y)?,
         });
     }
     Ok(rows)
@@ -210,16 +201,16 @@ pub struct NalRow {
     pub size_range: (usize, usize),
 }
 
+/// Result of [`stream_composition`]: per-type rows plus
+/// `(S_th, droppable-byte fraction)` pairs.
+pub type StreamComposition = (Vec<NalRow>, Vec<(usize, f64)>);
+
 /// Analyzes the reference stream's NAL composition plus the droppable-byte
 /// fraction at several thresholds — the data behind choosing `S_th = 140`.
 ///
 /// # Errors
 ///
 /// Propagates codec errors.
-/// Result of [`stream_composition`]: per-type rows plus
-/// `(S_th, droppable-byte fraction)` pairs.
-pub type StreamComposition = (Vec<NalRow>, Vec<(usize, f64)>);
-
 pub fn stream_composition(seed: u64) -> Result<StreamComposition, Box<dyn std::error::Error>> {
     let (_, stream) = paper_reference(seed)?;
     let info = StreamInfo::analyze(&stream)?;

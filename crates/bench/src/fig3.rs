@@ -4,16 +4,10 @@
 
 use affect_core::classifier::{ClassifierKind, ModelConfig};
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
-use affect_core::AffectError;
-use datasets::{
-    extract_dataset, features::apply_normalization, features::normalize_in_place, Corpus,
-    CorpusSpec, DatasetError, FeatureLayout, TrainTestSplit,
-};
+use affect_core::training::{train, NormScope};
+use datasets::{ActorSplit, Corpus, CorpusSpec, FeatureLayout};
 use nn::metrics::{accuracy, ConfusionMatrix};
-use nn::optim::Adam;
 use nn::quant::{quantize_weights_in_place, QuantReport};
-use nn::train::{fit, FitConfig};
-use nn::{Sequential, Tensor};
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,81 +62,6 @@ pub struct ClassifierResult {
     pub confusion: ConfusionMatrix,
 }
 
-/// Error type of the study (dataset or model errors).
-#[derive(Debug)]
-pub enum Fig3Error {
-    /// Dataset generation/extraction failed.
-    Dataset(DatasetError),
-    /// Model construction/training failed.
-    Affect(AffectError),
-    /// A model-level error.
-    Nn(nn::NnError),
-}
-
-impl std::fmt::Display for Fig3Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Fig3Error::Dataset(e) => write!(f, "dataset: {e}"),
-            Fig3Error::Affect(e) => write!(f, "affect: {e}"),
-            Fig3Error::Nn(e) => write!(f, "nn: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for Fig3Error {}
-
-impl From<DatasetError> for Fig3Error {
-    fn from(e: DatasetError) -> Self {
-        Fig3Error::Dataset(e)
-    }
-}
-impl From<AffectError> for Fig3Error {
-    fn from(e: AffectError) -> Self {
-        Fig3Error::Affect(e)
-    }
-}
-impl From<nn::NnError> for Fig3Error {
-    fn from(e: nn::NnError) -> Self {
-        Fig3Error::Nn(e)
-    }
-}
-
-/// Feature pipeline matched to a corpus spec.
-fn pipeline_for(spec: &CorpusSpec) -> Result<FeaturePipeline, AffectError> {
-    FeaturePipeline::new(FeatureConfig {
-        sample_rate: spec.sample_rate,
-        frame_len: 256,
-        hop: 128,
-        n_mfcc: 13,
-        n_mels: 24,
-        pitch_range: (60.0, 500.0),
-        deltas: false,
-    })
-}
-
-/// Builds the scaled model for a family given the dataset's tensor shape.
-fn model_for(
-    kind: ClassifierKind,
-    sample: &Tensor,
-    classes: usize,
-    seed: u64,
-) -> Result<Sequential, AffectError> {
-    let config = match kind {
-        ClassifierKind::Mlp => ModelConfig::scaled_mlp(sample.shape()[0], classes),
-        ClassifierKind::Cnn => ModelConfig::scaled_cnn(sample.shape()[1], classes),
-        ClassifierKind::Lstm => ModelConfig::scaled_lstm(sample.shape()[1], classes),
-        // The Fig. 3 study covers the paper's gradient-trained families;
-        // the HDC rung is benchmarked separately (`accuracy_energy`).
-        ClassifierKind::Hdc => {
-            return Err(AffectError::InvalidParameter {
-                name: "kind",
-                reason: "HDC has no Sequential model; see the accuracy_energy bench",
-            })
-        }
-    };
-    config.build(seed)
-}
-
 /// Trains and evaluates one `(family, corpus)` cell of Fig. 3(b), also
 /// producing the quantization numbers of Fig. 3(c)/(d) and the confusion
 /// matrix of Fig. 3(a).
@@ -154,50 +73,46 @@ pub fn evaluate_classifier(
     kind: ClassifierKind,
     spec: &CorpusSpec,
     config: &Fig3Config,
-) -> Result<ClassifierResult, Fig3Error> {
+) -> Result<ClassifierResult, Box<dyn std::error::Error>> {
     let spec = spec
         .clone()
         .with_actors(spec.actors.min(config.max_actors))
         .with_utterances(config.utterances);
     let corpus = Corpus::generate(&spec, config.seed)?;
-    let mut pipeline = pipeline_for(&spec)?;
-    let layout = FeatureLayout::for_kind(kind);
-    let (xs, ys) = extract_dataset(&corpus, &mut pipeline, layout)?;
-
-    let split = TrainTestSplit::by_actor(&corpus, 0.25, config.seed)?;
-    let mut train_x = TrainTestSplit::gather(&split.train, &xs);
-    let train_y = TrainTestSplit::gather(&split.train, &ys);
-    let mut test_x = TrainTestSplit::gather(&split.test, &xs);
-    let test_y = TrainTestSplit::gather(&split.test, &ys);
-    // Flat vectors use per-dimension stats; sequence-shaped data uses
-    // per-feature stats pooled over time (robust in the T×F >> samples
-    // regime of the CNN/LSTM inputs).
-    match layout {
-        FeatureLayout::Flat => {
-            let (mean, std) = normalize_in_place(&mut train_x)?;
-            apply_normalization(&mut test_x, &mean, &std)?;
-        }
-        FeatureLayout::Flattened | FeatureLayout::Strip | FeatureLayout::Sequence => {
-            let fpf = pipeline.features_per_frame();
-            let (mean, std) = datasets::features::normalize_features_in_place(&mut train_x, fpf)?;
-            datasets::features::apply_feature_normalization(&mut test_x, &mean, &std)?;
-        }
-    }
-
-    let mut model = model_for(kind, &train_x[0], spec.emotions.len(), config.seed)?;
-    let mut optimizer = Adam::new(0.004);
-    fit(
-        &mut model,
-        &train_x,
-        &train_y,
-        &mut optimizer,
-        &FitConfig {
-            epochs: config.epochs,
-            batch_size: 8,
-            seed: config.seed,
-            verbose: false,
-        },
+    let mut pipeline = FeaturePipeline::new(FeatureConfig {
+        sample_rate: spec.sample_rate,
+        frame_len: 256,
+        hop: 128,
+        n_mfcc: 13,
+        n_mels: 24,
+        pitch_range: (60.0, 500.0),
+        deltas: false,
+    })?;
+    let ActorSplit {
+        mut train_x,
+        train_y,
+        mut test_x,
+        test_y,
+    } = ActorSplit::extract(
+        &corpus,
+        &mut pipeline,
+        FeatureLayout::for_kind(kind),
+        config.seed,
     )?;
+    let mut model = ModelConfig::scaled_for(kind, train_x[0].shape(), spec.emotions.len())?
+        .build(config.seed)?;
+    // Every neural layout is rows of frame features: per-feature stats
+    // pooled over time are robust in the T×F >> samples regime.
+    let normalization = train(
+        &mut model,
+        &mut train_x,
+        &train_y,
+        NormScope::PerFeature(pipeline.features_per_frame()),
+        config.epochs,
+        0.004,
+        config.seed,
+    )?;
+    normalization.apply(&mut test_x)?;
 
     let float_accuracy = accuracy(&mut model, &test_x, &test_y)?;
     let mut confusion = ConfusionMatrix::new(spec.label_names())?;
@@ -221,7 +136,7 @@ pub fn evaluate_classifier(
 /// # Errors
 ///
 /// Propagates cell errors.
-pub fn full_grid(config: &Fig3Config) -> Result<Vec<ClassifierResult>, Fig3Error> {
+pub fn full_grid(config: &Fig3Config) -> Result<Vec<ClassifierResult>, Box<dyn std::error::Error>> {
     let mut results = Vec::new();
     for spec in CorpusSpec::paper_corpora() {
         for kind in ClassifierKind::NEURAL {

@@ -93,58 +93,34 @@ pub struct ClassifiedPlayback {
 ///
 /// Propagates signal, training and codec errors.
 pub fn playback_classified(seed: u64) -> Result<ClassifiedPlayback, Box<dyn std::error::Error>> {
+    use affect_core::classifier::ModelConfig;
     use affect_core::emotion::CognitiveState;
     use affect_core::pipeline::{biosignal_window_features, BIOSIGNAL_FEATURES};
     use affect_core::smoothing::MajoritySmoother;
-    use biosignal::sc::{ScConfig, ScGenerator};
-    use biosignal::uulmmac::state_arousal;
-    use datasets::features::{apply_normalization, normalize_in_place};
-    use nn::optim::Adam;
-    use nn::train::{fit, FitConfig};
-    use nn::Tensor;
+    use affect_core::training::{train, NormScope};
+    use datasets::{sc_training_windows, SC_WINDOW_SECS};
 
-    const WINDOW_SECS: f32 = 60.0;
-
-    // 1. Training set: per state, many SC windows at that state's arousal.
-    let generator = ScGenerator::new(ScConfig::default())?;
-    let mut train_x: Vec<Tensor> = Vec::new();
-    let mut train_y: Vec<usize> = Vec::new();
-    for (class, &state) in CognitiveState::ALL.iter().enumerate() {
-        for k in 0..30u64 {
-            let window = generator.generate(
-                state_arousal(state),
-                WINDOW_SECS,
-                seed ^ 0xDEAD ^ (class as u64) << 8 ^ k,
-            )?;
-            train_x.push(biosignal_window_features(&window.samples)?);
-            train_y.push(class);
-        }
-    }
-    let (mean, std) = normalize_in_place(&mut train_x)?;
-
-    // 2. A small MLP over the 8 SC features.
-    let config = affect_core::classifier::ModelConfig::Mlp {
+    // 1. A small MLP over the 8 SC features, trained on windows rendered
+    // at each state's arousal level.
+    let (mut train_x, train_y) = sc_training_windows(seed)?;
+    let config = ModelConfig::Mlp {
         input_dim: BIOSIGNAL_FEATURES,
         hidden: vec![16, 12],
         classes: CognitiveState::ALL.len(),
         dropout: 0.0,
     };
     let mut model = config.build(seed)?;
-    let mut optimizer = Adam::new(0.01);
-    fit(
+    let normalization = train(
         &mut model,
-        &train_x,
+        &mut train_x,
         &train_y,
-        &mut optimizer,
-        &FitConfig {
-            epochs: 60,
-            batch_size: 8,
-            seed,
-            verbose: false,
-        },
+        NormScope::PerDimension,
+        60,
+        0.01,
+        seed,
     )?;
 
-    // 3. Classify the evaluation session minute by minute.
+    // 2. Classify the evaluation session minute by minute.
     let session = UulmmacSession::paper_fig6(seed)?;
     let trace = session.sc_trace();
     let mut smoother = MajoritySmoother::new(3, 0)?;
@@ -152,11 +128,11 @@ pub fn playback_classified(seed: u64) -> Result<ClassifiedPlayback, Box<dyn std:
     let mut correct = 0usize;
     let total_minutes = session.duration_min() as usize;
     for minute in 0..total_minutes {
-        let start = (minute as f32 * 60.0 - WINDOW_SECS).max(0.0);
-        let end = (start + WINDOW_SECS).max(60.0);
+        let start = (minute as f32 * 60.0 - SC_WINDOW_SECS).max(0.0);
+        let end = (start + SC_WINDOW_SECS).max(60.0);
         let window = trace.slice_secs(start, end)?;
-        let mut features = vec![biosignal_window_features(window)?];
-        apply_normalization(&mut features, &mean, &std)?;
+        let mut features = [biosignal_window_features(window)?];
+        normalization.apply(&mut features)?;
         let probs = model.predict_proba(&features[0])?;
         let class = probs
             .iter()
@@ -174,7 +150,7 @@ pub fn playback_classified(seed: u64) -> Result<ClassifiedPlayback, Box<dyn std:
     }
     let state_accuracy = correct as f64 / total_minutes as f64;
 
-    // 4. Integrate energy over both schedules.
+    // 3. Integrate energy over both schedules.
     let (frames, stream) = paper_reference(seed)?;
     let profile = ModeProfile::measure(&stream, &frames)?;
     let powers = profile.normalized_power();

@@ -37,7 +37,7 @@ use crate::table::Table;
 const UNKNOWN: &str = "unknown";
 
 /// The repository root: `crates/bench` sits two levels below it.
-fn repo_root() -> &'static Path {
+pub fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -67,6 +67,50 @@ pub fn write_bench(
     let path = dir.join(format!("BENCH_{name}.json"));
     fs::write(&path, bench_json(name, unit, &provenance(), summary, table))?;
     Ok(path)
+}
+
+/// Rounds of an [`interleave`]d measurement. Odd, so each median is one
+/// measured round.
+pub const ROUNDS: usize = 7;
+
+/// Medians of an [`interleave`]d measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interleaved {
+    /// Median of the baseline's per-round figures.
+    pub baseline: f64,
+    /// Median of the cell's per-round figures.
+    pub cell: f64,
+    /// Median of the per-round `cell / baseline` ratios.
+    pub ratio: f64,
+}
+
+/// Measures `baseline` and `cell` back to back, [`ROUNDS`] times, and
+/// returns the medians. A drift in host speed then lands on both sides of
+/// a round's ratio instead of on one cell. The side that runs first
+/// alternates, so neither always runs on caches the other warmed. Each
+/// call returns one figure, such as a rate.
+pub fn interleave(mut baseline: impl FnMut() -> f64, mut cell: impl FnMut() -> f64) -> Interleaved {
+    let rounds: Vec<(f64, f64)> = (0..ROUNDS)
+        .map(|round| {
+            if round % 2 == 0 {
+                let b = baseline();
+                (b, cell())
+            } else {
+                let c = cell();
+                (baseline(), c)
+            }
+        })
+        .collect();
+    let median = |figure: fn(&(f64, f64)) -> f64| {
+        let mut figures: Vec<f64> = rounds.iter().map(figure).collect();
+        figures.sort_by(f64::total_cmp);
+        figures[figures.len() / 2]
+    };
+    Interleaved {
+        baseline: median(|r| r.0),
+        cell: median(|r| r.1),
+        ratio: median(|r| r.1 / r.0),
+    }
 }
 
 /// Where and how a measurement was taken.
@@ -233,6 +277,31 @@ mod tests {
         assert!(dir.ends_with("results"));
         assert!(dir.parent().unwrap().join("Cargo.toml").is_file());
         assert!(dir.parent().unwrap().join("crates/bench").is_dir());
+    }
+
+    #[test]
+    fn interleave_alternates_and_takes_medians() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let mut b = 0.0;
+        let mut c = 0.0;
+        let m = interleave(
+            || {
+                calls.borrow_mut().push('b');
+                b += 1.0;
+                b
+            },
+            || {
+                calls.borrow_mut().push('c');
+                c += 2.0;
+                c * c
+            },
+        );
+        let order: String = calls.into_inner().into_iter().collect();
+        assert_eq!(order, "bccb".repeat(ROUNDS / 2) + "bc");
+        // Rounds are (k, 4k²) for k = 1..=7: the median round is k = 4.
+        assert_eq!(m.baseline, 4.0);
+        assert_eq!(m.cell, 64.0);
+        assert_eq!(m.ratio, 16.0);
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Feature extraction from a corpus into model-ready tensor datasets.
+//! Feature extraction into model-ready tensor datasets: speech corpora for
+//! the voice classifiers, skin-conductance windows for the cognitive-state
+//! classifier.
 
 use crate::corpus::Corpus;
 use crate::DatasetError;
 use affect_core::classifier::ClassifierKind;
-use affect_core::pipeline::FeaturePipeline;
+use affect_core::emotion::CognitiveState;
+use affect_core::pipeline::{biosignal_window_features, FeaturePipeline};
+use biosignal::sc::{ScConfig, ScGenerator};
+use biosignal::uulmmac::state_arousal;
 use nn::Tensor;
 
 /// The tensor layout a classifier family consumes.
@@ -88,151 +93,36 @@ pub fn extract_dataset(
     Ok((xs, ys))
 }
 
-/// Per-utterance feature normalization to zero mean / unit variance across
-/// the dataset (per dimension). Greatly stabilizes training of the small
-/// models. Returns the `(mean, std)` vectors so held-out data can reuse
-/// them.
-///
-/// # Errors
-///
-/// Returns [`DatasetError::InvalidSplit`] for an empty dataset or
-/// inconsistent tensor shapes.
-pub fn normalize_in_place(xs: &mut [Tensor]) -> Result<(Vec<f32>, Vec<f32>), DatasetError> {
-    let Some(first) = xs.first() else {
-        return Err(DatasetError::InvalidSplit("empty dataset"));
-    };
-    let dim = first.len();
-    if xs.iter().any(|x| x.len() != dim) {
-        return Err(DatasetError::InvalidSplit("inconsistent tensor sizes"));
-    }
-    let n = xs.len() as f32;
-    let mut mean = vec![0.0f32; dim];
-    for x in xs.iter() {
-        for (m, &v) in mean.iter_mut().zip(x.data()) {
-            *m += v;
-        }
-    }
-    for m in &mut mean {
-        *m /= n;
-    }
-    let mut std = vec![0.0f32; dim];
-    for x in xs.iter() {
-        for ((s, &v), &m) in std.iter_mut().zip(x.data()).zip(&mean) {
-            *s += (v - m).powi(2);
-        }
-    }
-    for s in &mut std {
-        *s = (*s / n).sqrt().max(1e-6);
-    }
-    for x in xs.iter_mut() {
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = (*v - mean[i]) / std[i];
-        }
-    }
-    Ok((mean, std))
-}
+/// Length of one skin-conductance window, in seconds.
+pub const SC_WINDOW_SECS: f32 = 60.0;
 
-/// Per-*feature* normalization for sequence-shaped data: tensors are
-/// interpreted as rows of `feature_dim` features (`[T, F]` sequences or
-/// `[1, T × F]` strips) and each feature column is standardized with
-/// statistics pooled across samples **and** time. Far more robust than
-/// per-cell normalization when `T × F` exceeds the sample count, which is
-/// exactly the regime of the sequence classifiers. Returns `(mean, std)`
-/// of length `feature_dim`.
+/// Training windows for the skin-conductance cognitive-state classifier:
+/// 30 windows of [`SC_WINDOW_SECS`] per state, each rendered at the
+/// state's arousal level and reduced to its
+/// [`biosignal_window_features`]. Labels index [`CognitiveState::ALL`].
+/// Window `k` of class `c` is rendered with seed
+/// `seed ^ 0xDEAD ^ c << 8 ^ k`, so the windows stay disjoint from a
+/// session generated with `seed` itself.
 ///
 /// # Errors
 ///
-/// Returns [`DatasetError::InvalidSplit`] for an empty dataset, a zero
-/// `feature_dim`, or tensors whose length is not a multiple of
-/// `feature_dim`.
-pub fn normalize_features_in_place(
-    xs: &mut [Tensor],
-    feature_dim: usize,
-) -> Result<(Vec<f32>, Vec<f32>), DatasetError> {
-    if xs.is_empty() || feature_dim == 0 {
-        return Err(DatasetError::InvalidSplit(
-            "empty dataset or zero feature_dim",
-        ));
-    }
-    if xs.iter().any(|x| x.len() % feature_dim != 0) {
-        return Err(DatasetError::InvalidSplit(
-            "tensor length not a multiple of feature_dim",
-        ));
-    }
-    let mut mean = vec![0.0f32; feature_dim];
-    let mut count = 0u64;
-    for x in xs.iter() {
-        for (i, &v) in x.data().iter().enumerate() {
-            mean[i % feature_dim] += v;
-        }
-        count += (x.len() / feature_dim) as u64;
-    }
-    for m in &mut mean {
-        *m /= count as f32;
-    }
-    let mut std = vec![0.0f32; feature_dim];
-    for x in xs.iter() {
-        for (i, &v) in x.data().iter().enumerate() {
-            std[i % feature_dim] += (v - mean[i % feature_dim]).powi(2);
+/// Propagates signal-synthesis and feature errors.
+pub fn sc_training_windows(seed: u64) -> Result<(Vec<Tensor>, Vec<usize>), DatasetError> {
+    let generator = ScGenerator::new(ScConfig::default())?;
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    for (class, &state) in CognitiveState::ALL.iter().enumerate() {
+        for k in 0..30u64 {
+            let window = generator.generate(
+                state_arousal(state),
+                SC_WINDOW_SECS,
+                seed ^ 0xDEAD ^ (class as u64) << 8 ^ k,
+            )?;
+            xs.push(biosignal_window_features(&window.samples)?);
+            ys.push(class);
         }
     }
-    for s in &mut std {
-        *s = (*s / count as f32).sqrt().max(1e-6);
-    }
-    apply_feature_normalization(xs, &mean, &std)?;
-    Ok((mean, std))
-}
-
-/// Applies per-feature normalization produced by
-/// [`normalize_features_in_place`] to held-out data.
-///
-/// # Errors
-///
-/// Returns [`DatasetError::InvalidSplit`] on dimension mismatch.
-pub fn apply_feature_normalization(
-    xs: &mut [Tensor],
-    mean: &[f32],
-    std: &[f32],
-) -> Result<(), DatasetError> {
-    let feature_dim = mean.len();
-    if feature_dim == 0 || std.len() != feature_dim {
-        return Err(DatasetError::InvalidSplit("mean/std length mismatch"));
-    }
-    for x in xs.iter_mut() {
-        if x.len() % feature_dim != 0 {
-            return Err(DatasetError::InvalidSplit(
-                "tensor length not a multiple of feature_dim",
-            ));
-        }
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = (*v - mean[i % feature_dim]) / std[i % feature_dim];
-        }
-    }
-    Ok(())
-}
-
-/// Applies a previously computed normalization to held-out data.
-///
-/// # Errors
-///
-/// Returns [`DatasetError::InvalidSplit`] when dimensions do not match.
-pub fn apply_normalization(
-    xs: &mut [Tensor],
-    mean: &[f32],
-    std: &[f32],
-) -> Result<(), DatasetError> {
-    if mean.len() != std.len() {
-        return Err(DatasetError::InvalidSplit("mean/std length mismatch"));
-    }
-    for x in xs.iter_mut() {
-        if x.len() != mean.len() {
-            return Err(DatasetError::InvalidSplit("tensor/stats length mismatch"));
-        }
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = (*v - mean[i]) / std[i];
-        }
-    }
-    Ok(())
+    Ok((xs, ys))
 }
 
 #[cfg(test)]
@@ -240,6 +130,7 @@ mod tests {
     use super::*;
     use crate::spec::CorpusSpec;
     use affect_core::pipeline::FeatureConfig;
+    use affect_core::training::{NormScope, Normalization};
 
     fn pipeline_for(spec: &CorpusSpec) -> FeaturePipeline {
         FeaturePipeline::new(FeatureConfig {
@@ -307,30 +198,56 @@ mod tests {
         let corpus = tiny_corpus();
         let mut p = pipeline_for(corpus.spec());
         let (mut xs, _) = extract_dataset(&corpus, &mut p, FeatureLayout::Flat).unwrap();
-        let (mean, std) = normalize_in_place(&mut xs).unwrap();
-        assert_eq!(mean.len(), p.flat_dim());
-        assert_eq!(std.len(), p.flat_dim());
+        let norm = Normalization::fit_in_place(&mut xs, NormScope::PerDimension).unwrap();
         // Post-normalization per-dim mean ~ 0.
         let dim = xs[0].len();
+        assert_eq!(dim, p.flat_dim());
         for d in 0..dim {
             let m: f32 = xs.iter().map(|x| x.data()[d]).sum::<f32>() / xs.len() as f32;
             assert!(m.abs() < 1e-3, "dim {d}: mean {m}");
         }
+        // Held-out data takes the training statistics unchanged.
+        let (mut again, _) = extract_dataset(&corpus, &mut p, FeatureLayout::Flat).unwrap();
+        norm.apply(&mut again).unwrap();
+        assert_eq!(again, xs);
     }
 
     #[test]
     fn apply_normalization_validates_dims() {
-        let mut xs = vec![Tensor::zeros(&[3]).unwrap()];
-        assert!(apply_normalization(&mut xs, &[0.0; 2], &[1.0; 2]).is_err());
-        assert!(apply_normalization(&mut xs, &[0.0; 3], &[1.0; 2]).is_err());
-        assert!(apply_normalization(&mut xs, &[0.0; 3], &[1.0; 3]).is_ok());
+        let ones = Tensor::from_vec(vec![1.0; 3], &[3]).unwrap();
+        let scope = NormScope::PerDimension;
+        let norm = Normalization::fit_in_place(&mut [ones.clone()], scope).unwrap();
+        assert!(norm.apply(&mut [Tensor::zeros(&[6]).unwrap()]).is_err());
+        assert!(norm.apply(&mut [Tensor::zeros(&[3]).unwrap()]).is_ok());
+        // A bad tensor anywhere rejects the call before any tensor changes.
+        let mut held_out = [ones.clone(), Tensor::zeros(&[2]).unwrap()];
+        assert!(norm.apply(&mut held_out).is_err());
+        assert_eq!(held_out[0], ones);
     }
 
     #[test]
     fn normalize_rejects_empty_or_ragged() {
-        let mut empty: Vec<Tensor> = vec![];
-        assert!(normalize_in_place(&mut empty).is_err());
-        let mut ragged = vec![Tensor::zeros(&[2]).unwrap(), Tensor::zeros(&[3]).unwrap()];
-        assert!(normalize_in_place(&mut ragged).is_err());
+        for scope in [NormScope::PerDimension, NormScope::PerFeature(2)] {
+            assert!(Normalization::fit_in_place(&mut [], scope).is_err());
+            let mut ragged = [Tensor::zeros(&[2]).unwrap(), Tensor::zeros(&[3]).unwrap()];
+            assert!(Normalization::fit_in_place(&mut ragged, scope).is_err());
+        }
+        let mut rows = [Tensor::zeros(&[2]).unwrap(), Tensor::zeros(&[4]).unwrap()];
+        assert!(Normalization::fit_in_place(&mut rows, NormScope::PerDimension).is_err());
+        assert!(Normalization::fit_in_place(&mut rows, NormScope::PerFeature(0)).is_err());
+        assert!(Normalization::fit_in_place(&mut rows, NormScope::PerFeature(2)).is_ok());
+    }
+
+    #[test]
+    fn sc_windows_cover_every_state() {
+        let (xs, ys) = sc_training_windows(3).unwrap();
+        assert_eq!(xs.len(), 30 * CognitiveState::ALL.len());
+        assert_eq!(ys.len(), xs.len());
+        assert!(xs
+            .iter()
+            .all(|x| x.len() == affect_core::pipeline::BIOSIGNAL_FEATURES));
+        for class in 0..CognitiveState::ALL.len() {
+            assert_eq!(ys.iter().filter(|&&y| y == class).count(), 30);
+        }
     }
 }

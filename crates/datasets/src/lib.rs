@@ -38,6 +38,6 @@ pub mod wav;
 
 pub use corpus::{Corpus, Utterance};
 pub use error::DatasetError;
-pub use features::{extract_dataset, FeatureLayout};
+pub use features::{extract_dataset, sc_training_windows, FeatureLayout, SC_WINDOW_SECS};
 pub use spec::CorpusSpec;
-pub use split::TrainTestSplit;
+pub use split::{ActorSplit, TrainTestSplit};

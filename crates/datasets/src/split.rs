@@ -1,7 +1,10 @@
-//! Train/test splitting.
+//! Train/test splitting by actor.
 
 use crate::corpus::Corpus;
+use crate::features::{extract_dataset, FeatureLayout};
 use crate::DatasetError;
+use affect_core::pipeline::FeaturePipeline;
+use nn::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -29,27 +32,6 @@ pub struct TrainTestSplit {
 }
 
 impl TrainTestSplit {
-    /// Random utterance-level split with `test_fraction` held out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidSplit`] when the fraction is outside
-    /// `(0, 1)` or either side ends up empty.
-    pub fn random(corpus: &Corpus, test_fraction: f32, seed: u64) -> Result<Self, DatasetError> {
-        if !(0.0..1.0).contains(&test_fraction) || test_fraction == 0.0 {
-            return Err(DatasetError::InvalidSplit("fraction must be in (0, 1)"));
-        }
-        let mut idx: Vec<usize> = (0..corpus.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
-        let n_test = ((corpus.len() as f32) * test_fraction).round() as usize;
-        if n_test == 0 || n_test == corpus.len() {
-            return Err(DatasetError::InvalidSplit("a side would be empty"));
-        }
-        let test = idx[..n_test].to_vec();
-        let train = idx[n_test..].to_vec();
-        Ok(Self { train, test })
-    }
-
     /// Speaker-independent split: whole actors are held out (the standard
     /// protocol for speech-emotion recognition).
     ///
@@ -87,6 +69,44 @@ impl TrainTestSplit {
     }
 }
 
+/// A corpus's features on both sides of a [`TrainTestSplit::by_actor`]
+/// split.
+#[derive(Debug, Clone)]
+pub struct ActorSplit {
+    /// Training inputs.
+    pub train_x: Vec<Tensor>,
+    /// Training labels.
+    pub train_y: Vec<usize>,
+    /// Held-out inputs.
+    pub test_x: Vec<Tensor>,
+    /// Held-out labels.
+    pub test_y: Vec<usize>,
+}
+
+impl ActorSplit {
+    /// Extracts every utterance of `corpus` in `layout` and holds out a
+    /// quarter of its actors, chosen by `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates feature-extraction and split errors.
+    pub fn extract(
+        corpus: &Corpus,
+        pipeline: &mut FeaturePipeline,
+        layout: FeatureLayout,
+        seed: u64,
+    ) -> Result<Self, DatasetError> {
+        let (xs, ys) = extract_dataset(corpus, pipeline, layout)?;
+        let split = TrainTestSplit::by_actor(corpus, 0.25, seed)?;
+        Ok(Self {
+            train_x: TrainTestSplit::gather(&split.train, &xs),
+            train_y: TrainTestSplit::gather(&split.train, &ys),
+            test_x: TrainTestSplit::gather(&split.test, &xs),
+            test_y: TrainTestSplit::gather(&split.test, &ys),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,16 +115,6 @@ mod tests {
     fn corpus() -> Corpus {
         let spec = CorpusSpec::emovo_like().with_actors(4).with_utterances(1);
         Corpus::generate(&spec, 3).unwrap()
-    }
-
-    #[test]
-    fn random_split_partitions() {
-        let c = corpus();
-        let s = TrainTestSplit::random(&c, 0.25, 1).unwrap();
-        assert_eq!(s.train.len() + s.test.len(), c.len());
-        let mut all: Vec<usize> = s.train.iter().chain(&s.test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..c.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -122,8 +132,8 @@ mod tests {
     #[test]
     fn invalid_fractions_rejected() {
         let c = corpus();
-        assert!(TrainTestSplit::random(&c, 0.0, 1).is_err());
-        assert!(TrainTestSplit::random(&c, 1.0, 1).is_err());
+        assert!(TrainTestSplit::by_actor(&c, 0.0, 1).is_err());
+        assert!(TrainTestSplit::by_actor(&c, 1.0, 1).is_err());
         assert!(TrainTestSplit::by_actor(&c, 0.99, 1).is_err());
     }
 
@@ -133,10 +143,6 @@ mod tests {
         assert_eq!(
             TrainTestSplit::by_actor(&c, 0.25, 5).unwrap(),
             TrainTestSplit::by_actor(&c, 0.25, 5).unwrap()
-        );
-        assert_ne!(
-            TrainTestSplit::random(&c, 0.25, 5).unwrap(),
-            TrainTestSplit::random(&c, 0.25, 6).unwrap()
         );
     }
 

@@ -403,7 +403,6 @@ mod tests {
                 epochs: 60,
                 batch_size: 8,
                 seed: 5,
-                verbose: false,
             },
         )
         .unwrap();

@@ -58,7 +58,7 @@
 //!     .collect();
 //!
 //! let mut opt = Sgd::new(0.5, 0.9);
-//! let cfg = FitConfig { epochs: 60, batch_size: 8, seed: 7, verbose: false };
+//! let cfg = FitConfig { epochs: 60, batch_size: 8, seed: 7 };
 //! fit(&mut model, &xs, &ys, &mut opt, &cfg)?;
 //! let acc = nn::metrics::accuracy(&mut model, &xs, &ys)?;
 //! assert!(acc >= 0.85, "accuracy {acc}");

@@ -16,8 +16,6 @@ pub struct FitConfig {
     pub batch_size: usize,
     /// Shuffle seed (training is fully deterministic given the seed).
     pub seed: u64,
-    /// Print a loss line per epoch to stderr.
-    pub verbose: bool,
 }
 
 impl Default for FitConfig {
@@ -26,7 +24,6 @@ impl Default for FitConfig {
             epochs: 20,
             batch_size: 16,
             seed: 0,
-            verbose: false,
         }
     }
 }
@@ -89,7 +86,7 @@ pub fn fit(
     let mut order: Vec<usize> = (0..inputs.len()).collect();
     let mut history = FitHistory::default();
 
-    for epoch in 0..config.epochs {
+    for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
         for batch in order.chunks(config.batch_size) {
@@ -102,89 +99,8 @@ pub fn fit(
         }
         let mean = (epoch_loss / inputs.len() as f64) as f32;
         history.epoch_loss.push(mean);
-        if config.verbose {
-            eprintln!("epoch {epoch:>3}: loss {mean:.4}");
-        }
     }
     Ok(history)
-}
-
-/// A held-out validation set for [`fit_with_early_stopping`].
-#[derive(Debug, Clone, Copy)]
-pub struct ValidationSet<'a> {
-    /// Validation inputs.
-    pub inputs: &'a [Tensor],
-    /// Validation labels.
-    pub labels: &'a [usize],
-}
-
-/// Trains with a held-out validation set and early stopping: training halts
-/// when validation accuracy has not improved for `patience` consecutive
-/// epochs, and the best-epoch weights are restored.
-///
-/// Returns `(history, best_validation_accuracy)`.
-///
-/// # Errors
-///
-/// Same conditions as [`fit`], plus [`NnError::InvalidParameter`] for an
-/// empty validation set or zero `patience`.
-pub fn fit_with_early_stopping(
-    model: &mut Sequential,
-    inputs: &[Tensor],
-    labels: &[usize],
-    validation: ValidationSet<'_>,
-    optimizer: &mut dyn Optimizer,
-    config: &FitConfig,
-    patience: usize,
-) -> Result<(FitHistory, f32), NnError> {
-    let (val_inputs, val_labels) = (validation.inputs, validation.labels);
-    if val_inputs.is_empty() || val_inputs.len() != val_labels.len() {
-        return Err(NnError::InvalidParameter {
-            name: "validation",
-            reason: "validation set must be non-empty and equal length",
-        });
-    }
-    if patience == 0 {
-        return Err(NnError::InvalidParameter {
-            name: "patience",
-            reason: "must be non-zero",
-        });
-    }
-
-    let mut history = FitHistory::default();
-    let mut best_accuracy = -1.0f32;
-    let mut best_weights: Vec<u8> = Vec::new();
-    let mut since_best = 0usize;
-    let per_epoch = FitConfig {
-        epochs: 1,
-        ..config.clone()
-    };
-    for epoch in 0..config.epochs {
-        // Derive a fresh shuffle seed per epoch so single-epoch calls do
-        // not repeat the same order.
-        let epoch_config = FitConfig {
-            seed: config.seed.wrapping_add(epoch as u64),
-            ..per_epoch.clone()
-        };
-        let h = fit(model, inputs, labels, optimizer, &epoch_config)?;
-        history.epoch_loss.extend(h.epoch_loss);
-
-        let accuracy = crate::metrics::accuracy(model, val_inputs, val_labels)?;
-        if accuracy > best_accuracy {
-            best_accuracy = accuracy;
-            best_weights = crate::serialize::save_weights(model);
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= patience {
-                break;
-            }
-        }
-    }
-    if !best_weights.is_empty() {
-        crate::serialize::load_weights(model, &best_weights)?;
-    }
-    Ok((history, best_accuracy))
 }
 
 #[cfg(test)]
@@ -241,7 +157,6 @@ mod tests {
             epochs: 300,
             batch_size: 4,
             seed: 1,
-            verbose: false,
         };
         let hist = fit(&mut m, &xs, &ys, &mut opt, &cfg).unwrap();
         assert!(hist.final_loss().unwrap() < 0.1);
@@ -259,78 +174,11 @@ mod tests {
             epochs: 100,
             batch_size: 2,
             seed: 2,
-            verbose: false,
         };
         let hist = fit(&mut m, &xs, &ys, &mut opt, &cfg).unwrap();
         let first = hist.epoch_loss[0];
         let last = hist.final_loss().unwrap();
         assert!(last < first, "{first} -> {last}");
-    }
-
-    #[test]
-    fn early_stopping_validates_arguments() {
-        let (xs, ys) = xor_data();
-        let mut m = xor_model(1);
-        let mut opt = Adam::new(0.01);
-        let cfg = FitConfig::default();
-        let empty = ValidationSet {
-            inputs: &[],
-            labels: &[],
-        };
-        assert!(fit_with_early_stopping(&mut m, &xs, &ys, empty, &mut opt, &cfg, 3).is_err());
-        let val = ValidationSet {
-            inputs: &xs,
-            labels: &ys,
-        };
-        assert!(fit_with_early_stopping(&mut m, &xs, &ys, val, &mut opt, &cfg, 0).is_err());
-    }
-
-    #[test]
-    fn early_stopping_restores_best_weights() {
-        let (xs, ys) = xor_data();
-        let mut m = xor_model(9);
-        let mut opt = Adam::new(0.05);
-        let cfg = FitConfig {
-            epochs: 200,
-            batch_size: 4,
-            seed: 2,
-            verbose: false,
-        };
-        let val = ValidationSet {
-            inputs: &xs,
-            labels: &ys,
-        };
-        let (history, best) =
-            fit_with_early_stopping(&mut m, &xs, &ys, val, &mut opt, &cfg, 10).unwrap();
-        // Restored model must score exactly the reported best accuracy.
-        let acc = crate::metrics::accuracy(&mut m, &xs, &ys).unwrap();
-        assert_eq!(acc, best);
-        assert!(best >= 0.75, "best {best}");
-        // Early stopping must actually stop before the epoch budget when
-        // the task saturates.
-        assert!(history.epoch_loss.len() <= 200);
-    }
-
-    #[test]
-    fn early_stopping_halts_on_plateau() {
-        // With zero learning rate nothing improves after the first epoch,
-        // so training stops after exactly 1 + patience epochs.
-        let (xs, ys) = xor_data();
-        let mut m = xor_model(3);
-        let mut opt = Sgd::new(0.0, 0.0);
-        let cfg = FitConfig {
-            epochs: 50,
-            batch_size: 4,
-            seed: 1,
-            verbose: false,
-        };
-        let val = ValidationSet {
-            inputs: &xs,
-            labels: &ys,
-        };
-        let (history, _) =
-            fit_with_early_stopping(&mut m, &xs, &ys, val, &mut opt, &cfg, 3).unwrap();
-        assert_eq!(history.epoch_loss.len(), 4);
     }
 
     #[test]
@@ -343,7 +191,6 @@ mod tests {
                 epochs: 10,
                 batch_size: 2,
                 seed: 3,
-                verbose: false,
             };
             fit(&mut m, &xs, &ys, &mut opt, &cfg).unwrap().epoch_loss
         };

@@ -10,14 +10,13 @@
 //! the resulting emotion stream drives the system controller, which prints
 //! the decoder-mode decisions it would issue to the hardware.
 
-use affectsys::core::classifier::{AffectClassifier, ClassifierKind};
+use affectsys::core::classifier::{AffectClassifier, ClassifierKind, ModelConfig};
 use affectsys::core::controller::{ControlEvent, SystemController};
 use affectsys::core::emotion::Emotion;
 use affectsys::core::pipeline::{FeatureConfig, FeaturePipeline};
 use affectsys::core::policy::PolicyTable;
+use affectsys::core::training::{train, NormScope};
 use affectsys::datasets::{extract_dataset, Corpus, CorpusSpec, FeatureLayout};
-use affectsys::nn::optim::Adam;
-use affectsys::nn::train::{fit, FitConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Train a small LSTM affect classifier on a synthetic corpus.
@@ -31,28 +30,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..FeatureConfig::default()
     })?;
     let (mut xs, ys) = extract_dataset(&corpus, &mut pipeline, FeatureLayout::Sequence)?;
-    affectsys::datasets::features::normalize_features_in_place(
-        &mut xs,
-        pipeline.features_per_frame(),
-    )?;
-
-    let config = affectsys::core::classifier::ModelConfig::scaled_lstm(
-        pipeline.features_per_frame(),
-        spec.emotions.len(),
-    );
+    let fpf = pipeline.features_per_frame();
+    let config = ModelConfig::scaled_lstm(fpf, spec.emotions.len());
     let mut classifier = AffectClassifier::from_config(&config, spec.label_names(), 42)?;
-    let mut optimizer = Adam::new(0.01);
-    fit(
+    train(
         classifier.model_mut().expect("neural classifier"),
-        &xs,
+        &mut xs,
         &ys,
-        &mut optimizer,
-        &FitConfig {
-            epochs: 15,
-            batch_size: 8,
-            seed: 42,
-            verbose: false,
-        },
+        NormScope::PerFeature(fpf),
+        15,
+        0.01,
+        42,
     )?;
     println!(
         "trained {} ({} parameters)\n",

@@ -10,40 +10,21 @@
 //! wearable → feature extraction → AI classifier → emotion label →
 //! video decoder / app manager control.
 
-use affectsys::biosignal::sc::{ScConfig, ScGenerator};
-use affectsys::biosignal::uulmmac::state_arousal;
 use affectsys::biosignal::UulmmacSession;
 use affectsys::core::classifier::ModelConfig;
 use affectsys::core::controller::{ControlEvent, SystemController};
 use affectsys::core::emotion::CognitiveState;
 use affectsys::core::pipeline::{biosignal_window_features, BIOSIGNAL_FEATURES};
 use affectsys::core::policy::PolicyTable;
-use affectsys::datasets::features::{apply_normalization, normalize_in_place};
-use affectsys::nn::optim::Adam;
-use affectsys::nn::train::{fit, FitConfig};
-use affectsys::nn::Tensor;
+use affectsys::core::training::{train, NormScope};
+use affectsys::datasets::{sc_training_windows, SC_WINDOW_SECS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const SEED: u64 = 11;
-    const WINDOW_SECS: f32 = 60.0;
 
     // 1. Train the cognitive-state classifier on synthetic SC windows.
     println!("training the skin-conductance state classifier...");
-    let generator = ScGenerator::new(ScConfig::default())?;
-    let mut train_x: Vec<Tensor> = Vec::new();
-    let mut train_y: Vec<usize> = Vec::new();
-    for (class, &state) in CognitiveState::ALL.iter().enumerate() {
-        for k in 0..30u64 {
-            let window = generator.generate(
-                state_arousal(state),
-                WINDOW_SECS,
-                SEED ^ (class as u64) << 8 ^ k,
-            )?;
-            train_x.push(biosignal_window_features(&window.samples)?);
-            train_y.push(class);
-        }
-    }
-    let (mean, std) = normalize_in_place(&mut train_x)?;
+    let (mut train_x, train_y) = sc_training_windows(SEED)?;
     let config = ModelConfig::Mlp {
         input_dim: BIOSIGNAL_FEATURES,
         hidden: vec![16, 12],
@@ -51,18 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dropout: 0.0,
     };
     let mut model = config.build(SEED)?;
-    let mut optimizer = Adam::new(0.01);
-    fit(
+    let normalization = train(
         &mut model,
-        &train_x,
+        &mut train_x,
         &train_y,
-        &mut optimizer,
-        &FitConfig {
-            epochs: 60,
-            batch_size: 8,
-            seed: SEED,
-            verbose: false,
-        },
+        NormScope::PerDimension,
+        60,
+        0.01,
+        SEED,
     )?;
     println!("trained ({} parameters)\n", model.param_count());
 
@@ -73,11 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("min  SC uS  classified    truth         decoder");
     println!("------------------------------------------------------------");
     for minute in 0..session.duration_min() as usize {
-        let start = (minute as f32 * 60.0 - WINDOW_SECS).max(0.0);
-        let window = session.sc_trace().slice_secs(start, start + WINDOW_SECS)?;
+        let start = (minute as f32 * 60.0 - SC_WINDOW_SECS).max(0.0);
+        let window = session
+            .sc_trace()
+            .slice_secs(start, start + SC_WINDOW_SECS)?;
         let level: f32 = window.iter().sum::<f32>() / window.len() as f32;
-        let mut features = vec![biosignal_window_features(window)?];
-        apply_normalization(&mut features, &mean, &std)?;
+        let mut features = [biosignal_window_features(window)?];
+        normalization.apply(&mut features)?;
         let class = model.predict(&features[0])?;
         let state = CognitiveState::ALL[class];
         let truth = session.state_at_min(minute as f32 + 0.5);

@@ -1,15 +1,14 @@
 //! Integration: the full sensing → features → classifier → controller loop
 //! across `biosignal`, `dsp`/`affect-core`, `nn` and `datasets`.
 
-use affectsys::core::classifier::{AffectClassifier, ModelConfig};
+use affectsys::core::classifier::{AffectClassifier, ClassifierKind, ModelConfig};
 use affectsys::core::controller::{ControlEvent, SystemController};
 use affectsys::core::emotion::Emotion;
 use affectsys::core::pipeline::{FeatureConfig, FeaturePipeline};
 use affectsys::core::policy::{PolicyTable, VideoPowerMode};
-use affectsys::datasets::features::normalize_features_in_place;
+use affectsys::core::training::{train, NormScope};
 use affectsys::datasets::{extract_dataset, Corpus, CorpusSpec, FeatureLayout};
-use affectsys::nn::optim::Adam;
-use affectsys::nn::train::{fit, FitConfig};
+use affectsys::nn::serialize::save_weights;
 
 fn pipeline_for(spec: &CorpusSpec) -> FeaturePipeline {
     FeaturePipeline::new(FeatureConfig {
@@ -30,22 +29,17 @@ fn synthetic_voice_trains_a_working_classifier() {
     let corpus = Corpus::generate(&spec, 11).unwrap();
     let mut pipeline = pipeline_for(&spec);
     let (mut xs, ys) = extract_dataset(&corpus, &mut pipeline, FeatureLayout::Flattened).unwrap();
-    normalize_features_in_place(&mut xs, pipeline.features_per_frame()).unwrap();
 
     let config = ModelConfig::scaled_mlp(xs[0].len(), spec.emotions.len());
     let mut clf = AffectClassifier::from_config(&config, spec.label_names(), 11).unwrap();
-    let mut opt = Adam::new(0.01);
-    fit(
+    train(
         clf.model_mut().expect("neural classifier"),
-        &xs,
+        &mut xs,
         &ys,
-        &mut opt,
-        &FitConfig {
-            epochs: 10,
-            batch_size: 8,
-            seed: 11,
-            verbose: false,
-        },
+        NormScope::PerFeature(pipeline.features_per_frame()),
+        10,
+        0.01,
+        11,
     )
     .unwrap();
 
@@ -59,6 +53,32 @@ fn synthetic_voice_trains_a_working_classifier() {
         accuracy > 2.0 / spec.emotions.len() as f32,
         "training accuracy {accuracy} not above chance"
     );
+}
+
+/// Training is deterministic: for every neural family, the same corpus,
+/// seeds and recipe give byte-identical weights and equal normalizations.
+#[test]
+fn training_is_deterministic() {
+    let spec = CorpusSpec::emovo_like().with_actors(1).with_utterances(1);
+    let corpus = Corpus::generate(&spec, 5).unwrap();
+    let mut pipeline = pipeline_for(&spec);
+    let scope = NormScope::PerFeature(pipeline.features_per_frame());
+    for kind in ClassifierKind::NEURAL {
+        let (xs, ys) =
+            extract_dataset(&corpus, &mut pipeline, FeatureLayout::for_kind(kind)).unwrap();
+        let config = ModelConfig::scaled_for(kind, xs[0].shape(), spec.emotions.len()).unwrap();
+        let untrained = save_weights(&config.build(5).unwrap());
+        let run = || {
+            let mut xs = xs.clone();
+            let mut model = config.build(5).unwrap();
+            let normalization = train(&mut model, &mut xs, &ys, scope, 1, 0.004, 5).unwrap();
+            (save_weights(&model), normalization)
+        };
+        let (first, second) = (run(), run());
+        assert_ne!(first.0, untrained, "{kind}: training changed no weight");
+        assert!(first.0 == second.0, "{kind}: weight blobs differ");
+        assert_eq!(first.1, second.1, "{kind}: normalizations differ");
+    }
 }
 
 /// Classifier decisions drive the controller, which issues modes from the
