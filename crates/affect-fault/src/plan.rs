@@ -57,9 +57,10 @@ impl FaultPlan {
         }
     }
 
-    /// The chaos-suite preset used by `examples/realtime_loop --chaos`:
-    /// sensor-style drops at ingest, panics and delays in the two
-    /// supervised compute stages, and occasional jitter downstream.
+    /// The chaos-suite preset the `chaos-<seed>` and `fleet-42` scenarios
+    /// (`affectsys::scenarios`) run: sensor-style drops at ingest, panics
+    /// and delays in the two supervised compute stages, and occasional
+    /// jitter downstream.
     pub fn chaos(seed: u64) -> Self {
         Self::quiet(seed)
             .with_stage(

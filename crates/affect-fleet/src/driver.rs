@@ -1,16 +1,16 @@
 //! A deterministic lockstep load driver.
 //!
-//! The demo (`examples/realtime_loop --fleet`) and the fleet integration
-//! tests all need the same thing: offer every session one window per
-//! round, advance virtual time one tick, repeat. Keeping that loop here
-//! means they exercise the same code path instead of hand-rolled drivers
-//! drifting apart.
+//! The fleet scenarios (`affectsys::scenarios`, e.g. `fleet-42`) and the
+//! fleet integration tests all need the same thing: offer every session
+//! one window per round, advance virtual time one tick, repeat. Keeping
+//! that loop here means they exercise the same code path instead of
+//! hand-rolled drivers drifting apart.
 //!
 //! Two pacing modes:
 //!
 //! - `drain_every: Some(k)` — wait for the fleet to go idle every `k`
 //!   rounds. Backlog stays bounded; latency reflects pipeline service
-//!   time. This is the demo/smoke shape.
+//!   time. This is the scenario shape.
 //! - `drain_every: None` — never wait mid-run. The offered rate is
 //!   whatever the producer loop can push, backlog grows at saturation,
 //!   and the recorded latency (in *virtual* nanoseconds, since arrival

@@ -41,6 +41,7 @@ use affect_rt::{
     Actuator, FaultHook, MemoryBudget, PressureBand, Runtime, RuntimeBuilder, RuntimeConfig,
     RuntimeReport, SessionId,
 };
+use nn::Precision;
 
 use crate::metrics::FleetMetrics;
 use crate::qos::{AdmissionConfig, PerTier, QosTier, ShardOccupancy};
@@ -54,8 +55,8 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Virtual nodes per shard on the router's hash ring.
     pub replicas: usize,
-    /// Per-shard runtime configuration template. `initial_family` is
-    /// overridden per session by its QoS tier.
+    /// Per-shard runtime configuration template. Each session starts at
+    /// its QoS tier's family and runs at f32.
     pub runtime: RuntimeConfig,
     /// Admission capacity and shedding thresholds.
     pub admission: AdmissionConfig,
@@ -206,7 +207,7 @@ impl FleetBuilder {
         let local = self.builders[shard.index()].add_session_with_precision(
             actuator,
             tier.initial_family(),
-            self.config.runtime.precision,
+            Precision::F32,
         );
         let id = FleetSessionId {
             global: self.sessions.len(),

@@ -21,9 +21,8 @@
 //! - **Graceful degradation** — sustained misses drop the session one
 //!   model family down the accuracy/latency ladder (LSTM → CNN → MLP →
 //!   HDC, the last an integer-only hyperdimensional classifier) and widen
-//!   its decision interval; sustained on-time windows climb back up. The
-//!   bottom rung is configurable ([`RuntimeConfig`]`::floor_family` /
-//!   `min_accuracy`), and each session can run its neural models in int8
+//!   its decision interval; sustained on-time windows climb back up. Each
+//!   session can run its neural models in int8
 //!   (`RuntimeBuilder::add_session_with_precision`). See
 //!   `docs/DEGRADATION.md` for the full ladder semantics.
 //! - **Honest accounting** — `produced == processed + dropped` per
@@ -34,9 +33,8 @@
 //!   [`Actuator`] code) costs one window, restarts the worker with
 //!   exponential backoff, and retires it only after a restart budget.
 //!   Repeated classifier failures trip a per-session circuit breaker
-//!   straight to the session's floor family (the HDC rung by default); an
-//!   optional watchdog force-drains stalled queues. See
-//!   `docs/ROBUSTNESS.md`.
+//!   straight to the HDC rung; an optional watchdog force-drains stalled
+//!   queues. See `docs/ROBUSTNESS.md`.
 //!
 //! Everything is built on `std::thread` + mutex/condvar rings; the crate
 //! adds no dependencies beyond the workspace's own crates.

@@ -50,10 +50,8 @@
 //! family (LSTM → CNN → MLP → HDC) *and* the decision interval widens so
 //! only every k-th window enters the pipeline. A streak of on-time windows
 //! recovers one step at a time (first the interval, then the family). The
-//! fallback stops at the session's floor: [`RuntimeConfig::floor_family`]
-//! (default the HDC rung), optionally raised by
-//! [`RuntimeConfig::min_accuracy`] to the cheapest rung meeting that
-//! accuracy. See `docs/DEGRADATION.md` for the full ladder semantics.
+//! fallback stops at the HDC rung, the bottom of the ladder. See
+//! `docs/DEGRADATION.md` for the full ladder semantics.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,8 +118,7 @@ pub struct SupervisionConfig {
     /// Backoff ceiling, milliseconds.
     pub backoff_max_ms: u64,
     /// Consecutive classify failures of one session that trip its circuit
-    /// breaker: the session is pinned to its floor family (the HDC rung by
-    /// default, see [`RuntimeConfig::floor_family`]) until a half-open
+    /// breaker: the session is pinned to the HDC rung until a half-open
     /// recovery probe (driven by the ordinary `ok_streak` recovery
     /// machinery) succeeds with a richer family.
     pub breaker_threshold: u32,
@@ -184,37 +181,12 @@ pub struct RuntimeConfig {
     /// Samples per analysis window; fixes the CNN input width, so every
     /// submitted window must have exactly this length.
     pub window_samples: usize,
-    /// Classifier family each session starts in.
-    pub initial_family: ClassifierKind,
-    /// Cheapest family the degradation machinery (miss-streak fallback and
-    /// the classify circuit breaker) may drop a session to. Defaults to
-    /// [`ClassifierKind::Hdc`], the bottom of the ladder; setting e.g.
-    /// [`ClassifierKind::Mlp`] restores the pre-HDC floor. A session whose
-    /// QoS ceiling sits below this floor is pinned at its ceiling.
-    pub floor_family: ClassifierKind,
-    /// Optional accuracy floor. When set, the effective degradation floor
-    /// is raised to the cheapest rung whose indicative accuracy (see the
-    /// `accuracy_energy` bench / `results/BENCH_accuracy_energy.json`) meets this
-    /// value — the controller then always picks the cheapest rung that
-    /// still meets the configured accuracy.
-    pub min_accuracy: Option<f32>,
-    /// Numeric precision of the classify stage's inference path for
-    /// sessions without a per-session override
-    /// ([`RuntimeBuilder::add_session_with_precision`]).
-    /// [`Precision::Int8`] runs the neural families through the quantized
-    /// int8 kernels; the HDC rung is integer-only regardless.
-    pub precision: Precision,
     /// Worker threads for the feature and classify stages (each).
     pub workers: usize,
     /// Ingest queue (submit → feature).
     pub ingest: StageConfig,
     /// Classify queue (feature → classify).
     pub classify: StageConfig,
-    /// Largest number of queued windows one classify worker drains per
-    /// wakeup (its batching window). 1 restores strict one-at-a-time
-    /// behaviour; larger values amortise queue synchronisation and keep a
-    /// worker's scratch arena hot across consecutive windows.
-    pub classify_batch: usize,
     /// Control queue (classify → control).
     pub control: StageConfig,
     /// Actuate queue capacity (control → actuate; always lossless/Block —
@@ -232,9 +204,6 @@ pub struct RuntimeConfig {
     pub degraded_interval: u32,
     /// Policy table driving each session's controller.
     pub policy: PolicyTable,
-    /// Controller smoothing window (decisions debounced over this many
-    /// observations).
-    pub smoothing_window: usize,
     /// Seed for the untrained models' deterministic initialization.
     pub model_seed: u64,
     /// Worker supervision and circuit-breaker parameters.
@@ -257,14 +226,9 @@ impl Default for RuntimeConfig {
         Self {
             feature: FeatureConfig::default(),
             window_samples: 16_000, // 1 s at the default 16 kHz
-            initial_family: ClassifierKind::Lstm,
-            floor_family: ClassifierKind::Hdc,
-            min_accuracy: None,
-            precision: Precision::F32,
             workers: 2,
             ingest: StageConfig::new(8, OverflowPolicy::Block),
             classify: StageConfig::new(8, OverflowPolicy::Block),
-            classify_batch: 4,
             control: StageConfig::new(8, OverflowPolicy::Block),
             actuate_capacity: 8,
             deadline_ns: 1_000_000_000, // the paper's 1 s cadence
@@ -272,7 +236,6 @@ impl Default for RuntimeConfig {
             ok_streak: 8,
             degraded_interval: 2,
             policy: PolicyTable::paper_defaults(),
-            smoothing_window: 1,
             model_seed: 7,
             supervision: SupervisionConfig::default(),
             watchdog: None,
@@ -313,31 +276,11 @@ impl RuntimeConfig {
                 reason: "must be at least 1",
             });
         }
-        if self.smoothing_window == 0 {
-            return Err(AffectError::InvalidParameter {
-                name: "smoothing_window",
-                reason: "must be at least 1",
-            });
-        }
-        if self.classify_batch == 0 {
-            return Err(AffectError::InvalidParameter {
-                name: "classify_batch",
-                reason: "must be at least 1",
-            });
-        }
         if self.supervision.breaker_threshold == 0 {
             return Err(AffectError::InvalidParameter {
                 name: "breaker_threshold",
                 reason: "must be at least 1",
             });
-        }
-        if let Some(acc) = self.min_accuracy {
-            if !(0.0..=1.0).contains(&acc) {
-                return Err(AffectError::InvalidParameter {
-                    name: "min_accuracy",
-                    reason: "must lie in [0, 1]",
-                });
-            }
         }
         if let Some(w) = &self.watchdog {
             if w.poll_ms == 0 || w.stall_polls == 0 {
@@ -364,26 +307,6 @@ impl RuntimeConfig {
             ModelConfig::scaled_lstm(fpf, classes),
         ]
     }
-
-    /// The degradation floor actually enforced: [`RuntimeConfig::floor_family`],
-    /// raised to the cheapest rung whose indicative accuracy meets
-    /// [`RuntimeConfig::min_accuracy`] when that is set. An unmeetable
-    /// accuracy floor resolves to the richest family — the controller can
-    /// then never trade accuracy away below the user's bar.
-    pub fn effective_floor(&self) -> ClassifierKind {
-        let mut floor = self.floor_family;
-        if let Some(min) = self.min_accuracy {
-            let by_accuracy = NOMINAL_ACCURACY
-                .iter()
-                .find(|(_, acc)| *acc >= min)
-                .map(|(kind, _)| *kind)
-                .unwrap_or(ClassifierKind::Lstm);
-            if by_accuracy.rung() > floor.rung() {
-                floor = by_accuracy;
-            }
-        }
-        floor
-    }
 }
 
 /// Classifier-pool key for a window: family plus precision, with the HDC
@@ -396,21 +319,10 @@ fn pool_key(family: ClassifierKind, precision: Precision) -> (ClassifierKind, Pr
     }
 }
 
-/// Indicative per-family accuracies on the synthetic EMOVO-like corpus,
-/// cheapest family first, as measured by the `accuracy_energy` bench (the
-/// committed numbers live in `results/BENCH_accuracy_energy.json` — keep the two
-/// in sync). [`RuntimeConfig`] uses this table to translate a
-/// `min_accuracy` floor into the cheapest ladder rung that still meets it;
-/// the scan walks cheapest-first, so a non-monotonic entry (the LSTM
-/// trails the CNN on this corpus) simply never wins a floor. The table is
-/// intentionally coarse: it orders the rungs, it does not promise absolute
-/// accuracy on live signals.
-const NOMINAL_ACCURACY: [(ClassifierKind, f32); 4] = [
-    (ClassifierKind::Hdc, 0.69),
-    (ClassifierKind::Mlp, 0.81),
-    (ClassifierKind::Cnn, 0.83),
-    (ClassifierKind::Lstm, 0.74),
-];
+/// Largest number of queued windows one classify worker drains per
+/// wakeup (its batching window): batching amortises queue synchronisation
+/// and keeps a worker's scratch arena hot across consecutive windows.
+const CLASSIFY_BATCH: usize = 4;
 
 /// Circuit-breaker states, stored in `SessionState::breaker`.
 const BREAKER_CLOSED: u8 = 0;
@@ -432,17 +344,13 @@ struct SessionState {
     /// Richest family this session may recover to (its QoS ceiling): the
     /// per-session initial family, frozen at registration.
     ceiling: ClassifierKind,
-    /// Cheapest family degradation or the circuit breaker may drop this
-    /// session to, frozen at registration: the runtime's effective floor,
-    /// clamped to the session's ceiling.
-    floor: ClassifierKind,
     /// Inference precision for this session's neural windows, frozen at
     /// registration.
     precision: Precision,
     interval: AtomicU32,
     latency: Histogram,
     /// Classify circuit breaker: `BREAKER_CLOSED`, `BREAKER_OPEN` (family
-    /// pinned to the session's floor) or `BREAKER_HALF_OPEN` (recovery
+    /// pinned to the HDC rung) or `BREAKER_HALF_OPEN` (recovery
     /// probe in flight).
     breaker: AtomicU8,
     /// Consecutive classify failures while the breaker is closed.
@@ -455,7 +363,7 @@ struct SessionState {
 }
 
 impl SessionState {
-    fn new(initial_family: ClassifierKind, floor: ClassifierKind, precision: Precision) -> Self {
+    fn new(initial_family: ClassifierKind, precision: Precision) -> Self {
         Self {
             next_seq: AtomicU64::new(0),
             produced: AtomicU64::new(0),
@@ -466,7 +374,6 @@ impl SessionState {
             recoveries: AtomicU64::new(0),
             family: AtomicU8::new(initial_family.rung() as u8),
             ceiling: initial_family,
-            floor: std::cmp::min_by_key(floor, initial_family, |kind| kind.rung()),
             precision,
             interval: AtomicU32::new(1),
             latency: Histogram::new(),
@@ -685,7 +592,7 @@ impl RtMetrics {
             ),
             breaker_trips: registry.counter(
                 "affect_rt_breaker_trips_total",
-                "classify circuit-breaker trips (session pinned to its floor family)",
+                "classify circuit-breaker trips (session pinned to the HDC rung)",
                 &[],
             ),
             breaker_closes: registry.counter(
@@ -976,17 +883,17 @@ impl Shared {
     }
 
     /// Books one classify failure against a session's circuit breaker,
-    /// tripping it (family forced to the session's floor) after the
-    /// configured streak.
+    /// tripping it (family forced to the HDC rung) after the configured
+    /// streak.
     fn breaker_on_failure(&self, session: usize) {
         let state = &self.sessions[session];
         match state.breaker.load(Ordering::SeqCst) {
             BREAKER_HALF_OPEN => {
-                // The recovery probe failed: reopen and re-pin the floor.
+                // The recovery probe failed: reopen and re-pin HDC.
                 // The gauge still counts this breaker from the original
                 // trip (half-open is "open, probing"), so no `add` here.
                 state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-                state.set_family(state.floor);
+                state.set_family(ClassifierKind::Hdc);
                 self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
             }
             BREAKER_CLOSED => {
@@ -994,27 +901,27 @@ impl Shared {
                 if failures >= self.config.supervision.breaker_threshold {
                     state.breaker_failures.store(0, Ordering::SeqCst);
                     state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-                    // Trip straight to the floor of the fallback chain — no
+                    // Trip straight to the bottom of the ladder — no
                     // stepwise descent while the classifier is demonstrably
                     // broken.
-                    state.set_family(state.floor);
+                    state.set_family(ClassifierKind::Hdc);
                     self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
                     if let Some(m) = &self.metrics {
                         m.breakers_open.add(1);
                     }
                 }
             }
-            _ => {} // already open: nothing below the floor to fall to
+            _ => {} // already open: nothing below HDC to fall to
         }
     }
 
     /// Books one classify success: closes a half-open breaker when the
-    /// probe window (a richer-than-floor family) came through.
+    /// probe window (a richer-than-HDC family) came through.
     fn breaker_on_success(&self, session: usize, family: ClassifierKind) {
         let state = &self.sessions[session];
         state.breaker_failures.store(0, Ordering::SeqCst);
         if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN
-            && family.rung() > state.floor.rung()
+            && family != ClassifierKind::Hdc
         {
             state.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
             self.count(&self.faults.breaker_closes, |m| &m.breaker_closes);
@@ -1322,7 +1229,7 @@ impl Step for ClassifyStep {
     const STAGE: Stage = Stage::Classify;
 
     /// The batching window: one wakeup amortises over up to
-    /// `classify_batch` queued windows. Under memory pressure it collapses
+    /// [`CLASSIFY_BATCH`] queued windows. Under memory pressure it collapses
     /// to 1, so the worker stops hoarding queued windows and peak in-flight
     /// feature tensors shrink while the ladder machinery catches up. One
     /// atomic load per wakeup.
@@ -1330,7 +1237,7 @@ impl Step for ClassifyStep {
         if shared.mem.band() >= PressureBand::Yellow {
             1
         } else {
-            shared.config.classify_batch
+            CLASSIFY_BATCH
         }
     }
 
@@ -1580,15 +1487,15 @@ impl RuntimeBuilder {
 
     /// Registers a session with its actuation endpoint; returns the handle
     /// used to submit windows. The session starts at (and recovers up to)
-    /// the configured [`RuntimeConfig::initial_family`] and runs at
-    /// [`RuntimeConfig::precision`].
+    /// the LSTM, the top of the ladder, and runs at f32.
     pub fn add_session(&mut self, actuator: Box<dyn Actuator>) -> SessionId {
-        self.add_session_with_precision(actuator, self.config.initial_family, self.config.precision)
+        self.add_session_with_precision(actuator, ClassifierKind::Lstm, Precision::F32)
     }
 
     /// Registers a session whose classifier family starts at — and never
     /// recovers past — `family`, running its neural windows at
-    /// `precision`; both override the runtime-wide defaults. The family is
+    /// `precision` ([`RuntimeBuilder::add_session`] uses LSTM and f32). The
+    /// family is
     /// the per-session QoS knob: a best-effort session pinned at MLP stays
     /// near the bottom of the degradation ladder for its whole life, while
     /// a critical one keeps the full LSTM → CNN → MLP → HDC range. An
@@ -1630,13 +1537,10 @@ impl RuntimeBuilder {
         }
         AffectClassifier::hdc(flat_dim, emotion_labels(), config.model_seed)?;
 
-        let floor = config.effective_floor();
         let (actuators, sessions): (Vec<Box<dyn Actuator>>, Vec<SessionState>) = self
             .sessions
             .into_iter()
-            .map(|(actuator, family, precision)| {
-                (actuator, SessionState::new(family, floor, precision))
-            })
+            .map(|(actuator, family, precision)| (actuator, SessionState::new(family, precision)))
             .unzip();
         let shared = Arc::new(Shared::new(
             config,
@@ -1687,9 +1591,8 @@ impl RuntimeBuilder {
         let control_worker = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let config = &shared.config;
-                let controller =
-                    || SystemController::new(config.policy.clone(), config.smoothing_window);
+                // A smoothing window of 1: every decision acts at once.
+                let controller = || SystemController::new(shared.config.policy.clone(), 1);
                 let step = ControlStep(shared.sessions.iter().map(|_| controller()).collect());
                 run_stage(&shared, step, &shared.control, Some(&shared.actuate));
             })
@@ -1721,16 +1624,13 @@ impl RuntimeBuilder {
 
 /// One degradation step: fall back one model family *and* widen the
 /// decision interval (the paper's two load-shedding axes at once). The
-/// family never falls below the session's floor (by default the HDC rung;
-/// raised by [`RuntimeConfig::floor_family`] / [`RuntimeConfig::min_accuracy`]).
-/// Returns whether anything actually changed.
+/// family never falls below the HDC rung. Returns whether anything
+/// actually changed.
 fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
     let mut changed = false;
     if let Some(simpler) = state.family().fallback() {
-        if simpler.rung() >= state.floor.rung() {
-            state.set_family(simpler);
-            changed = true;
-        }
+        state.set_family(simpler);
+        changed = true;
     }
     if state.interval.load(Ordering::SeqCst) < degraded_interval {
         state.interval.store(degraded_interval, Ordering::SeqCst);
@@ -1747,7 +1647,7 @@ fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
 /// breaker is open, a family upgrade is allowed but marks the breaker
 /// half-open — the upgraded window becomes the recovery *probe*. A probe
 /// that classifies cleanly closes the breaker; one that fails reopens it
-/// and re-pins the session's floor family. While a probe is in flight, no
+/// and re-pins the HDC rung. While a probe is in flight, no
 /// further upgrades happen.
 fn recover(state: &SessionState) -> bool {
     if state.interval.load(Ordering::SeqCst) > 1 {
@@ -1923,6 +1823,8 @@ impl Runtime {
 
     /// Stops accepting work, drains the pipeline stage by stage, joins all
     /// workers and returns the final report plus each session's actuator.
+    /// The report is taken after the runtime released every byte it
+    /// charged, so its memory section shows only what others still hold.
     pub fn shutdown(self) -> ShutdownOutcome {
         let shared = &self.shared;
         // Stop the watchdog first so it cannot mistake the staged drain
@@ -1946,10 +1848,8 @@ impl Runtime {
         shared.actuate.ring.close();
         let actuators = self.actuate_worker.join().expect("actuate worker panicked");
 
-        let report = shared.report();
-        // The report above snapshots usage *with* the rings still charged
-        // (that is what the run held); the release happens after.
         shared.mem.release(MemConsumer::RingQueues, self.ring_bytes);
+        let report = shared.report();
         ShutdownOutcome { report, actuators }
     }
 }
@@ -1959,7 +1859,7 @@ mod tests {
     use super::*;
 
     fn state() -> SessionState {
-        SessionState::new(ClassifierKind::Lstm, ClassifierKind::Hdc, Precision::F32)
+        SessionState::new(ClassifierKind::Lstm, Precision::F32)
     }
 
     /// A runtime's shared context over `sessions`, with no workers.
@@ -1976,14 +1876,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_to_floor_after_threshold_failures() {
-        // Session 1's floor is raised to MLP.
-        let shared = shared(
-            RuntimeConfig::default(),
-            vec![
-                state(),
-                SessionState::new(ClassifierKind::Lstm, ClassifierKind::Mlp, Precision::F32),
-            ],
-        );
+        let shared = shared(RuntimeConfig::default(), vec![state()]);
         let s = &shared.sessions[0];
         shared.breaker_on_failure(0);
         shared.breaker_on_failure(0);
@@ -1993,11 +1886,6 @@ mod tests {
         assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
         assert_eq!(s.family(), ClassifierKind::Hdc, "tripped straight to HDC");
         assert_eq!(shared.faults.breaker_trips.load(Ordering::SeqCst), 1);
-        // With the floor raised to MLP, the trip pins MLP instead.
-        for _ in 0..3 {
-            shared.breaker_on_failure(1);
-        }
-        assert_eq!(shared.sessions[1].family(), ClassifierKind::Mlp);
     }
 
     #[test]
@@ -2064,7 +1952,7 @@ mod tests {
         // An MLP-ceiling session (a best-effort QoS tier) can still shed
         // load by degrading to the HDC rung below it, then recovers back
         // to — and never past — its ceiling.
-        let s = SessionState::new(ClassifierKind::Mlp, ClassifierKind::Hdc, Precision::F32);
+        let s = SessionState::new(ClassifierKind::Mlp, Precision::F32);
         assert_eq!(s.family(), ClassifierKind::Mlp);
         assert!(degrade(&s, 2));
         assert_eq!(s.family(), ClassifierKind::Hdc);
@@ -2072,54 +1960,6 @@ mod tests {
         assert!(recover(&s), "then the family climbs");
         assert_eq!(s.family(), ClassifierKind::Mlp);
         assert!(!recover(&s), "ceiling reached");
-        // A CNN-ceiling session with an MLP floor walks CNN → MLP and
-        // stops: the floor blocks the HDC rung.
-        let s = SessionState::new(ClassifierKind::Cnn, ClassifierKind::Mlp, Precision::F32);
-        assert!(degrade(&s, 2));
-        assert_eq!(s.family(), ClassifierKind::Mlp);
-        assert!(
-            !degrade(&s, 2),
-            "floor blocks the family, interval already wide"
-        );
-        assert_eq!(s.family(), ClassifierKind::Mlp, "family floor holds");
-        assert!(recover(&s), "interval restores first");
-        assert!(recover(&s), "then the family climbs");
-        assert_eq!(s.family(), ClassifierKind::Cnn);
-        assert!(!recover(&s), "ceiling reached");
-    }
-
-    #[test]
-    fn floor_never_sits_above_the_ceiling() {
-        // A session whose ceiling is below the configured floor is pinned
-        // at its ceiling rather than hoisted above it.
-        let s = SessionState::new(ClassifierKind::Mlp, ClassifierKind::Cnn, Precision::F32);
-        assert_eq!(s.floor, ClassifierKind::Mlp);
-        assert!(
-            !degrade(&s, 1),
-            "nothing below the pinned rung at interval 1"
-        );
-        assert_eq!(s.family(), ClassifierKind::Mlp);
-    }
-
-    #[test]
-    fn min_accuracy_raises_the_effective_floor() {
-        let mut config = RuntimeConfig::default();
-        assert_eq!(config.effective_floor(), ClassifierKind::Hdc);
-        config.min_accuracy = Some(0.50);
-        assert_eq!(config.effective_floor(), ClassifierKind::Hdc);
-        config.min_accuracy = Some(0.75);
-        assert_eq!(config.effective_floor(), ClassifierKind::Mlp);
-        config.min_accuracy = Some(0.82);
-        assert_eq!(config.effective_floor(), ClassifierKind::Cnn);
-        // An unmeetable bar resolves to the richest family.
-        config.min_accuracy = Some(0.99);
-        assert_eq!(config.effective_floor(), ClassifierKind::Lstm);
-        // An explicit floor_family is never lowered by the accuracy rule.
-        config.min_accuracy = Some(0.10);
-        config.floor_family = ClassifierKind::Cnn;
-        assert_eq!(config.effective_floor(), ClassifierKind::Cnn);
-        config.min_accuracy = Some(1.5);
-        assert!(config.validate().is_err());
     }
 
     #[test]

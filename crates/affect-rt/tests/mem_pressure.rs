@@ -125,11 +125,13 @@ fn pressure_walk_hits_all_bands_and_walks_the_ladder_both_ways() {
 
     // The report's memory section tells the same story: every band was
     // entered at least once, every degradation was pressure-triggered
-    // (the frozen clock cannot miss a deadline), and the phantom release
-    // ended the run Green.
+    // (the frozen clock cannot miss a deadline), the phantom release
+    // ended the run Green, and a clean shutdown released every byte the
+    // runtime charged.
     assert_eq!(report.mem.budget_bytes, BUDGET);
     assert_eq!(report.mem.pressure_degradations, 3);
     assert_eq!(report.mem.band, PressureBand::Green as u8);
+    assert_eq!(report.mem.used_bytes, 0, "{report:?}");
     for (band, count) in PressureBand::ALL.iter().zip(report.mem.band_transitions) {
         assert!(count >= 1, "band {band:?} never entered: {report:?}");
     }
@@ -142,7 +144,6 @@ fn pressure_walk_hits_all_bands_and_walks_the_ladder_both_ways() {
 fn classify_batch_collapses_to_one_under_pressure() {
     let config = RuntimeConfig {
         workers: 1,
-        classify_batch: 4,
         memory_budget_bytes: BUDGET,
         ..fast_config()
     };

@@ -203,7 +203,6 @@ fn drop_oldest_sheds_stale_windows_but_keeps_latest() {
 fn sustained_misses_degrade_then_recovery_climbs_back() {
     let mut config = fast_config();
     config.workers = 1;
-    config.initial_family = ClassifierKind::Lstm;
     config.deadline_ns = 1_000; // 1 µs virtual budget
     config.miss_streak = 3;
     config.ok_streak = 2;

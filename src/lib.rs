@@ -24,6 +24,10 @@
 //! | [`h264`] | `h264` | the affect-adaptive video decoder |
 //! | [`mobile`] | `mobile-sim` | the Android-like app/memory simulator |
 //!
+//! [`scenarios`] is the one module of its own: deterministic runs of the
+//! whole loop (chaos, fleet, memory pressure, the ladder walk), each
+//! rendered into the transcript `tests/golden/` pins.
+//!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every figure.
 //!
@@ -73,3 +77,5 @@ pub use h264;
 /// The Android-like mobile OS simulator (`mobile-sim`).
 pub use mobile_sim as mobile;
 pub use nn;
+
+pub mod scenarios;
