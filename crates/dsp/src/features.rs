@@ -98,27 +98,31 @@ pub fn pitch_autocorrelation(
     PitchEstimator::new(sample_rate, frame.len(), min_hz, max_hz)?.estimate(frame)
 }
 
-/// Consecutive lags whose correlations the search accumulates together, one
-/// accumulator lane per lag. On the SSE2 baseline the 16 `num` and 16 `e1`
-/// lanes fill eight 4-wide registers: enough independent add chains to hide
-/// the add latency, and few enough to leave the 16 XMM registers room for
-/// the loads without spilling.
+/// Consecutive lags whose correlations the baseline search accumulates
+/// together, one accumulator lane per lag. The 16 `num` and 16 `e1` lanes
+/// fill eight 4-wide SSE2/NEON registers: enough independent add chains to
+/// hide the add latency, and few enough to leave the 16 XMM registers room
+/// for the loads without spilling. The AVX2 and AVX-512F arms keep the same
+/// eight accumulators at their register width, so they run 32 and 64 lags
+/// per block ([`LagLanes`]).
 const LAG_BLOCK: usize = 16;
 
 /// Normalized-autocorrelation pitch estimator for frames of one length: the
 /// engine behind [`pitch_autocorrelation`].
 ///
 /// The lag bounds are validated once, at construction, and the estimator
-/// owns its scratch (squared samples, their running sum, one correlation
-/// per lag), so [`PitchEstimator::estimate`] performs **zero heap
-/// allocations**.
+/// owns its scratch (a zero-padded copy of the frame, its squares, their
+/// running sum, one correlation per lag), so [`PitchEstimator::estimate`]
+/// performs **zero heap allocations**.
 ///
 /// Every correlation is bit-for-bit the one a serial per-lag loop computes
 /// (`num`, `e0` and `e1` each summed in f32 in sample order). `e0` is read
 /// off the running sum of squares, which performs exactly those additions,
-/// and `num`/`e1` are accumulated for 16 consecutive lags at once, each lag
-/// in its own lane and in sample order — the vector units work across
-/// lags, never inside one sum.
+/// and `num`/`e1` are accumulated for a block of consecutive lags at once,
+/// each lag in its own lane and in sample order — the vector units work
+/// across lags, never inside one sum. A block is as wide as the CPU allows,
+/// chosen once at construction: 64 lags with AVX-512F, 32 with AVX2, and
+/// 16 everywhere else.
 ///
 /// # Example
 ///
@@ -140,7 +144,12 @@ const LAG_BLOCK: usize = 16;
 pub struct PitchEstimator {
     sample_rate: f32,
     min_lag: usize,
-    /// `squares[i] = frame[i] * frame[i]`.
+    /// The block width this CPU runs.
+    lanes: LagLanes,
+    /// The frame, then `lanes.width() - 1` zeros: the last steps of a block
+    /// read them and never add them.
+    samples: Vec<f32>,
+    /// `squares[i] = samples[i] * samples[i]`, padded the same way.
     squares: Vec<f32>,
     /// `prefix[k]`: the f32 sum of `squares[..k]` in index order, which is
     /// `e0` of the lag `frame_len - k`.
@@ -186,10 +195,14 @@ impl PitchEstimator {
                 reason: "frame too short for the requested pitch range",
             });
         }
+        let lanes = LagLanes::detect();
+        let padded = frame_len + lanes.width() - 1;
         Ok(Self {
             sample_rate,
             min_lag,
-            squares: vec![0.0; frame_len],
+            lanes,
+            samples: vec![0.0; padded],
+            squares: vec![0.0; padded],
             prefix: vec![0.0; frame_len + 1],
             corrs: vec![0.0; max_lag - min_lag + 1],
         })
@@ -206,17 +219,21 @@ impl PitchEstimator {
         let Self {
             sample_rate,
             min_lag,
+            lanes,
+            samples,
             squares,
             prefix,
             corrs,
         } = self;
-        if frame.len() != squares.len() {
+        let len = prefix.len() - 1;
+        if frame.len() != len {
             return Err(DspError::LengthMismatch {
-                expected: squares.len(),
+                expected: len,
                 actual: frame.len(),
             });
         }
 
+        samples[..len].copy_from_slice(frame);
         let mut energy = 0.0f32;
         for ((&x, sq), sum) in frame.iter().zip(squares.iter_mut()).zip(&mut prefix[1..]) {
             *sq = x * x;
@@ -227,14 +244,7 @@ impl PitchEstimator {
             return Ok(None); // silence
         }
 
-        let blocked = corrs.len() - corrs.len() % LAG_BLOCK;
-        for (b, out) in corrs[..blocked].chunks_exact_mut(LAG_BLOCK).enumerate() {
-            let out: &mut [f32; LAG_BLOCK] = out.try_into().expect("chunk of LAG_BLOCK");
-            lag_block_corrs(frame, squares, prefix, *min_lag + b * LAG_BLOCK, out);
-        }
-        for (k, corr) in corrs.iter_mut().enumerate().skip(blocked) {
-            *corr = lag_corr(frame, squares, prefix, *min_lag + k);
-        }
+        lanes.lag_corrs(samples, squares, prefix, *min_lag, corrs);
         let best_corr = corrs.iter().fold(0.0f32, |best, &c| best.max(c));
 
         const VOICING_THRESHOLD: f32 = 0.3;
@@ -276,41 +286,215 @@ fn lag_corr(frame: &[f32], squares: &[f32], prefix: &[f32], lag: usize) -> f32 {
     normalized(num, prefix[n], e1)
 }
 
-/// Correlations of the lags `lag0..lag0 + LAG_BLOCK` (the last one below
-/// `frame.len()`) into `out`, lane `j` holding lag `lag0 + j`.
+/// The lag-search arms, one per block width. [`PitchEstimator::new`] picks
+/// the widest the CPU runs, so a `X32` or `X64` value exists only where
+/// [`LagLanes::detect`] saw its target feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LagLanes {
+    /// [`LAG_BLOCK`] lags: the only arm on aarch64 and on x86 CPUs without
+    /// AVX2.
+    X16,
+    /// 32 lags, compiled with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    X32,
+    /// 64 lags, compiled with AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    X64,
+}
+
+impl LagLanes {
+    /// The widest arm this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Self::X64;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Self::X32;
+            }
+        }
+        Self::X16
+    }
+
+    /// Lags per block, and one more than the zero padding the arm reads.
+    fn width(self) -> usize {
+        match self {
+            Self::X16 => LAG_BLOCK,
+            #[cfg(target_arch = "x86_64")]
+            Self::X32 => 32,
+            #[cfg(target_arch = "x86_64")]
+            Self::X64 => 64,
+        }
+    }
+
+    /// Runs this arm: see [`lag_corrs`].
+    fn lag_corrs(
+        self,
+        samples: &[f32],
+        squares: &[f32],
+        prefix: &[f32],
+        min_lag: usize,
+        corrs: &mut [f32],
+    ) {
+        match self {
+            Self::X16 => lag_corrs::<LAG_BLOCK>(samples, squares, prefix, min_lag, corrs),
+            // SAFETY: `detect` returns `X32` only after
+            // `is_x86_feature_detected!("avx2")` held on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Self::X32 => unsafe { lag_corrs_avx2(samples, squares, prefix, min_lag, corrs) },
+            // SAFETY: `detect` returns `X64` only after
+            // `is_x86_feature_detected!("avx512f")` held on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Self::X64 => unsafe { lag_corrs_avx512(samples, squares, prefix, min_lag, corrs) },
+        }
+    }
+}
+
+/// The 32-lane arm: [`lag_corrs`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lag_corrs_avx2(
+    samples: &[f32],
+    squares: &[f32],
+    prefix: &[f32],
+    min_lag: usize,
+    corrs: &mut [f32],
+) {
+    lag_corrs::<32>(samples, squares, prefix, min_lag, corrs);
+}
+
+/// The 64-lane arm: [`lag_corrs`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lag_corrs_avx512(
+    samples: &[f32],
+    squares: &[f32],
+    prefix: &[f32],
+    min_lag: usize,
+    corrs: &mut [f32],
+) {
+    lag_corrs::<64>(samples, squares, prefix, min_lag, corrs);
+}
+
+/// Sets `corrs[k]` to the correlation of the lag `min_lag + k` for every
+/// `k`, `B` lags per block; the frame is `prefix.len() - 1` samples long,
+/// and `samples` and `squares` hold it and its squares followed by at least
+/// `B - 1` zeros.
 ///
-/// Every lane adds its terms in sample order, as [`lag_corr`] does: the
-/// samples all lanes share run through the lane-parallel loop, then each
-/// lane finishes its own ragged tail serially.
-fn lag_block_corrs(
-    frame: &[f32],
+/// When the lag count is not a multiple of `B`, the last block ends at the
+/// last lag and overlaps its predecessor: a lane computes the same value in
+/// whichever block holds it. Fewer than `B` lags run the next narrower
+/// block, and fewer than [`LAG_BLOCK`] the per-lag loop.
+#[inline(always)]
+fn lag_corrs<const B: usize>(
+    samples: &[f32],
+    squares: &[f32],
+    prefix: &[f32],
+    min_lag: usize,
+    corrs: &mut [f32],
+) {
+    let n_lags = corrs.len();
+    if n_lags >= B {
+        lag_blocks::<B>(samples, squares, prefix, min_lag, corrs);
+    } else if B > 32 && n_lags >= 32 {
+        lag_blocks::<32>(samples, squares, prefix, min_lag, corrs);
+    } else if B > LAG_BLOCK && n_lags >= LAG_BLOCK {
+        lag_blocks::<LAG_BLOCK>(samples, squares, prefix, min_lag, corrs);
+    } else {
+        let len = prefix.len() - 1;
+        for (k, corr) in corrs.iter_mut().enumerate() {
+            *corr = lag_corr(&samples[..len], &squares[..len], prefix, min_lag + k);
+        }
+    }
+}
+
+/// [`lag_corrs`] for at least `B` lags, all in blocks of `B`.
+#[inline(always)]
+fn lag_blocks<const B: usize>(
+    samples: &[f32],
+    squares: &[f32],
+    prefix: &[f32],
+    min_lag: usize,
+    corrs: &mut [f32],
+) {
+    let last = corrs.len() - B;
+    for start in (0..last).step_by(B).chain([last]) {
+        let out: &mut [f32; B] = (&mut corrs[start..start + B])
+            .try_into()
+            .expect("a block of B lags");
+        lag_block(samples, squares, prefix, min_lag + start, out);
+    }
+}
+
+/// Correlations of the lags `lag0..lag0 + B` (the last one below the frame
+/// length) into `out`, lane `j` holding lag `lag0 + j`; the buffers are
+/// those of [`lag_corrs`].
+///
+/// Every lane adds its terms in sample order, as [`lag_corr`] does, with a
+/// multiply and then an add: rustc never contracts the two into an FMA,
+/// not even where `avx512f` (which implies FMA) is enabled. The samples
+/// all lanes share run through the lane-parallel loop. In each of the
+/// `B - 1` steps after it, every lane computes its next term too, but a
+/// [`select`] keeps the sum of each lane whose terms have run out: the
+/// padding zeros are read, never added (`inf * 0.0` is NaN).
+#[inline(always)]
+fn lag_block<const B: usize>(
+    samples: &[f32],
     squares: &[f32],
     prefix: &[f32],
     lag0: usize,
-    out: &mut [f32; LAG_BLOCK],
+    out: &mut [f32; B],
 ) {
-    let len = frame.len();
+    let len = prefix.len() - 1;
     // Sample count of the block's longest lag: every lane has these terms.
-    let shared = len - (lag0 + LAG_BLOCK - 1);
-    let mut num = [0.0f32; LAG_BLOCK];
-    let mut e1 = [0.0f32; LAG_BLOCK];
-    let ahead = frame[lag0..].windows(LAG_BLOCK);
-    let ahead_sq = squares[lag0..].windows(LAG_BLOCK);
-    for ((&x, y), y2) in frame[..shared].iter().zip(ahead).zip(ahead_sq) {
-        for j in 0..LAG_BLOCK {
+    let shared = len - (lag0 + B - 1);
+    let mut num = [0.0f32; B];
+    let mut e1 = [0.0f32; B];
+    let ahead = samples[lag0..].windows(B);
+    let ahead_sq = squares[lag0..].windows(B);
+    for ((&x, y), y2) in samples[..shared].iter().zip(ahead).zip(ahead_sq) {
+        for j in 0..B {
             num[j] += x * y[j];
             e1[j] += y2[j];
         }
     }
-    for (j, corr) in out.iter_mut().enumerate() {
-        let lag = lag0 + j;
-        let n = len - lag;
-        for i in shared..n {
-            num[j] += frame[i] * frame[i + lag];
-            e1[j] += squares[i + lag];
+    // Tail step `t` adds sample `shared + t`, the last term of lane
+    // `B - 2 - t`: lanes up to that one keep their new sums.
+    let ahead = samples[lag0 + shared..].windows(B);
+    let ahead_sq = squares[lag0 + shared..].windows(B);
+    let live = TAIL_LIVE[TAIL_LIVE.len() / 2 + 1 - B..].windows(B);
+    let tail = samples[shared..len - lag0].iter().zip(ahead).zip(ahead_sq);
+    for (((&x, y), y2), live) in tail.zip(live) {
+        for j in 0..B {
+            num[j] = select(live[j], num[j] + x * y[j], num[j]);
+            e1[j] = select(live[j], e1[j] + y2[j], e1[j]);
         }
-        *corr = normalized(num[j], prefix[n], e1[j]);
     }
+    for (j, corr) in out.iter_mut().enumerate() {
+        *corr = normalized(num[j], prefix[len - (lag0 + j)], e1[j]);
+    }
+}
+
+/// Lane masks of the tail steps: all ones in the first half, zero in the
+/// second. Step `t` of a `B`-lane block reads its masks from index
+/// `len / 2 + 1 - B + t`, so lane `j`'s is all ones exactly while
+/// `j + t < B - 1`, while the lane still has terms to add.
+const TAIL_LIVE: [u32; 128] = {
+    let mut live = [0; 128];
+    let mut k = 0;
+    while k < live.len() / 2 {
+        live[k] = u32::MAX;
+        k += 1;
+    }
+    live
+};
+
+/// `new` where `mask` is all ones, `old` where it is zero: a bitwise
+/// select, which vectorizes on every target.
+#[inline(always)]
+fn select(mask: u32, new: f32, old: f32) -> f32 {
+    f32::from_bits(new.to_bits() & mask | old.to_bits() & !mask)
 }
 
 /// Summary statistics of the magnitude spectrum: `(mean, peak, centroid_hz)`.
@@ -527,6 +711,113 @@ mod tests {
             .collect();
         let result = pitch_autocorrelation(&frame, 16_000.0, 60.0, 500.0).unwrap();
         assert_eq!(result, None, "noise should be unvoiced, got {result:?}");
+    }
+
+    /// One arm of the lag search, called directly.
+    type LagArm = fn(&[f32], &[f32], &[f32], usize, &mut [f32]);
+
+    /// Every arm this CPU runs, against the serial [`lag_corr`] by bits, on
+    /// random, tonal, silent and NaN/±inf frames. Every lag count from 1 to
+    /// 200 occurs (each remainder and exact multiple of 16, 32 and 64 lags,
+    /// past three 64-lag blocks), once with `max_lag = len - 1` and once
+    /// with an offset range in a longer frame. Rust leaves the payload of a
+    /// NaN result unspecified, so NaNs compare as NaN; every other value,
+    /// the sign of zero included, compares by `to_bits`. The test prints
+    /// the arms it checked and those this CPU lacks.
+    #[test]
+    fn every_lag_arm_matches_the_serial_search_bitwise() {
+        let mut arms: Vec<(&str, LagArm)> = Vec::new();
+        let mut skipped: Vec<&str> = Vec::new();
+        arms.push(("16 lanes", lag_corrs::<LAG_BLOCK>));
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: pushed only after
+                // `is_x86_feature_detected!("avx2")` held on this CPU.
+                arms.push(("32 lanes", |s, q, p, m, c| unsafe {
+                    lag_corrs_avx2(s, q, p, m, c)
+                }));
+            } else {
+                skipped.push("32 lanes (no AVX2)");
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: pushed only after
+                // `is_x86_feature_detected!("avx512f")` held on this CPU.
+                arms.push(("64 lanes", |s, q, p, m, c| unsafe {
+                    lag_corrs_avx512(s, q, p, m, c)
+                }));
+            } else {
+                skipped.push("64 lanes (no AVX-512F)");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        skipped.extend(["32 lanes (not x86-64)", "64 lanes (not x86-64)"]);
+        let checked: Vec<&str> = arms.iter().map(|&(arm, _)| arm).collect();
+        println!("lag-search arms checked: {checked:?}; skipped on this CPU: {skipped:?}");
+
+        const LONGEST: usize = 240;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut noise = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        let random: Vec<f32> = (0..LONGEST).map(|_| 3.0 * noise()).collect();
+        let tonal: Vec<f32> = (0..LONGEST).map(|i| (0.21 * i as f32).sin()).collect();
+        let silent = vec![0.0f32; LONGEST];
+        // Specials near the start sit in the tails of the longest lags,
+        // whose sums are complete and finite there.
+        let mut special = random.clone();
+        for (at, x) in [
+            (1, f32::INFINITY),
+            (2, f32::NAN),
+            (3, f32::NEG_INFINITY),
+            (70, f32::INFINITY),
+            (150, f32::NAN),
+            (229, f32::NEG_INFINITY),
+        ] {
+            special[at] = x;
+        }
+        let canonical = |c: f32| f32::to_bits(if c.is_nan() { f32::NAN } else { c });
+
+        let kinds = [
+            ("random", &random),
+            ("tonal", &tonal),
+            ("silent", &silent),
+            ("NaN/inf", &special),
+        ];
+        for n_lags in 1..=200usize {
+            let offset = 1 + n_lags % 13;
+            for (min_lag, len) in [(1, n_lags + 1), (offset, offset + n_lags + n_lags % 17)] {
+                for (kind, frame) in kinds {
+                    let frame = &frame[..len];
+                    let mut samples = frame.to_vec();
+                    let mut squares: Vec<f32> = frame.iter().map(|x| x * x).collect();
+                    let mut prefix = vec![0.0f32];
+                    prefix.extend(squares.iter().scan(0.0f32, |sum, &sq| {
+                        *sum += sq;
+                        Some(*sum)
+                    }));
+                    let expected: Vec<u32> = (min_lag..min_lag + n_lags)
+                        .map(|lag| canonical(lag_corr(frame, &squares, &prefix, lag)))
+                        .collect();
+                    samples.resize(len + 63, 0.0);
+                    squares.resize(len + 63, 0.0);
+                    for &(arm, run) in &arms {
+                        let mut corrs = vec![f32::MAX; n_lags];
+                        run(&samples, &squares, &prefix, min_lag, &mut corrs);
+                        let got: Vec<u32> = corrs.iter().map(|&c| canonical(c)).collect();
+                        assert_eq!(
+                            got,
+                            expected,
+                            "{arm}, {kind} frame of {len}, lags {min_lag}..={}",
+                            min_lag + n_lags - 1
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

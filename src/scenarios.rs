@@ -24,7 +24,7 @@
 //! | `chaos-42-pressure` | `chaos-42` under a 16 MB memory budget walked through every band by a phantom staircase, plus 1500-byte wire chunks paced 33 ms apart |
 //! | `fleet-42` | 24 sessions over two shards across the QoS tiers, each shard with its own fault stream derived from seed 42 |
 //! | `fleet-42-wire` | 9 fleet sessions, plus each session's video fanned out per tier over a damaged 512-byte-chunk wire |
-//! | `fleet-42-pressure` | 9 fleet sessions, then one eviction pass of the memory governor under a 16 MB budget per shard |
+//! | `fleet-42-pressure` | 9 fleet sessions under a 16 MB budget per shard, then one memory-governor pass with shard 0's budget shrunk to 96% usage (Critical) and shard 1's to 90% (Red), which evicts, and one under the restored budget, which readmits |
 //! | `ladder-walk` | one int8 session walked LSTM → CNN → MLP → HDC by deadline misses and back up once they stop |
 
 use std::error::Error;
@@ -154,7 +154,8 @@ struct Fleet {
     seed: u64,
     /// Wire chunk size for the per-tier video fan-out.
     stream_chunk: Option<usize>,
-    /// Per-shard budget for one post-load eviction pass.
+    /// Per-shard budget; after the load, an eviction pass under budgets
+    /// shrunk from the usage and a readmission pass under this one.
     mem_budget: Option<u64>,
 }
 
@@ -707,13 +708,37 @@ fn fleet(out: &mut String, run: Fleet) -> Result<(), Box<dyn Error>> {
     drive_lockstep(&fleet, &clock, &load);
     fleet.wait_idle();
     if let Some(bytes) = mem_budget {
-        // One governor pass after the load: with a tight budget this
-        // evicts BestEffort (then Standard) sessions deterministically;
-        // a roomy one readmits. Either way the ledger below must balance.
+        // Shrink each shard's budget until its usage reads a fixed share of
+        // it: shard 0 Critical (BestEffort and Standard sessions go), shard
+        // 1 Red (BestEffort only). Both budgets derive from the usage, so
+        // no printed figure depends on how far scratch arenas grew. A pass
+        // under the restored budget then readmits every evicted session;
+        // the ledger below must balance either way.
+        for (shard, percent) in [(0, 96), (1, 90)] {
+            let budget = fleet
+                .shard_budget(shard)
+                .ok_or("a shard without sessions")?;
+            budget.set_budget_bytes(budget.used_bytes() * 100 / percent);
+            writeln!(
+                out,
+                "memory governor: shard {shard} budget shrunk to put its usage at {percent}%, band {:?}",
+                budget.band()
+            )?;
+        }
         let band = fleet.enforce_pressure();
         writeln!(
             out,
-            "memory governor: worst shard band {band:?} under the {bytes}-byte budget"
+            "memory governor: eviction pass, worst shard band {band:?}"
+        )?;
+        for shard in 0..shards {
+            if let Some(budget) = fleet.shard_budget(shard) {
+                budget.set_budget_bytes(bytes);
+            }
+        }
+        let band = fleet.enforce_pressure();
+        writeln!(
+            out,
+            "memory governor: readmission pass, worst shard band {band:?} under the {bytes}-byte budget"
         )?;
     }
     let report = fleet.shutdown();

@@ -145,16 +145,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Random sample rates, lag ranges and frame lengths. The range is
-    /// built from its lags, so every lag count from 2 (fewer than one
-    /// block) to 80 (five blocks) occurs — each remainder modulo the block
-    /// width — and a frame length slack of 0 puts `max_lag` at
-    /// `len - 1`; a slack of -1 makes the frame one sample too short.
+    /// built from its lags, so every lag count from 2 (fewer than the
+    /// narrowest, 16-lag block) to 200 (three 64-lag blocks and 8 more)
+    /// occurs — each remainder modulo every block width — and a frame
+    /// length slack of 0 puts `max_lag` at `len - 1`; a slack of -1 makes
+    /// the frame one sample too short.
     #[test]
     fn blocked_search_matches_reference_bitwise(
         (sample_rate, min_lag, n_lags, slack) in (
             prop_oneof![Just(8_000.0f32), Just(16_000.0f32), 1_000.0f32..48_000.0],
             1usize..300,
-            2usize..=80,
+            2usize..=200,
             prop_oneof![Just(-1i64), Just(0i64), 1i64..=40],
         ),
         (kind, seed, next_kind) in (0u8..6, any::<u64>(), 0u8..6),
