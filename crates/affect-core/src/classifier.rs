@@ -113,16 +113,19 @@ impl std::fmt::Display for ClassifierKind {
 }
 
 /// A declarative model description that can be instantiated into a trainable
-/// [`Sequential`] and whose parameter count is computable without building.
+/// [`Sequential`].
 ///
 /// # Example
 ///
 /// ```
 /// use affect_core::classifier::ModelConfig;
-/// let cfg = ModelConfig::paper_lstm();
+/// # fn main() -> Result<(), affect_core::AffectError> {
+/// let model = ModelConfig::paper_lstm().build(0)?;
 /// // Within 1% of the paper's reported 429 k parameters.
-/// let count = cfg.param_count() as f64;
+/// let count = model.param_count() as f64;
 /// assert!((count - 429_000.0).abs() / 429_000.0 < 0.01, "{count}");
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -273,61 +276,6 @@ impl ModelConfig {
             ModelConfig::Mlp { classes, .. }
             | ModelConfig::Cnn { classes, .. }
             | ModelConfig::Lstm { classes, .. } => *classes,
-        }
-    }
-
-    /// Trainable parameter count, computed from the layer formulas (verified
-    /// against the built model in the test suite).
-    pub fn param_count(&self) -> usize {
-        match self {
-            ModelConfig::Mlp {
-                input_dim,
-                hidden,
-                classes,
-                ..
-            } => {
-                let mut total = 0;
-                let mut prev = *input_dim;
-                for &h in hidden {
-                    total += prev * h + h;
-                    prev = h;
-                }
-                total + prev * classes + classes
-            }
-            ModelConfig::Cnn {
-                input_len,
-                channels,
-                kernel,
-                pool,
-                dense,
-                classes,
-            } => {
-                let mut total = 0;
-                let mut in_ch = 1;
-                let mut t = *input_len;
-                for &out_ch in channels {
-                    total += out_ch * in_ch * kernel + out_ch;
-                    t -= kernel - 1;
-                    t /= pool;
-                    in_ch = out_ch;
-                }
-                let flat = in_ch * t;
-                total += flat * dense + dense;
-                total + dense * classes + classes
-            }
-            ModelConfig::Lstm {
-                input_dim,
-                hidden,
-                classes,
-            } => {
-                let mut total = 0;
-                let mut prev = *input_dim;
-                for &h in hidden {
-                    total += 4 * (h * (prev + h) + h);
-                    prev = h;
-                }
-                total + prev * classes + classes
-            }
         }
     }
 
@@ -539,35 +487,6 @@ impl AffectClassifier {
         })
     }
 
-    /// Wraps an already-trained HDC classifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AffectError::InvalidParameter`] when `labels` does not
-    /// have exactly one entry per class.
-    pub fn from_hdc(model: HdcClassifier, labels: Vec<String>) -> Result<Self, AffectError> {
-        if labels.len() != model.config().classes {
-            return Err(AffectError::InvalidParameter {
-                name: "labels",
-                reason: "must have exactly `classes` entries",
-            });
-        }
-        Ok(Self {
-            backend: Backend::Hdc(model),
-            kind: ClassifierKind::Hdc,
-            labels,
-        })
-    }
-
-    /// Wraps an already-trained neural model.
-    pub fn from_model(model: Sequential, kind: ClassifierKind, labels: Vec<String>) -> Self {
-        Self {
-            backend: Backend::Net(model),
-            kind,
-            labels,
-        }
-    }
-
     /// The classifier family.
     pub fn kind(&self) -> ClassifierKind {
         self.kind
@@ -721,24 +640,12 @@ mod tests {
             (ModelConfig::paper_lstm(), 429_000.0, 0.01),
         ];
         for (cfg, target, tol) in checks {
-            let count = cfg.param_count() as f64;
+            let count = cfg.build(0).unwrap().param_count() as f64;
             assert!(
                 (count - target).abs() / target < tol,
                 "{:?}: {count} vs {target}",
                 cfg.kind()
             );
-        }
-    }
-
-    #[test]
-    fn computed_count_matches_built_model() {
-        for cfg in [
-            ModelConfig::scaled_mlp(19, 8),
-            ModelConfig::scaled_cnn(64, 6),
-            ModelConfig::scaled_lstm(19, 7),
-        ] {
-            let model = cfg.build(1).unwrap();
-            assert_eq!(model.param_count(), cfg.param_count(), "{:?}", cfg.kind());
         }
     }
 
@@ -758,14 +665,26 @@ mod tests {
 
     #[test]
     fn paper_models_build() {
-        for cfg in [
-            ModelConfig::paper_mlp(),
-            ModelConfig::paper_cnn(),
-            ModelConfig::paper_lstm(),
+        // Weight tensors: W + b per dense or conv layer, Wx + Wh + b per
+        // LSTM layer. Fig. 3(c) charges one int8 scale per tensor.
+        for (cfg, tensors) in [
+            (ModelConfig::paper_mlp(), 8),
+            (ModelConfig::paper_cnn(), 10),
+            (ModelConfig::paper_lstm(), 8),
         ] {
             let model = cfg.build(0).unwrap();
-            assert_eq!(model.param_count(), cfg.param_count());
+            assert_eq!(model.params().len(), tensors, "{:?}", cfg.kind());
         }
+    }
+
+    #[test]
+    fn classifier_and_pipeline_are_send() {
+        // Every `Layer` is `Send`, so a built model can move to another
+        // thread; each classify worker still needs its own copy because
+        // inference takes `&mut self`.
+        fn assert_send<T: Send>() {}
+        assert_send::<AffectClassifier>();
+        assert_send::<crate::pipeline::FeaturePipeline>();
     }
 
     #[test]
@@ -970,11 +889,5 @@ mod tests {
         clf.classify_with(&features, &[8], &mut scratch, &mut back)
             .unwrap();
         assert_eq!(back, f32_d);
-    }
-
-    #[test]
-    fn from_hdc_validates_label_count() {
-        let clf = HdcClassifier::new(HdcConfig::new(4, 3, 1).unwrap()).unwrap();
-        assert!(AffectClassifier::from_hdc(clf, vec!["a".into()]).is_err());
     }
 }

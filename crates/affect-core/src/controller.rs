@@ -65,11 +65,6 @@ impl SystemController {
         }
     }
 
-    /// The policy table (for reprogramming at runtime).
-    pub fn policy_mut(&mut self) -> &mut PolicyTable {
-        &mut self.policy
-    }
-
     /// The currently commanded video mode, if any observation arrived.
     pub fn video_mode(&self) -> Option<VideoPowerMode> {
         self.video_mode
@@ -189,9 +184,9 @@ mod tests {
 
     #[test]
     fn policy_reprogramming_takes_effect() {
-        let mut c = SystemController::new(PolicyTable::paper_defaults(), 1);
-        c.policy_mut()
-            .set_emotion_mode(Emotion::Happy, VideoPowerMode::Combined);
+        let mut table = PolicyTable::paper_defaults();
+        table.set_emotion_mode(Emotion::Happy, VideoPowerMode::Combined);
+        let mut c = SystemController::new(table, 1);
         c.observe_emotion(Emotion::Happy).unwrap();
         assert_eq!(c.video_mode(), Some(VideoPowerMode::Combined));
     }

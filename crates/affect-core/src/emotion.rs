@@ -4,8 +4,7 @@
 //! The paper quantifies affect with the two/three-dimensional Russell
 //! circumplex model (Fig. 1): *valence* is the pleasure axis, *arousal* the
 //! activation axis, and *dominance* the control axis. Discrete classifier
-//! labels (happy, angry, …) are points in this space; the "mood angle" in the
-//! valence–arousal plane identifies the circumplex octant.
+//! labels (happy, angry, …) are points in this space.
 
 use std::fmt;
 
@@ -87,16 +86,6 @@ impl Emotion {
             Emotion::Surprised => EmotionVector::new(0.3, 0.8, -0.1),
         }
     }
-
-    /// `true` for labels in the high-arousal half-plane (arousal > 0).
-    pub fn is_high_arousal(self) -> bool {
-        self.to_vector().arousal > 0.0
-    }
-
-    /// `true` for labels in the positive-valence half-plane.
-    pub fn is_positive(self) -> bool {
-        self.to_vector().valence > 0.0
-    }
 }
 
 impl fmt::Display for Emotion {
@@ -110,11 +99,9 @@ impl fmt::Display for Emotion {
 /// # Example
 ///
 /// ```
-/// use affect_core::emotion::{Emotion, EmotionVector};
+/// use affect_core::emotion::Emotion;
 /// let v = Emotion::Happy.to_vector();
 /// assert!(v.valence > 0.0 && v.arousal > 0.0);
-/// let nearest = v.nearest_emotion();
-/// assert_eq!(nearest, Emotion::Happy);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EmotionVector {
@@ -134,32 +121,6 @@ impl EmotionVector {
             arousal: arousal.clamp(-1.0, 1.0),
             dominance: dominance.clamp(-1.0, 1.0),
         }
-    }
-
-    /// Mood angle in radians in the valence–arousal plane, measured
-    /// counter-clockwise from the positive-valence axis (the paper's
-    /// circumplex angle).
-    pub fn mood_angle(&self) -> f32 {
-        self.arousal.atan2(self.valence)
-    }
-
-    /// Euclidean distance to another point in the 3-D affect space.
-    pub fn distance(&self, other: &EmotionVector) -> f32 {
-        ((self.valence - other.valence).powi(2)
-            + (self.arousal - other.arousal).powi(2)
-            + (self.dominance - other.dominance).powi(2))
-        .sqrt()
-    }
-
-    /// The discrete label whose embedding is nearest to this point.
-    pub fn nearest_emotion(&self) -> Emotion {
-        *Emotion::ALL
-            .iter()
-            .min_by(|a, b| {
-                self.distance(&a.to_vector())
-                    .total_cmp(&self.distance(&b.to_vector()))
-            })
-            .expect("ALL is non-empty")
     }
 }
 
@@ -196,19 +157,6 @@ impl CognitiveState {
             CognitiveState::Relaxed => "relaxed",
         }
     }
-
-    /// How much the user cares about video quality right now, `[0, 1]`.
-    ///
-    /// This is the scalar the affect-adaptive decoder policy keys on:
-    /// distracted < relaxed < concentrated < tense.
-    pub fn quality_demand(self) -> f32 {
-        match self {
-            CognitiveState::Distracted => 0.1,
-            CognitiveState::Relaxed => 0.4,
-            CognitiveState::Concentrated => 0.75,
-            CognitiveState::Tense => 1.0,
-        }
-    }
 }
 
 impl fmt::Display for CognitiveState {
@@ -239,10 +187,20 @@ mod tests {
 
     #[test]
     fn circumplex_quadrants_match_psychology() {
-        assert!(Emotion::Happy.is_positive() && Emotion::Happy.is_high_arousal());
-        assert!(!Emotion::Sad.is_positive() && !Emotion::Sad.is_high_arousal());
-        assert!(!Emotion::Angry.is_positive() && Emotion::Angry.is_high_arousal());
-        assert!(Emotion::Calm.is_positive() && !Emotion::Calm.is_high_arousal());
+        // (emotion, positive valence, high arousal)
+        for (e, positive, aroused) in [
+            (Emotion::Happy, true, true),
+            (Emotion::Sad, false, false),
+            (Emotion::Angry, false, true),
+            (Emotion::Calm, true, false),
+        ] {
+            let v = e.to_vector();
+            assert_eq!(
+                (v.valence > 0.0, v.arousal > 0.0),
+                (positive, aroused),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -250,51 +208,6 @@ mod tests {
         let v = EmotionVector::new(2.0, -3.0, 0.5);
         assert_eq!(v.valence, 1.0);
         assert_eq!(v.arousal, -1.0);
-    }
-
-    #[test]
-    fn mood_angle_quadrants() {
-        // Happy: first quadrant -> angle in (0, pi/2).
-        let a = Emotion::Happy.to_vector().mood_angle();
-        assert!(a > 0.0 && a < std::f32::consts::FRAC_PI_2);
-        // Angry: second quadrant.
-        let a = Emotion::Angry.to_vector().mood_angle();
-        assert!(a > std::f32::consts::FRAC_PI_2 && a < std::f32::consts::PI);
-    }
-
-    #[test]
-    fn nearest_emotion_is_self_for_all_labels() {
-        for e in Emotion::ALL {
-            assert_eq!(e.to_vector().nearest_emotion(), e, "{e}");
-        }
-    }
-
-    #[test]
-    fn nearest_emotion_of_origin_is_neutral() {
-        assert_eq!(EmotionVector::default().nearest_emotion(), Emotion::Neutral);
-    }
-
-    #[test]
-    fn distance_is_metric_like() {
-        let a = Emotion::Happy.to_vector();
-        let b = Emotion::Sad.to_vector();
-        assert_eq!(a.distance(&a), 0.0);
-        assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-6);
-        assert!(a.distance(&b) > 1.0); // opposite quadrants are far apart
-    }
-
-    #[test]
-    fn quality_demand_ordering_matches_paper() {
-        assert!(
-            CognitiveState::Distracted.quality_demand() < CognitiveState::Relaxed.quality_demand()
-        );
-        assert!(
-            CognitiveState::Relaxed.quality_demand()
-                < CognitiveState::Concentrated.quality_demand()
-        );
-        assert!(
-            CognitiveState::Concentrated.quality_demand() < CognitiveState::Tense.quality_demand()
-        );
     }
 
     #[test]

@@ -30,10 +30,6 @@ pub struct FeatureConfig {
     pub n_mels: usize,
     /// Pitch search range in hertz.
     pub pitch_range: (f32, f32),
-    /// Append per-frame delta (Δ) features: the frame-to-frame difference
-    /// of every base feature, doubling the feature dimensionality. Deltas
-    /// capture articulation dynamics the sequence models exploit.
-    pub deltas: bool,
 }
 
 impl Default for FeatureConfig {
@@ -45,7 +41,6 @@ impl Default for FeatureConfig {
             n_mfcc: 13,
             n_mels: 26,
             pitch_range: (60.0, 500.0),
-            deltas: false,
         }
     }
 }
@@ -132,15 +127,9 @@ impl FeaturePipeline {
         &self.config
     }
 
-    /// Feature dimensionality per analysis frame (doubled when delta
-    /// features are enabled).
+    /// Feature dimensionality per analysis frame.
     pub fn features_per_frame(&self) -> usize {
-        let base = self.config.n_mfcc + EXTRA_FEATURES;
-        if self.config.deltas {
-            2 * base
-        } else {
-            base
-        }
+        self.config.n_mfcc + EXTRA_FEATURES
     }
 
     /// Number of frames a window of `samples` samples produces.
@@ -168,7 +157,6 @@ impl FeaturePipeline {
             });
         }
         let fpf = self.features_per_frame();
-        let base_fpf = self.config.n_mfcc + EXTRA_FEATURES;
         let mut data = Vec::with_capacity(n_frames * fpf);
         let (min_hz, max_hz) = self.config.pitch_range;
         for frame in Frames::new(window, self.config.frame_len, self.config.hop)? {
@@ -187,22 +175,6 @@ impl FeaturePipeline {
             data.push(spec.peak);
             // Centroid normalized by Nyquist.
             data.push(spec.centroid_hz / (self.config.sample_rate / 2.0));
-        }
-        if self.config.deltas {
-            // Interleave Δ features after each frame's base features:
-            // Δ_t = base_t - base_{t-1}, with Δ_0 = 0.
-            let mut with_deltas = Vec::with_capacity(n_frames * fpf);
-            for t in 0..n_frames {
-                let row = &data[t * base_fpf..(t + 1) * base_fpf];
-                with_deltas.extend_from_slice(row);
-                if t == 0 {
-                    with_deltas.extend(std::iter::repeat_n(0.0f32, base_fpf));
-                } else {
-                    let prev = &data[(t - 1) * base_fpf..t * base_fpf];
-                    with_deltas.extend(row.iter().zip(prev).map(|(a, b)| a - b));
-                }
-            }
-            return Ok(Tensor::from_vec(with_deltas, &[n_frames, fpf])?);
         }
         Ok(Tensor::from_vec(data, &[n_frames, fpf])?)
     }
@@ -437,44 +409,6 @@ mod tests {
                 matches!(FeaturePipeline::new(cfg), Err(AffectError::Dsp(_))),
                 "{pitch_range:?}"
             );
-        }
-    }
-
-    #[test]
-    fn delta_features_double_the_dimension() {
-        let base = FeaturePipeline::new(FeatureConfig::default()).unwrap();
-        let mut with = FeaturePipeline::new(FeatureConfig {
-            deltas: true,
-            ..FeatureConfig::default()
-        })
-        .unwrap();
-        assert_eq!(with.features_per_frame(), 2 * base.features_per_frame());
-        let window = tone(220.0, 2048);
-        let seq = with.extract_sequence(&window).unwrap();
-        assert_eq!(seq.shape()[1], with.features_per_frame());
-    }
-
-    #[test]
-    fn delta_features_are_frame_differences() {
-        let mut p = FeaturePipeline::new(FeatureConfig {
-            deltas: true,
-            ..FeatureConfig::default()
-        })
-        .unwrap();
-        let mut base_p = FeaturePipeline::new(FeatureConfig::default()).unwrap();
-        let window = tone(300.0, 2048);
-        let seq = p.extract_sequence(&window).unwrap();
-        let base = base_p.extract_sequence(&window).unwrap();
-        let bf = base_p.features_per_frame();
-        let fpf = p.features_per_frame();
-        // Frame 0 deltas are zero.
-        for k in 0..bf {
-            assert_eq!(seq.data()[bf + k], 0.0);
-        }
-        // Frame 1 deltas equal base_1 - base_0.
-        for k in 0..bf {
-            let expected = base.data()[bf + k] - base.data()[k];
-            assert!((seq.data()[fpf + bf + k] - expected).abs() < 1e-6);
         }
     }
 

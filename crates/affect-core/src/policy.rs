@@ -54,24 +54,19 @@ impl std::fmt::Display for VideoPowerMode {
     }
 }
 
-/// Per-emotion bias added to an app-category's background-retention rank by
-/// the emotional app manager. Positive values protect apps the user is
-/// likely to revisit in this emotional state.
-pub type RankBias = i32;
-
 /// A programmable affect→action table.
 ///
 /// # Example
 ///
 /// ```
-/// use affect_core::emotion::CognitiveState;
+/// use affect_core::emotion::{CognitiveState, Emotion};
 /// use affect_core::policy::{PolicyTable, VideoPowerMode};
 ///
 /// let mut table = PolicyTable::paper_defaults();
 /// assert_eq!(table.video_mode_for_state(CognitiveState::Tense), VideoPowerMode::Standard);
-/// // Personalize: a user who never cares about quality while relaxed.
-/// table.set_state_mode(CognitiveState::Relaxed, VideoPowerMode::Combined);
-/// assert_eq!(table.video_mode_for_state(CognitiveState::Relaxed), VideoPowerMode::Combined);
+/// // Personalize: a user who never cares about quality while happy.
+/// table.set_emotion_mode(Emotion::Happy, VideoPowerMode::Combined);
+/// assert_eq!(table.video_mode_for_emotion(Emotion::Happy), VideoPowerMode::Combined);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyTable {
@@ -133,11 +128,6 @@ impl PolicyTable {
             .unwrap_or(VideoPowerMode::Standard)
     }
 
-    /// Reprograms the mode for a cognitive state (user personalization).
-    pub fn set_state_mode(&mut self, state: CognitiveState, mode: VideoPowerMode) {
-        self.state_modes.insert(state, mode);
-    }
-
     /// Reprograms the mode for a discrete emotion.
     pub fn set_emotion_mode(&mut self, emotion: Emotion, mode: VideoPowerMode) {
         self.emotion_modes.insert(emotion, mode);
@@ -179,8 +169,13 @@ mod tests {
     fn quality_demand_monotone_in_mode_quality() {
         // Higher quality demand must never map to a lower-quality mode.
         let t = PolicyTable::paper_defaults();
-        let mut states = CognitiveState::ALL;
-        states.sort_by(|a, b| a.quality_demand().total_cmp(&b.quality_demand()));
+        // Ascending quality demand: distracted < relaxed < concentrated < tense.
+        let states = [
+            CognitiveState::Distracted,
+            CognitiveState::Relaxed,
+            CognitiveState::Concentrated,
+            CognitiveState::Tense,
+        ];
         let ranks: Vec<usize> = states
             .iter()
             .map(|&s| {
@@ -192,8 +187,8 @@ mod tests {
             .collect();
         // VideoPowerMode::ALL is ordered best-quality-first, so ranks must be
         // non-increasing as quality demand rises... except the paper maps
-        // Relaxed (demand 0.4) to DeblockOff (rank 2) and Concentrated
-        // (demand 0.75) to NalDeletion (rank 1): still monotone.
+        // Relaxed to DeblockOff (rank 2) and Concentrated to NalDeletion
+        // (rank 1): still monotone.
         for w in ranks.windows(2) {
             assert!(w[0] >= w[1], "ranks {ranks:?} not monotone");
         }
@@ -232,11 +227,6 @@ mod tests {
         assert_eq!(
             t.video_mode_for_emotion(Emotion::Happy),
             VideoPowerMode::Standard
-        );
-        t.set_state_mode(CognitiveState::Tense, VideoPowerMode::Combined);
-        assert_eq!(
-            t.video_mode_for_state(CognitiveState::Tense),
-            VideoPowerMode::Combined
         );
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the affect-core invariants.
 
 use affect_core::controller::{ControlEvent, SystemController};
-use affect_core::emotion::{CognitiveState, Emotion, EmotionVector};
+use affect_core::emotion::{CognitiveState, Emotion};
 use affect_core::pipeline::{biosignal_window_features, BIOSIGNAL_FEATURES};
 use affect_core::policy::{PolicyTable, VideoPowerMode};
 use affect_core::smoothing::MajoritySmoother;
@@ -12,19 +12,6 @@ fn emotion_strategy() -> impl Strategy<Value = Emotion> {
 }
 
 proptest! {
-    /// The nearest-emotion lookup is total and stable: every point maps to
-    /// some label, and points at a label's own embedding map back to it.
-    #[test]
-    fn nearest_emotion_total(v in -1.0f32..1.0, a in -1.0f32..1.0, d in -1.0f32..1.0) {
-        let point = EmotionVector::new(v, a, d);
-        let nearest = point.nearest_emotion();
-        // The chosen label is at least as close as every other label.
-        let chosen = point.distance(&nearest.to_vector());
-        for e in Emotion::ALL {
-            prop_assert!(chosen <= point.distance(&e.to_vector()) + 1e-6);
-        }
-    }
-
     /// Smoother: the reported state always equals the latched `current()`,
     /// and a change is only reported when a strict majority exists.
     #[test]

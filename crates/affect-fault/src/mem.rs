@@ -49,12 +49,6 @@ pub struct MemPressurePlan {
 }
 
 impl MemPressurePlan {
-    /// A staircase over `budget_bytes` with the default 64-tick cycle
-    /// (16 ticks per band).
-    pub fn staircase(seed: u64, budget_bytes: u64) -> Self {
-        Self::with_period(seed, budget_bytes, 64)
-    }
-
     /// A staircase with an explicit cycle length.
     ///
     /// # Panics
@@ -116,9 +110,9 @@ mod tests {
 
     #[test]
     fn schedule_is_pure_and_seed_sensitive() {
-        let a = MemPressurePlan::staircase(7, 1 << 20);
-        let b = MemPressurePlan::staircase(7, 1 << 20);
-        let c = MemPressurePlan::staircase(8, 1 << 20);
+        let a = MemPressurePlan::with_period(7, 1 << 20, 64);
+        let b = MemPressurePlan::with_period(7, 1 << 20, 64);
+        let c = MemPressurePlan::with_period(8, 1 << 20, 64);
         let mut diverged = false;
         for tick in 0..512 {
             assert_eq!(a.phantom_bytes(tick), b.phantom_bytes(tick));
@@ -129,7 +123,7 @@ mod tests {
 
     #[test]
     fn staircase_walks_all_four_bands_every_cycle() {
-        let plan = MemPressurePlan::staircase(42, 1_000_000);
+        let plan = MemPressurePlan::with_period(42, 1_000_000, 64);
         let budget = MemoryBudget::new(plan.budget_bytes());
         let mut seen = [false; 4];
         for tick in 0..64 {
@@ -156,7 +150,7 @@ mod tests {
 
     #[test]
     fn real_charges_only_round_the_band_up() {
-        let plan = MemPressurePlan::staircase(11, 1_000_000);
+        let plan = MemPressurePlan::with_period(11, 1_000_000, 64);
         let budget = MemoryBudget::new(plan.budget_bytes());
         budget.charge(MemConsumer::RingQueues, 50_000); // 50‰ of real load
         for tick in 0..64 {
@@ -171,7 +165,7 @@ mod tests {
 
     #[test]
     fn apply_is_absolute_so_replay_is_byte_stable() {
-        let plan = MemPressurePlan::staircase(99, 1 << 16);
+        let plan = MemPressurePlan::with_period(99, 1 << 16, 64);
         let once = MemoryBudget::new(plan.budget_bytes());
         let twice = MemoryBudget::new(plan.budget_bytes());
         for tick in 0..128 {

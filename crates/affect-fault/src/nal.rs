@@ -34,14 +34,6 @@ pub struct NalFaultConfig {
 }
 
 impl NalFaultConfig {
-    /// No bitstream damage.
-    pub const QUIET: NalFaultConfig = NalFaultConfig {
-        flip_per_million: 0,
-        truncate_per_million: 0,
-        max_flips: 0,
-        protect_sps: true,
-    };
-
     /// The chaos-suite preset: 5% of slices take up to 4 bit-flips, 2%
     /// are truncated; the SPS is protected.
     pub const CHAOS: NalFaultConfig = NalFaultConfig {
@@ -65,13 +57,6 @@ pub struct NalCorruption {
     pub units_truncated: u64,
     /// Payload bytes removed by truncation.
     pub bytes_removed: u64,
-}
-
-impl NalCorruption {
-    /// `true` when the pass left the stream byte-identical.
-    pub fn is_clean(&self) -> bool {
-        self.units_flipped == 0 && self.units_truncated == 0
-    }
 }
 
 /// One located unit: start-code begin, header byte offset, exclusive end.
@@ -243,9 +228,15 @@ mod tests {
     fn quiet_config_is_identity() {
         let mut s = stream();
         let clean = s.clone();
-        let report = corrupt_annex_b(&mut s, 42, &NalFaultConfig::QUIET);
+        let quiet = NalFaultConfig {
+            flip_per_million: 0,
+            truncate_per_million: 0,
+            max_flips: 0,
+            protect_sps: true,
+        };
+        let report = corrupt_annex_b(&mut s, 42, &quiet);
         assert_eq!(s, clean);
-        assert!(report.is_clean());
+        assert_eq!((report.units_flipped, report.units_truncated), (0, 0));
         assert_eq!(report.units_seen, 4);
     }
 
@@ -286,7 +277,7 @@ mod tests {
             let mut s = stream();
             let report = corrupt_annex_b(&mut s, seed, &cfg);
             assert_eq!(&s[..sps_end], &clean[..sps_end], "SPS must survive");
-            if !report.is_clean() {
+            if report.units_flipped + report.units_truncated > 0 {
                 hits += 1;
             }
             if report.units_truncated > 0 {

@@ -33,14 +33,6 @@ pub struct SensorFaultConfig {
 }
 
 impl SensorFaultConfig {
-    /// No sensor faults.
-    pub const QUIET: SensorFaultConfig = SensorFaultConfig {
-        dropout_per_million: 0,
-        saturate_per_million: 0,
-        nan_per_million: 0,
-        burst_len: 0,
-    };
-
     /// The chaos-suite preset: 2% dropouts, 1% saturation, 1% NaN bursts,
     /// 32-sample runs.
     pub const CHAOS: SensorFaultConfig = SensorFaultConfig {
@@ -133,13 +125,16 @@ mod tests {
 
     #[test]
     fn quiet_config_never_touches_samples() {
+        let quiet = SensorFaultConfig {
+            dropout_per_million: 0,
+            saturate_per_million: 0,
+            nan_per_million: 0,
+            burst_len: 0,
+        };
         for idx in 0..200 {
             let mut w = window();
             let clean = w.clone();
-            assert_eq!(
-                apply_sensor_faults(&mut w, 1, idx, &SensorFaultConfig::QUIET),
-                None
-            );
+            assert_eq!(apply_sensor_faults(&mut w, 1, idx, &quiet), None);
             assert_eq!(w, clean);
         }
     }
@@ -220,8 +215,9 @@ mod tests {
     fn burst_stays_inside_short_windows() {
         let cfg = SensorFaultConfig {
             dropout_per_million: 1_000_000,
+            saturate_per_million: 0,
+            nan_per_million: 0,
             burst_len: 32,
-            ..SensorFaultConfig::QUIET
         };
         let mut w = vec![0.5f32; 5]; // shorter than burst_len = 32
         let fault = apply_sensor_faults(&mut w, 1, 0, &cfg);

@@ -255,7 +255,7 @@ fn nal_chaos_never_kills_the_resilient_decoder() {
     for seed in 0..40u64 {
         let mut stream = pristine.clone();
         let corruption = corrupt_annex_b(&mut stream, seed, &cfg);
-        if !corruption.is_clean() {
+        if corruption.units_flipped + corruption.units_truncated > 0 {
             damaged_streams += 1;
         }
 

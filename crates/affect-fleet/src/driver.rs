@@ -26,11 +26,9 @@ use crate::qos::PerTier;
 /// One lockstep load run.
 #[derive(Debug, Clone)]
 pub struct LoadPlan {
-    /// Rounds to drive; each round offers every session one window.
+    /// Rounds to drive; each round offers every session one window of the
+    /// length the fleet's runtimes were configured with.
     pub rounds: u64,
-    /// Samples per offered window (must match the runtime's
-    /// `window_samples`).
-    pub window_samples: usize,
     /// Virtual nanoseconds the clock advances per round.
     pub tick_ns: u64,
     /// Wait for the fleet to drain every this-many rounds (`None` =
@@ -42,7 +40,6 @@ impl Default for LoadPlan {
     fn default() -> Self {
         Self {
             rounds: 16,
-            window_samples: 256,
             tick_ns: 1_000_000_000, // the paper's 1 s decision cadence
             drain_every: Some(1),
         }
@@ -83,7 +80,7 @@ pub fn drive_lockstep(fleet: &Fleet, clock: &VirtualClock, plan: &LoadPlan) -> L
     for round in 0..plan.rounds {
         for global in 0..fleet.session_count() {
             let session = fleet.session(global);
-            let window = synth_window(global, round, plan.window_samples);
+            let window = synth_window(global, round, fleet.window_samples());
             *outcome.offered.get_mut(session.tier) += 1;
             if fleet.submit(session, window) == SubmitOutcome::Shed {
                 *outcome.shed.get_mut(session.tier) += 1;

@@ -182,12 +182,6 @@ impl FleetBuilder {
         self
     }
 
-    /// The shard a session key routes to (diagnostics; `add_session` does
-    /// this internally).
-    pub fn shard_of(&self, key: u64) -> ShardId {
-        self.ring.route(key)
-    }
-
     /// Routes `key` to its shard and asks admission control for a slot.
     /// On admission the session starts in (and is ceilinged at) its
     /// tier's classifier family. Returns `None` when the owning shard is
@@ -264,6 +258,7 @@ impl FleetBuilder {
         }
         Ok(Fleet {
             admission: self.config.admission,
+            window_samples: self.config.runtime.window_samples,
             shards,
             sessions: self.sessions,
             local_to_global: self.local_to_global,
@@ -284,6 +279,8 @@ impl FleetBuilder {
 /// architecture.
 pub struct Fleet {
     admission: AdmissionConfig,
+    /// Samples per window, from the one `RuntimeConfig` every shard runs.
+    window_samples: usize,
     /// One runtime per shard; `None` for shards the router left empty.
     shards: Vec<Option<Runtime>>,
     sessions: Vec<FleetSessionId>,
@@ -323,6 +320,12 @@ impl Fleet {
     /// Number of admitted sessions.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
+    }
+
+    /// Samples per window the shards' runtimes were configured with; a
+    /// window of any other length is refused at their feature stage.
+    pub(crate) fn window_samples(&self) -> usize {
+        self.window_samples
     }
 
     /// The handle of an admitted session by global id.
@@ -533,6 +536,7 @@ mod tests {
             runtime: small_runtime_config(),
             ..FleetConfig::default()
         };
+        let ring = HashRing::with_shards(config.shards, config.replicas);
         let mut builder = FleetBuilder::new(config).unwrap();
         let clock = Arc::new(VirtualClock::new());
         let mut ids = Vec::new();
@@ -540,7 +544,7 @@ mod tests {
             let id = builder
                 .add_session(key, QosTier::Standard, Box::new(CollectActuator::default()))
                 .expect("capacity is ample");
-            assert_eq!(id.shard, builder.shard_of(key));
+            assert_eq!(id.shard, ring.route(key));
             ids.push(id);
         }
         let fleet = builder.clock(clock).start().unwrap();

@@ -53,17 +53,6 @@ impl AdmissionReport {
             self.offered.get(t) == self.submitted.get(t) + self.shed.get(t) + self.evicted.get(t)
         })
     }
-
-    /// Fraction of offered windows shed for one tier (0 when the tier saw
-    /// no traffic).
-    pub fn shed_rate(&self, tier: QosTier) -> f64 {
-        let offered = self.offered.get(tier);
-        if offered == 0 {
-            0.0
-        } else {
-            self.shed.get(tier) as f64 / offered as f64
-        }
-    }
 }
 
 /// Everything the fleet knows about a run.
@@ -131,9 +120,6 @@ mod tests {
         *report.offered.get_mut(QosTier::Critical) = 5;
         *report.submitted.get_mut(QosTier::Critical) = 5;
         assert!(report.accounted());
-        assert!((report.shed_rate(QosTier::BestEffort) - 0.3).abs() < 1e-12);
-        assert_eq!(report.shed_rate(QosTier::Critical), 0.0);
-        assert_eq!(report.shed_rate(QosTier::Standard), 0.0);
 
         // A lost window breaks the invariant in exactly one tier.
         *report.submitted.get_mut(QosTier::BestEffort) = 6;

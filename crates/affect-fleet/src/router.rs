@@ -145,20 +145,6 @@ impl HashRing {
             Err(_) => self.points[0].1, // wrap
         }
     }
-
-    /// Routes every key in `keys`, returning per-shard load counts
-    /// indexed by position in [`HashRing::shards`]. Convenience for
-    /// placement diagnostics and the uniformity tests.
-    pub fn load_of(&self, keys: impl IntoIterator<Item = u64>) -> Vec<(ShardId, usize)> {
-        let mut load: Vec<(ShardId, usize)> = self.shards.iter().map(|&s| (s, 0)).collect();
-        for key in keys {
-            let shard = self.route(key);
-            if let Some(entry) = load.iter_mut().find(|(s, _)| *s == shard) {
-                entry.1 += 1;
-            }
-        }
-        load
-    }
 }
 
 #[cfg(test)]

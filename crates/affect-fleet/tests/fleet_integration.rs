@@ -13,7 +13,7 @@ use affect_fleet::{
 use affect_obs::{MetricsRegistry, VirtualClock};
 use affect_rt::{
     silence_injected_panics, CollectActuator, FaultHook, NullActuator, OverflowPolicy,
-    RuntimeConfig, StageConfig,
+    RuntimeConfig, RuntimeReport, StageConfig,
 };
 
 fn small_runtime_config() -> RuntimeConfig {
@@ -62,7 +62,6 @@ fn run_fleet(shards: usize, sessions: usize, rounds: u64, chaos_seed: Option<u64
     let fleet = builder.start().unwrap();
     let plan = LoadPlan {
         rounds,
-        window_samples: 256,
         drain_every: Some(1),
         ..LoadPlan::default()
     };
@@ -135,7 +134,6 @@ fn accounting_holds_for_512_free_running_sessions() {
         .unwrap();
     let plan = LoadPlan {
         rounds: 4,
-        window_samples: 256,
         drain_every: None,
         ..LoadPlan::default()
     };
@@ -242,7 +240,6 @@ fn best_effort_sheds_first_under_pressure() {
     let fleet = builder.clock(clock.clone()).start().unwrap();
     let plan = LoadPlan {
         rounds: 64,
-        window_samples: 256,
         drain_every: None, // free-running: let the backlog build
         ..LoadPlan::default()
     };
@@ -316,13 +313,9 @@ fn merged_report_equals_sum_of_shards() {
     let report = run_fleet(4, 40, 5, None);
     let by_shards: u64 = report.shards.iter().map(|(_, r)| r.total_produced()).sum();
     assert_eq!(report.merged.total_produced(), by_shards);
-    let hist = report.merged.merged_latency();
-    let shard_hist_count: u64 = report
-        .shards
-        .iter()
-        .map(|(_, r)| r.merged_latency().count)
-        .sum();
-    assert_eq!(hist.count, shard_hist_count);
+    let latency_count = |r: &RuntimeReport| r.sessions.iter().map(|s| s.latency.count).sum::<u64>();
+    let shard_hist_count: u64 = report.shards.iter().map(|(_, r)| latency_count(r)).sum();
+    assert_eq!(latency_count(&report.merged), shard_hist_count);
 }
 
 /// Sanity for the shared driver: a fleet of one shard behaves like a

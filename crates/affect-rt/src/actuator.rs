@@ -81,12 +81,6 @@ impl VideoActuator {
         &self.driver
     }
 
-    /// Mutable access to the wrapped driver, for configuration (kernels,
-    /// resilience, metrics) before the session starts.
-    pub fn driver_mut(&mut self) -> &mut ModeSwitchDriver {
-        &mut self.driver
-    }
-
     /// Timestamped effective mode switches.
     pub fn switch_log(&self) -> &[(u64, VideoPowerMode)] {
         &self.switch_log
@@ -131,11 +125,6 @@ impl AppActuator {
             reranker,
             rerank_log: Vec::new(),
         }
-    }
-
-    /// The wrapped reranker (current emotion, retention ordering).
-    pub fn reranker(&self) -> &EmotionReranker {
-        &self.reranker
     }
 
     /// Timestamped effective re-ranks.
@@ -191,6 +180,5 @@ mod tests {
         a.actuate(ControlEvent::EmotionChanged(Emotion::Happy), 2);
         a.actuate(ControlEvent::VideoMode(VideoPowerMode::Standard), 3);
         assert_eq!(a.rerank_log(), &[(2, Emotion::Happy)]);
-        assert_eq!(a.reranker().emotion(), Emotion::Happy);
     }
 }

@@ -10,8 +10,6 @@
 //! and the accounting invariant `produced == processed + dropped` must
 //! survive all of it.
 
-use std::any::Any;
-
 /// Pipeline stage identifiers, as seen by a [`FaultHook`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -101,11 +99,6 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// `true` when a caught panic payload is an [`InjectedPanic`].
-pub fn is_injected(payload: &(dyn Any + Send)) -> bool {
-    payload.downcast_ref::<InjectedPanic>().is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,9 +117,9 @@ mod tests {
         silence_injected_panics();
         let caught = std::panic::catch_unwind(|| std::panic::panic_any(InjectedPanic))
             .expect_err("panicked");
-        assert!(is_injected(caught.as_ref()));
+        assert!(caught.is::<InjectedPanic>());
         let organic = std::panic::catch_unwind(|| panic!("organic failure")).expect_err("panicked");
-        assert!(!is_injected(organic.as_ref()));
+        assert!(!organic.is::<InjectedPanic>());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!                                       deadline + degradation accounting
 //! ```
 //!
-//! Classifier models are not `Send` (layers are plain `Box<dyn Layer>`),
-//! so each classify worker *builds its own* pool at startup — the three
+//! Inference takes `&mut self` (layers cache activations and draw on a
+//! scratch arena), so each classify worker *builds its own* pool at
+//! startup — the three
 //! scaled neural families (per configured precision) plus the integer-only
 //! HDC rung — and dispatches on the family stamped into the window at
 //! extraction plus the session's precision; a session's family switch is
@@ -178,8 +179,9 @@ impl Default for WatchdogConfig {
 pub struct RuntimeConfig {
     /// Feature extraction parameters (shared by all sessions).
     pub feature: FeatureConfig,
-    /// Samples per analysis window; fixes the CNN input width, so every
-    /// submitted window must have exactly this length.
+    /// Samples per analysis window; fixes the CNN input width. The feature
+    /// stage refuses a window of any other length and counts it in
+    /// [`FaultReport::rejected_windows`].
     pub window_samples: usize,
     /// Worker threads for the feature and classify stages (each).
     pub workers: usize,
@@ -202,8 +204,6 @@ pub struct RuntimeConfig {
     /// Decision interval while degraded: only every k-th window enters the
     /// pipeline (others are decimated and counted as dropped).
     pub degraded_interval: u32,
-    /// Policy table driving each session's controller.
-    pub policy: PolicyTable,
     /// Seed for the untrained models' deterministic initialization.
     pub model_seed: u64,
     /// Worker supervision and circuit-breaker parameters.
@@ -235,7 +235,6 @@ impl Default for RuntimeConfig {
             miss_streak: 3,
             ok_streak: 8,
             degraded_interval: 2,
-            policy: PolicyTable::paper_defaults(),
             model_seed: 7,
             supervision: SupervisionConfig::default(),
             watchdog: None,
@@ -582,7 +581,7 @@ impl RtMetrics {
             ),
             rejected_windows: registry.counter(
                 "affect_rt_rejected_windows_total",
-                "windows refused for non-finite samples at the feature stage",
+                "windows refused at the feature stage for a wrong length or non-finite samples",
                 &[],
             ),
             watchdog_sheds: registry.counter(
@@ -1133,11 +1132,12 @@ impl Step for FeatureStep {
     type Out = (ClassifierKind, Tensor);
     const STAGE: Stage = Stage::Feature;
 
-    /// The NaN gate: a sensor fault costs exactly this window, never the
-    /// session — rejected before the feature pipeline can smear
-    /// non-finite values into state shared across windows.
+    /// The admission gate: a window of the wrong length or with
+    /// non-finite samples (a sensor fault) costs exactly this window, never
+    /// the session. A wrong length would classify features of another
+    /// shape; NaN or ∞ would smear into state shared across windows.
     fn admit(&mut self, shared: &Shared, samples: &Vec<f32>) -> bool {
-        if samples.iter().all(|s| s.is_finite()) {
+        if samples.len() == shared.config.window_samples && samples.iter().all(|s| s.is_finite()) {
             return true;
         }
         shared.count(&shared.faults.rejected_windows, |m| &m.rejected_windows);
@@ -1177,11 +1177,12 @@ struct ClassifyStep {
 }
 
 impl ClassifyStep {
-    /// Builds the pool on the worker thread (models are not `Send`),
-    /// identical across workers by seed. Int8 variants are built only when
-    /// some session runs quantized. The pool's tables are resident for the
-    /// worker's whole life: the neural families' parameters (4 bytes each
-    /// at f32, 1 at int8) plus the HDC bound/prototype tables.
+    /// Builds the worker's own pool, identical across workers by seed:
+    /// inference takes `&mut self`, so workers cannot share one model.
+    /// Int8 variants are built only when some session runs quantized. The
+    /// pool's tables are resident for the worker's whole life: the neural
+    /// families' parameters (4 bytes each at f32, 1 at int8, counted on the
+    /// built models) plus the HDC bound/prototype tables.
     fn new(shared: &Shared, models: &[ModelConfig; 3], flat_dim: usize) -> Self {
         let seed = shared.config.model_seed;
         let need_int8 = shared
@@ -1193,15 +1194,19 @@ impl ClassifyStep {
         for model in models {
             let clf = AffectClassifier::from_config(model, emotion_labels(), seed)
                 .expect("trial-built before spawn");
+            let params = clf
+                .model()
+                .expect("the neural families have a Sequential model")
+                .param_count() as u64;
             pool.insert((clf.family(), Precision::F32), clf);
-            table_bytes += (model.param_count() * std::mem::size_of::<f32>()) as u64;
+            table_bytes += params * std::mem::size_of::<f32>() as u64;
             if need_int8 {
                 let mut clf = AffectClassifier::from_config(model, emotion_labels(), seed)
                     .expect("trial-built before spawn");
                 clf.set_precision(Precision::Int8)
                     .expect("fresh models always quantize");
                 pool.insert((clf.family(), Precision::Int8), clf);
-                table_bytes += model.param_count() as u64;
+                table_bytes += params;
             }
         }
         let mut hdc = AffectClassifier::hdc(flat_dim, emotion_labels(), seed)
@@ -1592,7 +1597,7 @@ impl RuntimeBuilder {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 // A smoothing window of 1: every decision acts at once.
-                let controller = || SystemController::new(shared.config.policy.clone(), 1);
+                let controller = || SystemController::new(PolicyTable::paper_defaults(), 1);
                 let step = ControlStep(shared.sessions.iter().map(|_| controller()).collect());
                 run_stage(&shared, step, &shared.control, Some(&shared.actuate));
             })
@@ -1759,7 +1764,11 @@ impl Runtime {
     }
 
     /// Submits one analysis window for a session. The window is stamped
-    /// with the clock's current time as its arrival.
+    /// with the clock's current time as its arrival. It must hold exactly
+    /// [`RuntimeConfig::window_samples`] finite samples: the feature stage
+    /// refuses any other window, dropping it and counting it in
+    /// [`FaultReport::rejected_windows`], so it never reaches a
+    /// classifier.
     ///
     /// Returns `true` when the window entered the pipeline; `false` when
     /// it was decimated by a widened decision interval or shed at the

@@ -53,16 +53,6 @@ impl SessionReport {
     pub fn accounted(&self) -> bool {
         self.produced == self.processed + self.dropped
     }
-
-    /// Fraction of processed windows that missed the deadline (0 when
-    /// nothing was processed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.processed == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.processed as f64
-        }
-    }
 }
 
 impl SessionReport {
@@ -136,17 +126,6 @@ impl ClassifyReport {
             self.windows as f64 / self.batches as f64
         }
     }
-
-    /// Fraction of scratch acquisitions served without allocating (0 when
-    /// the scratch was never used).
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.scratch_allocs + self.scratch_reuses;
-        if total == 0 {
-            0.0
-        } else {
-            self.scratch_reuses as f64 / total as f64
-        }
-    }
 }
 
 /// Fault and recovery counters aggregated across the whole runtime: what
@@ -160,8 +139,9 @@ pub struct FaultReport {
     pub worker_restarts: u64,
     /// Workers retired after exhausting their restart budget.
     pub workers_lost: u64,
-    /// Windows refused at the feature stage for carrying non-finite
-    /// samples (NaN/∞ sensor faults) — each costs exactly one window.
+    /// Windows refused at the feature stage for a length other than
+    /// `RuntimeConfig::window_samples` or for non-finite samples (NaN/∞
+    /// sensor faults) — each costs exactly one window.
     pub rejected_windows: u64,
     /// Windows force-drained from stalled queues by the watchdog.
     pub watchdog_sheds: u64,
@@ -171,14 +151,6 @@ pub struct FaultReport {
     pub breaker_trips: u64,
     /// Times a half-open probe succeeded and a breaker closed again.
     pub breaker_closes: u64,
-}
-
-impl FaultReport {
-    /// `true` when nothing faulted and nothing was recovered — the shape
-    /// of a clean run.
-    pub fn is_quiet(&self) -> bool {
-        *self == FaultReport::default()
-    }
 }
 
 /// Everything the runtime knows about a run: per-session accounting and
@@ -217,16 +189,6 @@ impl RuntimeReport {
     /// Total windows shed or decimated across sessions.
     pub fn total_dropped(&self) -> u64 {
         self.sessions.iter().map(|s| s.dropped).sum()
-    }
-
-    /// The whole runtime's end-to-end latency distribution: every
-    /// session's histogram merged bucket-wise.
-    pub fn merged_latency(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for s in &self.sessions {
-            merged.merge(&s.latency);
-        }
-        merged
     }
 
     /// Folds another runtime's report into this one — the fleet-level
@@ -319,17 +281,13 @@ mod tests {
             family_windows: [3, 3, 3, 3],
         };
         assert!((r.mean_batch() - 3.0).abs() < 1e-12);
-        assert!((r.reuse_rate() - 0.75).abs() < 1e-12);
         assert_eq!(ClassifyReport::default().mean_batch(), 0.0);
-        assert_eq!(ClassifyReport::default().reuse_rate(), 0.0);
     }
 
     #[test]
     fn accounted_invariant() {
         let mut r = session_report(0, 10, 7, 3, ClassifierKind::Lstm);
-        r.deadline_misses = 2;
         assert!(r.accounted());
-        assert!((r.miss_rate() - 2.0 / 7.0).abs() < 1e-12);
         r.dropped = 2;
         assert!(!r.accounted());
     }

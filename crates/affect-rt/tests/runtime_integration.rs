@@ -232,7 +232,8 @@ fn sustained_misses_degrade_then_recovery_climbs_back() {
     let mid = runtime.report();
     assert_eq!(mid.sessions[0].deadline_misses, 3);
     assert_eq!(mid.sessions[0].degradations, 1);
-    assert!((mid.sessions[0].miss_rate() - 1.0).abs() < 1e-12);
+    // Every window that reached actuation missed its deadline.
+    assert_eq!(mid.sessions[0].deadline_misses, mid.sessions[0].processed);
 
     // Phase B — load lifts: the clock stops advancing, so every window
     // that still enters the pipeline lands at zero latency. The widened
@@ -265,7 +266,7 @@ fn sustained_misses_degrade_then_recovery_climbs_back() {
     // in the overload phase to 3/7 overall.
     assert_eq!(report.deadline_misses, 3);
     assert_eq!(report.processed, 7);
-    assert!(report.miss_rate() < 0.5);
+    assert!(2 * report.deadline_misses < report.processed);
     assert_eq!(report.recoveries, 2);
     assert_eq!(report.dropped, decimated);
 }

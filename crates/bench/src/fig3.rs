@@ -86,7 +86,6 @@ pub fn evaluate_classifier(
         n_mfcc: 13,
         n_mels: 24,
         pitch_range: (60.0, 500.0),
-        deltas: false,
     })?;
     let ActorSplit {
         mut train_x,
@@ -157,17 +156,10 @@ pub fn paper_weight_sizes() -> Vec<(ClassifierKind, f64, f64)> {
     ]
     .into_iter()
     .map(|cfg| {
-        let params = cfg.param_count();
-        // Tensor count per architecture: each dense/conv layer has W+b,
-        // each LSTM Wx+Wh+b. Scale overhead is negligible at this size;
-        // approximate with the parameter payload alone plus one scale per
-        // tensor estimated from the config shape.
-        let tensors = match &cfg {
-            ModelConfig::Mlp { hidden, .. } => 2 * (hidden.len() + 1),
-            ModelConfig::Cnn { channels, .. } => 2 * (channels.len() + 2),
-            ModelConfig::Lstm { hidden, .. } => 3 * hidden.len() + 2,
-            _ => 4,
-        };
+        // Both counts come off the built model: its scalars, and its weight
+        // tensors, each of which carries one int8 scale.
+        let model = cfg.build(0).expect("paper configurations build");
+        let (params, tensors) = (model.param_count(), model.params().len());
         let float_kb = nn::quant::float_weight_bytes(params) as f64 / 1024.0;
         let int8_kb = nn::quant::int8_weight_bytes(params, tensors) as f64 / 1024.0;
         (cfg.kind(), float_kb, int8_kb)
@@ -200,7 +192,7 @@ mod tests {
             r.accuracy,
             r.int8_accuracy
         );
-        assert!(r.quant.compression_ratio() > 3.0);
+        assert!(r.quant.float_bytes > 3 * r.quant.int8_bytes);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Synthetic physiological signal generators for the `affectsys`
 //! reproduction (DAC 2022).
 //!
-//! The paper's system collects biosignals from a smartwatch — skin
-//! conductance (SC/GSR), photoplethysmography (PPG), electrocardiography
-//! (ECG), inertial data (IMU), and voice — and classifies the wearer's
-//! affect on the phone. The datasets it evaluates on (RAVDESS, EMOVO,
+//! The paper's system collects biosignals from a smartwatch and classifies
+//! the wearer's affect on the phone. Its experiments read two of them:
+//! skin conductance (SC/GSR) for the Fig. 6 video playback and voice for
+//! the Sec. 2 classifiers. The datasets it evaluates on (RAVDESS, EMOVO,
 //! CREMA-D, uulmMAC) are not redistributable, so this crate provides
-//! parametric generators whose statistics are conditioned on the emotional
-//! state, exercising the identical signal→feature→classifier path (see
-//! DESIGN.md §2 for the substitution argument).
+//! parametric generators for those two signals whose statistics are
+//! conditioned on the emotional state, exercising the identical
+//! signal→feature→classifier path (see DESIGN.md §2 for the substitution
+//! argument).
 //!
 //! All generators are deterministic given a seed.
 //!
@@ -30,9 +31,7 @@
 // NaN, which is exactly what the parameter validation wants.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod cardiac;
 pub mod error;
-pub mod imu;
 pub mod noise;
 pub mod sc;
 pub mod stream;

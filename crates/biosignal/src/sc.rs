@@ -278,7 +278,8 @@ mod tests {
         let g = ScGenerator::new(ScConfig::default()).unwrap();
         let calm = g.generate(0.0, 120.0, 6).unwrap();
         let stressed = g.generate(1.0, 120.0, 6).unwrap();
-        assert!(stressed.mean() > calm.mean() + 0.3);
+        let mean = |s: &SampledSignal| s.samples.iter().sum::<f32>() / s.samples.len() as f32;
+        assert!(mean(&stressed) > mean(&calm) + 0.3);
     }
 
     #[test]

@@ -150,21 +150,6 @@ impl VoiceWindowStream {
             index: 0,
         })
     }
-
-    /// Total number of windows the stream will emit.
-    pub fn len_windows(&self) -> u64 {
-        self.schedule.iter().map(|&(_, c)| u64::from(c)).sum()
-    }
-
-    /// Window length in samples.
-    pub fn window_samples(&self) -> usize {
-        self.window_samples
-    }
-
-    /// Duration of one window in seconds.
-    pub fn window_secs(&self) -> f32 {
-        self.window_samples as f32 / self.sample_rate
-    }
 }
 
 impl Iterator for VoiceWindowStream {
@@ -233,7 +218,6 @@ mod tests {
             7,
         )
         .unwrap();
-        assert_eq!(stream.len_windows(), 5);
         let windows: Vec<_> = stream.collect();
         assert_eq!(windows.len(), 5);
         for (i, w) in windows.iter().enumerate() {
@@ -308,12 +292,5 @@ mod tests {
         );
         // Boundary value itself is accepted.
         validate_samples(&[MAX_ABS_SAMPLE, -MAX_ABS_SAMPLE]).unwrap();
-    }
-
-    #[test]
-    fn window_secs_matches_rate() {
-        let s = VoiceWindowStream::new(vec![(Emotion::Calm, 1)], 4096, 16_000.0, 1).unwrap();
-        assert!((s.window_secs() - 0.256).abs() < 1e-6);
-        assert_eq!(s.window_samples(), 4096);
     }
 }

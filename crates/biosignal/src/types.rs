@@ -10,7 +10,7 @@ use crate::BiosignalError;
 /// use biosignal::SampledSignal;
 /// # fn main() -> Result<(), biosignal::BiosignalError> {
 /// let s = SampledSignal::new(vec![0.0; 400], 4.0)?;
-/// assert!((s.duration_secs() - 100.0).abs() < 1e-6);
+/// assert_eq!(s.slice_secs(10.0, 20.0)?.len(), 40);
 /// # Ok(())
 /// # }
 /// ```
@@ -41,11 +41,6 @@ impl SampledSignal {
         })
     }
 
-    /// Signal duration in seconds.
-    pub fn duration_secs(&self) -> f32 {
-        self.samples.len() as f32 / self.sample_rate
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -54,11 +49,6 @@ impl SampledSignal {
     /// Returns `true` when the signal has no samples.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// The sample index for a time in seconds (clamped to the signal end).
-    pub fn index_at(&self, secs: f32) -> usize {
-        ((secs * self.sample_rate) as usize).min(self.samples.len().saturating_sub(1))
     }
 
     /// A slice covering `[start_secs, end_secs)`, clamped to the signal.
@@ -74,15 +64,6 @@ impl SampledSignal {
         let b = ((end_secs * self.sample_rate) as usize).min(self.samples.len());
         Ok(&self.samples[a..b])
     }
-
-    /// Mean value of the signal; `0.0` for an empty signal.
-    pub fn mean(&self) -> f32 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f32>() / self.samples.len() as f32
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,13 +74,6 @@ mod tests {
     fn rejects_bad_rate() {
         assert!(SampledSignal::new(vec![], 0.0).is_err());
         assert!(SampledSignal::new(vec![], -1.0).is_err());
-    }
-
-    #[test]
-    fn duration_math() {
-        let s = SampledSignal::new(vec![0.0; 16_000], 16_000.0).unwrap();
-        assert!((s.duration_secs() - 1.0).abs() < 1e-6);
-        assert_eq!(s.len(), 16_000);
     }
 
     #[test]
@@ -115,19 +89,5 @@ mod tests {
     fn slice_clamps_to_signal() {
         let s = SampledSignal::new(vec![1.0; 10], 1.0).unwrap();
         assert_eq!(s.slice_secs(5.0, 100.0).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn index_at_clamped() {
-        let s = SampledSignal::new(vec![0.0; 10], 2.0).unwrap();
-        assert_eq!(s.index_at(3.0), 6);
-        assert_eq!(s.index_at(100.0), 9);
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        let s = SampledSignal::new(vec![], 1.0).unwrap();
-        assert_eq!(s.mean(), 0.0);
-        assert!(s.is_empty());
     }
 }

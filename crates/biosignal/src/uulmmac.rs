@@ -171,16 +171,6 @@ impl UulmmacSession {
         }
         self.segments.last().expect("segments non-empty").state
     }
-
-    /// Iterates `(minute, state)` pairs at a fixed step — the emotion input
-    /// stream the adaptive decoder consumes.
-    pub fn state_stream(&self, step_min: f32) -> impl Iterator<Item = (f32, CognitiveState)> + '_ {
-        let steps = (self.duration_min() / step_min.max(1e-6)).ceil() as usize;
-        (0..steps).map(move |i| {
-            let minute = i as f32 * step_min;
-            (minute, self.state_at_min(minute))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -247,16 +237,5 @@ mod tests {
             end_min: 5.0,
         }];
         assert!(UulmmacSession::from_segments(bad, ScConfig::default(), 0).is_err());
-    }
-
-    #[test]
-    fn state_stream_steps_through_schedule() {
-        let s = UulmmacSession::paper_fig6(4).unwrap();
-        let stream: Vec<_> = s.state_stream(1.0).collect();
-        assert_eq!(stream.len(), 40);
-        assert_eq!(stream[0].1, CognitiveState::Distracted);
-        assert_eq!(stream[15].1, CognitiveState::Concentrated);
-        assert_eq!(stream[25].1, CognitiveState::Tense);
-        assert_eq!(stream[35].1, CognitiveState::Relaxed);
     }
 }

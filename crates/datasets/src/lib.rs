@@ -34,7 +34,6 @@ pub mod error;
 pub mod features;
 pub mod spec;
 pub mod split;
-pub mod wav;
 
 pub use corpus::{Corpus, Utterance};
 pub use error::DatasetError;

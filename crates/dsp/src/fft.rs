@@ -634,7 +634,7 @@ mod tests {
         let plan = FftPlan::recurrence(n).unwrap();
         assert_eq!(run_plan(&plan, &signal, None).1, reference);
         // A window is the same as transforming the pre-windowed frame.
-        let window = crate::Window::Hann.coefficients(n);
+        let window = crate::window::hann(n);
         let windowed: Vec<f32> = signal.iter().zip(&window).map(|(x, w)| x * w).collect();
         assert_eq!(
             run_plan(&plan, &signal, Some(&window)).1,

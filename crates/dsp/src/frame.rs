@@ -55,15 +55,6 @@ impl<'a> Frames<'a> {
             pos: 0,
         })
     }
-
-    /// Number of full frames this iterator will yield.
-    pub fn count_frames(&self) -> usize {
-        if self.signal.len() < self.frame_len {
-            0
-        } else {
-            (self.signal.len() - self.frame_len) / self.hop + 1
-        }
-    }
 }
 
 impl<'a> Iterator for Frames<'a> {
@@ -106,7 +97,7 @@ mod tests {
         let s = [1.0f32; 3];
         let mut it = Frames::new(&s, 4, 2).unwrap();
         assert_eq!(it.next(), None);
-        assert_eq!(it.count_frames(), 0);
+        assert_eq!(it.len(), 0);
     }
 
     #[test]
@@ -129,7 +120,7 @@ mod tests {
         let s: Vec<f32> = vec![0.0; 100];
         for (fl, hop) in [(10, 5), (16, 16), (7, 3), (100, 1)] {
             let it = Frames::new(&s, fl, hop).unwrap();
-            assert_eq!(it.count_frames(), it.clone().count(), "fl={fl} hop={hop}");
+            assert_eq!(it.len(), it.clone().count(), "fl={fl} hop={hop}");
         }
     }
 
@@ -137,7 +128,7 @@ mod tests {
     fn size_hint_is_exact() {
         let s: Vec<f32> = vec![0.0; 50];
         let mut it = Frames::new(&s, 10, 4).unwrap();
-        let mut expected = it.count_frames();
+        let mut expected = it.clone().count();
         while let (lo, Some(hi)) = it.size_hint() {
             assert_eq!(lo, hi);
             assert_eq!(lo, expected);

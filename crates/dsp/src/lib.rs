@@ -14,7 +14,7 @@
 //! Extract a 13-coefficient MFCC vector from one frame of a synthetic tone:
 //!
 //! ```
-//! use dsp::{mel::MfccExtractor, window::Window};
+//! use dsp::mel::MfccExtractor;
 //!
 //! # fn main() -> Result<(), dsp::DspError> {
 //! let sample_rate = 16_000.0;
@@ -49,4 +49,3 @@ pub use features::{
 pub use fft::{fft_inplace, ifft_inplace, rfft_magnitude, Complex, FftPlan};
 pub use frame::Frames;
 pub use mel::{hz_to_mel, mel_to_hz, MelFilterBank, MfccExtractor};
-pub use window::Window;

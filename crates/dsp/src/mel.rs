@@ -6,7 +6,7 @@
 //! DCT-II. This module implements that path exactly.
 
 use crate::fft::FftPlan;
-use crate::window::Window;
+use crate::window::hann;
 use crate::DspError;
 
 /// Converts a frequency in hertz to mels (O'Shaughnessy's formula).
@@ -241,7 +241,6 @@ pub fn dct_ii_into(input: &[f32], n_out: usize, out: &mut Vec<f32>) {
 #[derive(Debug, Clone)]
 pub struct MfccExtractor {
     bank: MelFilterBank,
-    window: Window,
     frame_len: usize,
     n_coeffs: usize,
     plan: FftPlan,
@@ -325,8 +324,7 @@ impl MfccExtractor {
         }
         let bank = MelFilterBank::new(sample_rate, frame_len, n_filters)?;
         let plan = FftPlan::new(frame_len)?;
-        let window = Window::Hann;
-        let window_coeffs = window.coefficients(frame_len);
+        let window_coeffs = hann(frame_len);
         let n = n_filters as f32;
         let mut dct_basis = Vec::with_capacity(n_coeffs * n_filters);
         for k in 0..n_coeffs {
@@ -342,7 +340,6 @@ impl MfccExtractor {
         }
         Ok(Self {
             bank,
-            window,
             frame_len,
             n_coeffs,
             plan,
@@ -352,19 +349,9 @@ impl MfccExtractor {
         })
     }
 
-    /// The window function applied to each frame.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
     /// Frame length in samples this extractor expects.
     pub fn frame_len(&self) -> usize {
         self.frame_len
-    }
-
-    /// Number of cepstral coefficients produced per frame.
-    pub fn n_coeffs(&self) -> usize {
-        self.n_coeffs
     }
 
     /// Extracts MFCCs from one frame.

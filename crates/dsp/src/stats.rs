@@ -2,7 +2,8 @@
 //!
 //! The paper's smartphone-side feature extraction includes "time-based
 //! features such as mean, histogram, and variance" computed over biosignal
-//! windows; these helpers provide them for the classification pipeline.
+//! windows; these helpers provide the moments and range the classification
+//! pipeline computes.
 
 use crate::DspError;
 
@@ -37,86 +38,6 @@ pub fn std_dev(xs: &[f32]) -> Result<f32, DspError> {
     Ok(variance(xs)?.sqrt())
 }
 
-/// Fisher skewness (third standardized moment); `0.0` when the variance is
-/// (numerically) zero.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty slice.
-pub fn skewness(xs: &[f32]) -> Result<f32, DspError> {
-    let m = mean(xs)?;
-    let var = variance(xs)?;
-    if var < 1e-12 {
-        return Ok(0.0);
-    }
-    let n = xs.len() as f32;
-    let m3 = xs.iter().map(|x| (x - m).powi(3)).sum::<f32>() / n;
-    Ok(m3 / var.powf(1.5))
-}
-
-/// Excess kurtosis (fourth standardized moment minus three); `0.0` when the
-/// variance is (numerically) zero.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty slice.
-pub fn kurtosis(xs: &[f32]) -> Result<f32, DspError> {
-    let m = mean(xs)?;
-    let var = variance(xs)?;
-    if var < 1e-12 {
-        return Ok(0.0);
-    }
-    let n = xs.len() as f32;
-    let m4 = xs.iter().map(|x| (x - m).powi(4)).sum::<f32>() / n;
-    Ok(m4 / (var * var) - 3.0)
-}
-
-/// Normalized histogram of `xs` with `bins` equal-width bins spanning
-/// `[min, max]` of the data. Returns a vector of bin fractions that sums to
-/// one. When all values are identical every sample falls in the first bin.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty slice and
-/// [`DspError::InvalidParameter`] for zero `bins`.
-///
-/// # Example
-///
-/// ```
-/// use dsp::stats::histogram;
-/// # fn main() -> Result<(), dsp::DspError> {
-/// let h = histogram(&[0.0, 0.1, 0.9, 1.0], 2)?;
-/// assert_eq!(h.len(), 2);
-/// assert!((h[0] - 0.5).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-pub fn histogram(xs: &[f32], bins: usize) -> Result<Vec<f32>, DspError> {
-    if xs.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if bins == 0 {
-        return Err(DspError::InvalidParameter {
-            name: "bins",
-            reason: "must be non-zero",
-        });
-    }
-    let lo = xs.iter().fold(f32::INFINITY, |a, &b| a.min(b));
-    let hi = xs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f32;
-    for &x in xs {
-        let idx = if width <= 0.0 {
-            0
-        } else {
-            (((x - lo) / width) as usize).min(bins - 1)
-        };
-        counts[idx] += 1;
-    }
-    let n = xs.len() as f32;
-    Ok(counts.iter().map(|&c| c as f32 / n).collect())
-}
-
 /// Minimum and maximum of a slice as `(min, max)`.
 ///
 /// # Errors
@@ -149,9 +70,6 @@ mod tests {
     fn empty_inputs_rejected() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[]).is_err());
-        assert!(skewness(&[]).is_err());
-        assert!(kurtosis(&[]).is_err());
-        assert!(histogram(&[], 4).is_err());
         assert!(min_max(&[]).is_err());
     }
 
@@ -159,44 +77,10 @@ mod tests {
     fn constant_data_has_zero_moments() {
         let xs = [3.0f32; 10];
         assert_eq!(variance(&xs).unwrap(), 0.0);
-        assert_eq!(skewness(&xs).unwrap(), 0.0);
-        assert_eq!(kurtosis(&xs).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn right_tail_gives_positive_skew() {
-        let xs = [1.0, 1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&xs).unwrap() > 0.5);
-    }
-
-    #[test]
-    fn histogram_sums_to_one() {
-        let xs: Vec<f32> = (0..97).map(|i| (i as f32).sin()).collect();
-        let h = histogram(&xs, 8).unwrap();
-        let total: f32 = h.iter().sum();
-        assert!((total - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn histogram_constant_data_all_in_first_bin() {
-        let h = histogram(&[5.0; 12], 4).unwrap();
-        assert!((h[0] - 1.0).abs() < 1e-6);
-        assert!(h[1..].iter().all(|&b| b == 0.0));
-    }
-
-    #[test]
-    fn histogram_rejects_zero_bins() {
-        assert!(histogram(&[1.0], 0).is_err());
     }
 
     #[test]
     fn min_max_correct() {
         assert_eq!(min_max(&[3.0, -1.0, 2.0]).unwrap(), (-1.0, 3.0));
-    }
-
-    #[test]
-    fn max_value_lands_in_last_bin() {
-        let h = histogram(&[0.0, 1.0], 10).unwrap();
-        assert!((h[9] - 0.5).abs() < 1e-6);
     }
 }

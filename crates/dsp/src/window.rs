@@ -1,99 +1,32 @@
-//! Analysis window functions.
+//! The analysis window.
 //!
 //! Emotional-speech features in the paper are computed over short overlapping
-//! frames; windows taper frame edges to limit spectral leakage before the FFT.
+//! frames; a Hann window tapers frame edges to limit spectral leakage before
+//! the FFT.
 
-use crate::DspError;
-
-/// A window function applied to an analysis frame before the FFT.
+/// Hann (raised cosine) coefficients for a frame of `len` samples.
+///
+/// For `len == 1` the single coefficient is `1.0`, so a degenerate frame is
+/// passed through unchanged.
 ///
 /// # Example
 ///
 /// ```
-/// use dsp::Window;
-/// let coeffs = Window::Hann.coefficients(8);
+/// let coeffs = dsp::window::hann(8);
 /// assert_eq!(coeffs.len(), 8);
 /// assert!(coeffs[0].abs() < 1e-6); // Hann starts at zero
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum Window {
-    /// No tapering; all coefficients are one.
-    Rectangular,
-    /// Hann (raised cosine) window — the default for MFCC extraction.
-    #[default]
-    Hann,
-    /// Hamming window.
-    Hamming,
-    /// Blackman window (three-term).
-    Blackman,
-}
-
-impl Window {
-    /// Returns the window coefficients for a frame of `len` samples.
-    ///
-    /// For `len == 1` the single coefficient is `1.0` for every window so a
-    /// degenerate frame is passed through unchanged.
-    pub fn coefficients(self, len: usize) -> Vec<f32> {
-        if len <= 1 {
-            return vec![1.0; len];
-        }
-        let denom = (len - 1) as f32;
-        (0..len)
-            .map(|i| {
-                let x = i as f32 / denom;
-                match self {
-                    Window::Rectangular => 1.0,
-                    Window::Hann => 0.5 - 0.5 * (2.0 * std::f32::consts::PI * x).cos(),
-                    Window::Hamming => 0.54 - 0.46 * (2.0 * std::f32::consts::PI * x).cos(),
-                    Window::Blackman => {
-                        0.42 - 0.5 * (2.0 * std::f32::consts::PI * x).cos()
-                            + 0.08 * (4.0 * std::f32::consts::PI * x).cos()
-                    }
-                }
-            })
-            .collect()
+pub fn hann(len: usize) -> Vec<f32> {
+    if len <= 1 {
+        return vec![1.0; len];
     }
-
-    /// Multiplies `frame` by this window in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty frame.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dsp::Window;
-    /// # fn main() -> Result<(), dsp::DspError> {
-    /// let mut frame = vec![1.0f32; 16];
-    /// Window::Hamming.apply(&mut frame)?;
-    /// assert!(frame[0] < frame[8]); // edges are attenuated
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn apply(self, frame: &mut [f32]) -> Result<(), DspError> {
-        if frame.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        let coeffs = self.coefficients(frame.len());
-        for (s, c) in frame.iter_mut().zip(coeffs) {
-            *s *= c;
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Display for Window {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Window::Rectangular => "rectangular",
-            Window::Hann => "hann",
-            Window::Hamming => "hamming",
-            Window::Blackman => "blackman",
-        };
-        f.write_str(name)
-    }
+    let denom = (len - 1) as f32;
+    (0..len)
+        .map(|i| {
+            let x = i as f32 / denom;
+            0.5 - 0.5 * (2.0 * std::f32::consts::PI * x).cos()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -101,16 +34,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rectangular_is_all_ones() {
-        assert!(Window::Rectangular
-            .coefficients(9)
-            .iter()
-            .all(|&c| c == 1.0));
-    }
-
-    #[test]
     fn hann_is_symmetric_and_peaks_in_middle() {
-        let c = Window::Hann.coefficients(33);
+        let c = hann(33);
         for i in 0..c.len() {
             assert!((c[i] - c[c.len() - 1 - i]).abs() < 1e-6);
         }
@@ -118,41 +43,15 @@ mod tests {
     }
 
     #[test]
-    fn hamming_edges_are_nonzero() {
-        let c = Window::Hamming.coefficients(16);
-        assert!((c[0] - 0.08).abs() < 1e-6);
-    }
-
-    #[test]
-    fn blackman_edges_near_zero() {
-        let c = Window::Blackman.coefficients(16);
-        assert!(c[0].abs() < 1e-6);
-    }
-
-    #[test]
-    fn apply_rejects_empty() {
-        let mut frame: Vec<f32> = vec![];
-        assert_eq!(Window::Hann.apply(&mut frame), Err(DspError::EmptyInput));
+    fn all_windows_bounded_zero_to_one() {
+        for c in hann(64) {
+            assert!((-1e-6..=1.0 + 1e-6).contains(&c), "{c}");
+        }
     }
 
     #[test]
     fn single_sample_passthrough() {
-        let mut frame = vec![2.0f32];
-        Window::Hann.apply(&mut frame).unwrap();
-        assert_eq!(frame[0], 2.0);
-    }
-
-    #[test]
-    fn all_windows_bounded_zero_to_one() {
-        for w in [
-            Window::Rectangular,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-        ] {
-            for c in w.coefficients(64) {
-                assert!((-1e-6..=1.0 + 1e-6).contains(&c), "{w}: {c}");
-            }
-        }
+        assert_eq!(hann(1), vec![1.0]);
+        assert!(hann(0).is_empty());
     }
 }

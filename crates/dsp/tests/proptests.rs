@@ -1,8 +1,9 @@
 //! Property-based tests for the DSP kernels.
 
 use dsp::fft::{fft_inplace, ifft_inplace, Complex, FftPlan};
-use dsp::stats::{histogram, mean, min_max, variance};
-use dsp::{rms, zero_crossing_rate, Frames, MelFilterBank, Window};
+use dsp::stats::{mean, min_max, variance};
+use dsp::window::hann;
+use dsp::{rms, zero_crossing_rate, Frames, MelFilterBank};
 use proptest::prelude::*;
 
 /// Textbook O(n²) DFT — the oracle the fast transforms are checked against.
@@ -119,7 +120,8 @@ proptest! {
         prop_assert!(r <= peak + 1e-4);
     }
 
-    /// Frame iterator yields exactly `count_frames()` frames of `frame_len`.
+    /// Frame iterator yields exactly `(len - frame_len) / hop + 1` frames
+    /// of `frame_len` (none when the signal is shorter than a frame).
     #[test]
     fn frames_consistent(
         signal in prop::collection::vec(0.0f32..1.0, 0..256),
@@ -127,7 +129,11 @@ proptest! {
         hop in 1usize..16,
     ) {
         let frames = Frames::new(&signal, frame_len, hop).unwrap();
-        let expected = frames.count_frames();
+        let expected = if signal.len() < frame_len {
+            0
+        } else {
+            (signal.len() - frame_len) / hop + 1
+        };
         let collected: Vec<_> = frames.collect();
         prop_assert_eq!(collected.len(), expected);
         prop_assert!(collected.iter().all(|f| f.len() == frame_len));
@@ -147,19 +153,6 @@ proptest! {
         }
     }
 
-    /// Histogram fractions sum to 1 and every fraction is in [0, 1].
-    #[test]
-    fn histogram_is_distribution(
-        xs in prop::collection::vec(-100.0f32..100.0, 1..200),
-        bins in 1usize..32,
-    ) {
-        let h = histogram(&xs, bins).unwrap();
-        prop_assert_eq!(h.len(), bins);
-        let total: f32 = h.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-4);
-        prop_assert!(h.iter().all(|&b| (0.0..=1.0).contains(&b)));
-    }
-
     /// Mean lies between min and max; variance is nonnegative.
     #[test]
     fn moments_sane(xs in prop::collection::vec(-50.0f32..50.0, 1..200)) {
@@ -169,14 +162,10 @@ proptest! {
         prop_assert!(variance(&xs).unwrap() >= -1e-6);
     }
 
-    /// Window coefficients stay in [0, 1] and application never increases
-    /// the peak magnitude.
+    /// Hann coefficients stay in [0, 1], so windowing never increases a
+    /// frame's peak magnitude.
     #[test]
     fn window_attenuates(len in 2usize..256) {
-        for w in [Window::Rectangular, Window::Hann, Window::Hamming, Window::Blackman] {
-            let mut frame = vec![1.0f32; len];
-            w.apply(&mut frame).unwrap();
-            prop_assert!(frame.iter().all(|&x| (-1e-6..=1.0 + 1e-6).contains(&x)));
-        }
+        prop_assert!(hann(len).iter().all(|&c| (-1e-6..=1.0 + 1e-6).contains(&c)));
     }
 }

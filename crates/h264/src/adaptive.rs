@@ -1,7 +1,7 @@
 //! The affect-adaptive decoder: emotion-driven mode switching and the
 //! Fig. 6 playback experiment.
 
-use crate::backend::{self, BackendKind, DecodeKernels};
+use crate::backend::{self, DecodeKernels};
 use crate::buffers::SelectorParams;
 use crate::decoder::{Activity, DecodeOutput, DecodeStream, Decoder, DecoderOptions};
 use crate::power::{paper_targets, PowerModel};
@@ -266,11 +266,9 @@ struct DriverMetrics {
     ingest_units: Arc<Counter>,
     ingest_resyncs: Arc<Counter>,
     ingest_pending: Arc<Histogram>,
-    /// Per-backend decode-latency histograms, pre-registered for every
-    /// [`BackendKind`] so switching kernels at runtime never touches the
-    /// registry lock on the decode path. A custom external backend whose
-    /// name matches neither entry simply records no latency samples.
-    decode_ns: Vec<(&'static str, Arc<Histogram>)>,
+    /// Decode-latency histogram of the driver's kernel backend, which is
+    /// fixed when the driver is built.
+    decode_ns: Arc<Histogram>,
 }
 
 impl ModeSwitchDriver {
@@ -287,14 +285,7 @@ impl ModeSwitchDriver {
         }
     }
 
-    /// Pins the kernel backend used for subsequent segments (all backends
-    /// are bit-exact; this only changes speed). Applies from the next
-    /// [`ModeSwitchDriver::decode_segment`], like a mode switch.
-    pub fn set_kernels(&mut self, kernels: Arc<dyn DecodeKernels>) {
-        self.kernels = kernels;
-    }
-
-    /// The name of the kernel backend subsequent segments decode through.
+    /// The name of the kernel backend the driver decodes through.
     pub fn backend_name(&self) -> &'static str {
         self.kernels.name()
     }
@@ -399,20 +390,11 @@ impl ModeSwitchDriver {
                 "per-segment high-water mark of the partial-unit buffer",
                 &[],
             ),
-            decode_ns: BackendKind::ALL
-                .iter()
-                .map(|kind| {
-                    let name = kind.kernels().name();
-                    (
-                        name,
-                        registry.histogram(
-                            "affect_h264_decode_ns",
-                            "wall-clock nanoseconds per decoded segment, by kernel backend",
-                            &[("backend", name)],
-                        ),
-                    )
-                })
-                .collect(),
+            decode_ns: registry.histogram(
+                "affect_h264_decode_ns",
+                "wall-clock nanoseconds per decoded segment, by kernel backend",
+                &[("backend", self.kernels.name())],
+            ),
         });
     }
 
@@ -490,10 +472,7 @@ impl ModeSwitchDriver {
         }
         let out = self.finish_segment(stream)?;
         if let Some(m) = &self.metrics {
-            let backend = self.kernels.name();
-            if let Some((_, h)) = m.decode_ns.iter().find(|(name, _)| *name == backend) {
-                h.record(start.elapsed().as_nanos() as u64);
-            }
+            m.decode_ns.record(start.elapsed().as_nanos() as u64);
         }
         Ok(out)
     }
@@ -545,10 +524,7 @@ impl ModeSwitchDriver {
             m.resyncs.add(out.resilience.resyncs);
             m.decode_mb.add(out.activity.macroblocks);
             if elapsed_ns > 0 {
-                let backend = self.kernels.name();
-                if let Some((_, h)) = m.decode_ns.iter().find(|(name, _)| *name == backend) {
-                    h.record(elapsed_ns);
-                }
+                m.decode_ns.record(elapsed_ns);
             }
         }
     }
@@ -725,19 +701,6 @@ mod tests {
             &[("backend", driver.backend_name())],
         );
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn driver_backend_is_switchable() {
-        let (_, stream) = clip_and_stream();
-        let mut driver = ModeSwitchDriver::default();
-        let default_out = driver.decode_segment(&stream).unwrap();
-        driver.set_kernels(crate::backend::reference());
-        assert_eq!(driver.backend_name(), "reference");
-        let reference_out = driver.decode_segment(&stream).unwrap();
-        // Bit-exact contract: identical frames and counters either way.
-        assert_eq!(default_out.frames, reference_out.frames);
-        assert_eq!(default_out.activity, reference_out.activity);
     }
 
     #[test]

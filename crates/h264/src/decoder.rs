@@ -189,11 +189,6 @@ impl Decoder {
         Self { options, kernels }
     }
 
-    /// The active options.
-    pub fn options(&self) -> &DecoderOptions {
-        &self.options
-    }
-
     /// The name of the active kernel backend (e.g. `"reference"`,
     /// `"simd-sse2"`).
     pub fn backend_name(&self) -> &'static str {
@@ -779,12 +774,6 @@ impl DecodeStream {
         }
     }
 
-    /// Frames emitted so far (concealment of a deleted tail happens at
-    /// [`DecodeStream::finish`]).
-    pub fn frames_decoded(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The active sequence parameters, once an SPS has been decoded.
     pub fn sps(&self) -> Option<&SpsParams> {
         self.sps.as_ref()
@@ -799,11 +788,6 @@ impl DecodeStream {
     /// Bytes currently buffered for the in-flight partial unit.
     pub fn pending_bytes(&self) -> usize {
         self.scanner.pending_bytes()
-    }
-
-    /// Parameter-set cache hits (re-sent identical SPS units).
-    pub fn parameter_set_hits(&self) -> u64 {
-        self.params.hits()
     }
 
     /// Ends the stream: frames and decodes the final unit, conceals a

@@ -52,11 +52,6 @@ impl BitWriter {
         }
     }
 
-    /// Writes a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u32::from(bit), 1);
-    }
-
     /// Writes an unsigned Exp-Golomb code.
     pub fn write_ue(&mut self, value: u32) {
         let code = value + 1;
@@ -108,11 +103,6 @@ impl<'a> BitReader<'a> {
     /// Bits consumed so far.
     pub fn bits_read(&self) -> usize {
         self.pos
-    }
-
-    /// Bits left to read.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
     }
 
     /// Reads one bit.
@@ -240,7 +230,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bits(0b1011, 4);
         w.write_bits(0xFF, 8);
-        w.write_bit(true);
+        w.write_bits(1, 1);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(4).unwrap(), 0b1011);
@@ -265,7 +255,6 @@ mod tests {
         // position — not zero-fill, not wrap.
         let mut r = BitReader::new(&[0xFF]);
         assert_eq!(r.read_bits(8).unwrap(), 0xFF);
-        assert_eq!(r.remaining_bits(), 0);
         assert_eq!(
             r.read_bit(),
             Err(CodecError::BitstreamExhausted { bit_pos: 8 })

@@ -18,8 +18,8 @@ pub const BLOCKS_PER_MB: usize = MB_SIZE / BLOCK_SIZE;
 /// use h264::Frame;
 /// # fn main() -> Result<(), h264::CodecError> {
 /// let f = Frame::new(64, 48)?;
-/// assert_eq!(f.mb_cols(), 4);
-/// assert_eq!(f.mb_rows(), 3);
+/// assert_eq!((f.width(), f.height()), (64, 48));
+/// assert_eq!(f.data().len(), 64 * 48);
 /// # Ok(())
 /// # }
 /// ```
@@ -82,16 +82,6 @@ impl Frame {
     /// Frame height in pixels.
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Macroblock columns.
-    pub fn mb_cols(&self) -> usize {
-        self.width / MB_SIZE
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.height / MB_SIZE
     }
 
     /// Raw pixel buffer (row-major).
@@ -163,14 +153,6 @@ mod tests {
         assert!(Frame::new(17, 16).is_err());
         assert!(Frame::new(16, 20).is_err());
         assert!(Frame::from_data(16, 16, vec![0; 100]).is_err());
-    }
-
-    #[test]
-    fn mb_geometry() {
-        let f = Frame::new(176, 144).unwrap();
-        assert_eq!(f.mb_cols(), 11);
-        assert_eq!(f.mb_rows(), 9);
-        assert_eq!(f.data().len(), 176 * 144);
     }
 
     #[test]

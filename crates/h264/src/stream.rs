@@ -317,7 +317,6 @@ impl AccessUnitAssembler {
 pub struct ParameterSetCache {
     sps: Option<Vec<u8>>,
     pps: Option<Vec<u8>>,
-    hits: u64,
 }
 
 impl ParameterSetCache {
@@ -334,7 +333,7 @@ impl ParameterSetCache {
     /// [`CodecError::InvalidSyntax`] when the payload differs from the
     /// cached one.
     pub fn offer_sps(&mut self, payload: &[u8]) -> Result<bool, CodecError> {
-        Self::offer(&mut self.sps, &mut self.hits, payload, "sps")
+        Self::offer(&mut self.sps, payload, "sps")
     }
 
     /// Offers a PPS payload — same contract as
@@ -346,12 +345,11 @@ impl ParameterSetCache {
     /// [`CodecError::InvalidSyntax`] when the payload differs from the
     /// cached one.
     pub fn offer_pps(&mut self, payload: &[u8]) -> Result<bool, CodecError> {
-        Self::offer(&mut self.pps, &mut self.hits, payload, "pps")
+        Self::offer(&mut self.pps, payload, "pps")
     }
 
     fn offer(
         slot: &mut Option<Vec<u8>>,
-        hits: &mut u64,
         payload: &[u8],
         what: &'static str,
     ) -> Result<bool, CodecError> {
@@ -360,30 +358,12 @@ impl ParameterSetCache {
                 *slot = Some(payload.to_vec());
                 Ok(true)
             }
-            Some(active) if active.as_slice() == payload => {
-                *hits += 1;
-                Ok(false)
-            }
+            Some(active) if active.as_slice() == payload => Ok(false),
             Some(_) => Err(CodecError::InvalidSyntax(match what {
                 "sps" => "sps changed mid-stream",
                 _ => "pps changed mid-stream",
             })),
         }
-    }
-
-    /// The active SPS payload, if one was offered.
-    pub fn active_sps(&self) -> Option<&[u8]> {
-        self.sps.as_deref()
-    }
-
-    /// The active PPS payload, if one was offered.
-    pub fn active_pps(&self) -> Option<&[u8]> {
-        self.pps.as_deref()
-    }
-
-    /// Cache hits (re-sent identical parameter sets of either kind).
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -558,23 +538,19 @@ mod tests {
         let mut cache = ParameterSetCache::new();
         assert!(cache.offer_sps(&[1, 2]).unwrap());
         assert!(!cache.offer_sps(&[1, 2]).unwrap());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.active_sps(), Some(&[1u8, 2][..]));
         assert!(cache.offer_sps(&[9]).is_err());
     }
 
     #[test]
     fn parameter_set_cache_treats_pps_like_sps() {
         let mut cache = ParameterSetCache::new();
-        // First sight activates; the SPS slot is untouched.
+        // First sight activates; the SPS slot stays empty, so the first
+        // SPS activates too.
         assert!(cache.offer_pps(&[5, 6]).unwrap());
-        assert_eq!(cache.active_pps(), Some(&[5u8, 6][..]));
-        assert_eq!(cache.active_sps(), None);
-        // Byte-identical re-sends hit; SPS and PPS hits share the tally.
+        // Byte-identical re-sends hit.
         assert!(!cache.offer_pps(&[5, 6]).unwrap());
         assert!(cache.offer_sps(&[1]).unwrap());
         assert!(!cache.offer_sps(&[1]).unwrap());
-        assert_eq!(cache.hits(), 2);
         // The slots are independent: a changed PPS errors even when the
         // payload equals the active SPS.
         assert_eq!(

@@ -167,19 +167,6 @@ impl EmotionReranker {
         }
         true
     }
-
-    /// Indices of `apps` ordered most-retainable first under the current
-    /// emotion (the head survives longest; the tail is killed first).
-    /// Ties break by input order, keeping the ranking deterministic.
-    pub fn retention_order(&self, apps: &[App]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..apps.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = self.table.rank(self.emotion, &apps[a]);
-            let rb = self.table.rank(self.emotion, &apps[b]);
-            rb.total_cmp(&ra).then(a.cmp(&b))
-        });
-        order
-    }
 }
 
 #[cfg(test)]
@@ -252,24 +239,5 @@ mod tests {
         assert!(r.observe(Emotion::Calm));
         assert_eq!(r.reranks(), 2);
         assert_eq!(r.emotion(), Emotion::Calm);
-    }
-
-    #[test]
-    fn retention_order_tracks_emotion() {
-        let t = AppAffectTable::from_subject(&SubjectProfile::subject3(), 0.0);
-        let device = DeviceConfig::paper_emulator();
-        let apps: Vec<_> = vec![
-            device.apps_in(AppCategory::Tv)[0].clone(),
-            device.apps_in(AppCategory::Calling)[0].clone(),
-        ];
-        let mut r = EmotionReranker::new(t, Emotion::Happy);
-        // Subject 3 calls a lot when excited: the dialer outranks TV.
-        assert_eq!(r.retention_order(&apps), vec![1, 0]);
-        // A full ordering is a permutation regardless of emotion.
-        r.observe(Emotion::Calm);
-        let order = r.retention_order(&apps);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1]);
     }
 }

@@ -84,15 +84,6 @@ impl ProcessTimeline {
         }
     }
 
-    /// Total alive seconds of one app.
-    pub fn alive_secs(&self, app_id: usize) -> f64 {
-        self.rows
-            .iter()
-            .find(|(id, _)| *id == app_id)
-            .map(|(_, spans)| spans.iter().map(|(a, b)| b - a).sum())
-            .unwrap_or(0.0)
-    }
-
     /// Number of times the app's process died.
     pub fn death_count(&self, app_id: usize) -> usize {
         self.rows
@@ -171,8 +162,6 @@ mod tests {
         assert_eq!(tl.rows.len(), 2);
         let app1 = tl.rows.iter().find(|(id, _)| *id == 1).unwrap();
         assert_eq!(app1.1, vec![(0.0, 40.0), (60.0, 100.0)]);
-        assert!((tl.alive_secs(1) - 80.0).abs() < 1e-9);
-        assert!((tl.alive_secs(2) - 90.0).abs() < 1e-9);
     }
 
     #[test]

@@ -189,17 +189,6 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     s0 + s1 + s2 + s3 + tail
 }
 
-/// Quantized `y = Wq · xq` for a row-major `[m, n]` int8 matrix, producing
-/// raw `i32` accumulators (callers apply the combined scale).
-pub fn gemv_i8(w: &[i8], m: usize, n: usize, x: &[i8], y: &mut [i32]) {
-    debug_assert_eq!(w.len(), m * n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), m);
-    for (r, yr) in y.iter_mut().enumerate() {
-        *yr = dot_i8(&w[r * n..r * n + n], x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,16 +278,5 @@ mod tests {
             .map(|(&x, &y)| i32::from(x) * i32::from(y))
             .sum();
         assert_eq!(dot_i8(&a, &b), expected);
-    }
-
-    #[test]
-    fn gemv_i8_rows_are_dots() {
-        let w: Vec<i8> = (0..12).map(|i| (i as i8) - 6).collect();
-        let x: Vec<i8> = vec![1, -2, 3, -4];
-        let mut y = vec![0i32; 3];
-        gemv_i8(&w, 3, 4, &x, &mut y);
-        for r in 0..3 {
-            assert_eq!(y[r], dot_i8(&w[r * 4..(r + 1) * 4], &x));
-        }
     }
 }

@@ -1,22 +1,12 @@
-//! Elementwise activation layers.
+//! The elementwise activation layer: ReLU, the nonlinearity between the
+//! layers of every classifier family (the recurrent cells apply their gate
+//! sigmoids and tanh internally).
 
 use crate::layers::Layer;
 use crate::scratch::{Scratch, Shape};
 use crate::{NnError, Tensor};
 
-/// The activation function applied by an [`Activation`] layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ActivationKind {
-    /// `max(0, x)`.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-}
-
-/// An elementwise activation layer.
+/// A ReLU activation layer: `max(0, x)` elementwise.
 ///
 /// # Example
 ///
@@ -32,62 +22,22 @@ pub enum ActivationKind {
 /// ```
 #[derive(Debug)]
 pub struct Activation {
-    kind: ActivationKind,
-    /// Cached forward *output* (enough to differentiate all three kinds).
-    output_cache: Option<Tensor>,
-    /// Cached input sign mask for ReLU.
+    /// Cached forward input: its sign mask is the derivative.
     input_cache: Option<Tensor>,
 }
 
 impl Activation {
-    /// Creates an activation layer of the given kind.
-    pub fn new(kind: ActivationKind) -> Self {
-        Self {
-            kind,
-            output_cache: None,
-            input_cache: None,
-        }
-    }
-
-    /// Shorthand for `Activation::new(ActivationKind::Relu)`.
+    /// Creates a ReLU layer.
     pub fn relu() -> Self {
-        Self::new(ActivationKind::Relu)
+        Self { input_cache: None }
     }
-
-    /// Shorthand for `Activation::new(ActivationKind::Tanh)`.
-    pub fn tanh() -> Self {
-        Self::new(ActivationKind::Tanh)
-    }
-
-    /// Shorthand for `Activation::new(ActivationKind::Sigmoid)`.
-    pub fn sigmoid() -> Self {
-        Self::new(ActivationKind::Sigmoid)
-    }
-
-    /// The activation kind.
-    pub fn kind(&self) -> ActivationKind {
-        self.kind
-    }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NnError> {
-        let data: Vec<f32> = match self.kind {
-            ActivationKind::Relu => input.data().iter().map(|&x| x.max(0.0)).collect(),
-            ActivationKind::Tanh => input.data().iter().map(|&x| x.tanh()).collect(),
-            ActivationKind::Sigmoid => input.data().iter().map(|&x| sigmoid(x)).collect(),
-        };
-        let out = Tensor::from_vec(data, input.shape())?;
-        self.output_cache = Some(out.clone());
-        if self.kind == ActivationKind::Relu {
-            self.input_cache = Some(input.clone());
-        }
-        Ok(out)
+        let data: Vec<f32> = input.data().iter().map(|&x| x.max(0.0)).collect();
+        self.input_cache = Some(input.clone());
+        Tensor::from_vec(data, input.shape())
     }
 
     fn forward_scratch(
@@ -99,72 +49,30 @@ impl Layer for Activation {
     ) -> Result<Shape, NnError> {
         out.clear();
         out.resize(input.len(), 0.0);
-        match self.kind {
-            ActivationKind::Relu => {
-                for (y, &x) in out.iter_mut().zip(input) {
-                    *y = x.max(0.0);
-                }
-            }
-            ActivationKind::Tanh => {
-                for (y, &x) in out.iter_mut().zip(input) {
-                    *y = x.tanh();
-                }
-            }
-            ActivationKind::Sigmoid => {
-                for (y, &x) in out.iter_mut().zip(input) {
-                    *y = sigmoid(x);
-                }
-            }
+        for (y, &x) in out.iter_mut().zip(input) {
+            *y = x.max(0.0);
         }
         Ok(shape)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let out = self
-            .output_cache
+        let input = self
+            .input_cache
             .as_ref()
             .ok_or(NnError::InvalidState("activation backward before forward"))?;
-        if grad_out.shape() != out.shape() {
+        if grad_out.shape() != input.shape() {
             return Err(NnError::ShapeMismatch {
-                expected: format!("{:?}", out.shape()),
+                expected: format!("{:?}", input.shape()),
                 actual: grad_out.shape().to_vec(),
             });
         }
-        let data: Vec<f32> = match self.kind {
-            ActivationKind::Relu => {
-                let input = self
-                    .input_cache
-                    .as_ref()
-                    .ok_or(NnError::InvalidState("relu input cache missing"))?;
-                grad_out
-                    .data()
-                    .iter()
-                    .zip(input.data())
-                    .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
-                    .collect()
-            }
-            ActivationKind::Tanh => grad_out
-                .data()
-                .iter()
-                .zip(out.data())
-                .map(|(&g, &y)| g * (1.0 - y * y))
-                .collect(),
-            ActivationKind::Sigmoid => grad_out
-                .data()
-                .iter()
-                .zip(out.data())
-                .map(|(&g, &y)| g * y * (1.0 - y))
-                .collect(),
-        };
+        let data: Vec<f32> = grad_out
+            .data()
+            .iter()
+            .zip(input.data())
+            .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
+            .collect();
         Tensor::from_vec(data, grad_out.shape())
-    }
-
-    fn name(&self) -> &'static str {
-        match self.kind {
-            ActivationKind::Relu => "relu",
-            ActivationKind::Tanh => "tanh",
-            ActivationKind::Sigmoid => "sigmoid",
-        }
     }
 }
 
@@ -172,8 +80,9 @@ impl Layer for Activation {
 mod tests {
     use super::*;
 
-    fn grad_check(kind: ActivationKind) {
-        let mut layer = Activation::new(kind);
+    #[test]
+    fn gradient_check_all_kinds() {
+        let mut layer = Activation::relu();
         let x = Tensor::from_vec(vec![0.4, -0.3, 1.2, -2.0], &[4]).unwrap();
         let ones = Tensor::from_vec(vec![1.0; 4], &[4]).unwrap();
         layer.forward(&x, true).unwrap();
@@ -189,17 +98,10 @@ mod tests {
             let numeric = (yp - ym) / (2.0 * eps);
             assert!(
                 (dx.data()[i] - numeric).abs() < 1e-2,
-                "{kind:?}[{i}]: {} vs {numeric}",
+                "[{i}]: {} vs {numeric}",
                 dx.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn gradient_check_all_kinds() {
-        grad_check(ActivationKind::Relu);
-        grad_check(ActivationKind::Tanh);
-        grad_check(ActivationKind::Sigmoid);
     }
 
     #[test]
@@ -215,27 +117,14 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_bounded() {
-        let mut l = Activation::sigmoid();
-        let y = l
-            .forward(
-                &Tensor::from_vec(vec![-100.0, 0.0, 100.0], &[3]).unwrap(),
-                false,
-            )
-            .unwrap();
-        assert!(y.data()[0] >= 0.0 && y.data()[2] <= 1.0);
-        assert!((y.data()[1] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn backward_before_forward_fails() {
-        let mut l = Activation::tanh();
+        let mut l = Activation::relu();
         assert!(l.backward(&Tensor::zeros(&[2]).unwrap()).is_err());
     }
 
     #[test]
     fn backward_shape_checked() {
-        let mut l = Activation::tanh();
+        let mut l = Activation::relu();
         l.forward(&Tensor::zeros(&[3]).unwrap(), false).unwrap();
         assert!(l.backward(&Tensor::zeros(&[2]).unwrap()).is_err());
     }

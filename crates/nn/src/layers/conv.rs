@@ -66,21 +66,6 @@ impl Conv1d {
         })
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Number of output channels (filters).
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
-    /// Kernel width.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
     #[inline]
     fn w(&self, o: usize, c: usize, k: usize) -> f32 {
         self.weight.value.data()[o * self.in_ch * self.kernel + c * self.kernel + k]
@@ -231,10 +216,6 @@ impl Layer for Conv1d {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "conv1d"
     }
 }
 

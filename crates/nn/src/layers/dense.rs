@@ -167,10 +167,6 @@ impl Layer for Dense {
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
-
-    fn name(&self) -> &'static str {
-        "dense"
-    }
 }
 
 #[cfg(test)]

@@ -116,10 +116,6 @@ impl Layer for Dropout {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
 }
 
 #[cfg(test)]

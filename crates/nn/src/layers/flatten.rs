@@ -63,10 +63,6 @@ impl Layer for Flatten {
         }
         Tensor::from_vec(grad_out.data().to_vec(), shape)
     }
-
-    fn name(&self) -> &'static str {
-        "flatten"
-    }
 }
 
 #[cfg(test)]

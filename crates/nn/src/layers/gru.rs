@@ -88,16 +88,6 @@ impl Gru {
             steps: Vec::new(),
         })
     }
-
-    /// Number of hidden units.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input feature dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
 }
 
 impl Layer for Gru {
@@ -254,10 +244,6 @@ impl Layer for Gru {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.wx, &self.wh, &self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "gru"
     }
 }
 

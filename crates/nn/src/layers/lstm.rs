@@ -100,21 +100,6 @@ impl Lstm {
             steps: Vec::new(),
         })
     }
-
-    /// Number of hidden units.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input feature dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Whether the layer emits the full hidden sequence.
-    pub fn return_sequences(&self) -> bool {
-        self.return_sequences
-    }
 }
 
 impl Layer for Lstm {
@@ -374,10 +359,6 @@ impl Layer for Lstm {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.wx, &self.wh, &self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "lstm"
     }
 }
 

@@ -115,7 +115,4 @@ pub trait Layer: std::fmt::Debug + Send {
     fn param_count(&self) -> usize {
         self.params().iter().map(|p| p.value.len()).sum()
     }
-
-    /// Short layer name for summaries (`"dense"`, `"lstm"`, …).
-    fn name(&self) -> &'static str;
 }

@@ -1,6 +1,6 @@
 //! Trainable parameter: a value tensor paired with its gradient accumulator.
 
-use crate::{NnError, Tensor};
+use crate::Tensor;
 
 /// A trainable parameter tensor with an accumulated gradient of the same
 /// shape.
@@ -40,15 +40,6 @@ impl Param {
             *g = 0.0;
         }
     }
-
-    /// Accumulates `delta` into the gradient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn accumulate(&mut self, delta: &Tensor) -> Result<(), NnError> {
-        self.grad.add_assign(delta)
-    }
 }
 
 #[cfg(test)]
@@ -60,21 +51,5 @@ mod tests {
         let p = Param::new(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
         assert_eq!(p.grad.data(), &[0.0, 0.0]);
         assert_eq!(p.value.data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn accumulate_adds() {
-        let mut p = Param::new(Tensor::zeros(&[2]).unwrap());
-        let d = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
-        p.accumulate(&d).unwrap();
-        p.accumulate(&d).unwrap();
-        assert_eq!(p.grad.data(), &[1.0, -1.0]);
-    }
-
-    #[test]
-    fn accumulate_rejects_shape_mismatch() {
-        let mut p = Param::new(Tensor::zeros(&[2]).unwrap());
-        let d = Tensor::zeros(&[3]).unwrap();
-        assert!(p.accumulate(&d).is_err());
     }
 }

@@ -132,10 +132,6 @@ impl Layer for MaxPool1d {
         }
         Tensor::from_vec(dx, in_shape)
     }
-
-    fn name(&self) -> &'static str {
-        "maxpool1d"
-    }
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@
 //!   (bit-for-bit equal to the naive loops) plus a fused i8×i8→i32 path,
 //! * [`scratch`] — a reusable inference workspace so the steady-state
 //!   forward pass allocates nothing,
-//! * [`layers`] — `Dense`, `Conv1d`, `MaxPool1d`, `Lstm`, activations,
+//! * [`layers`] — `Dense`, `Conv1d`, `MaxPool1d`, `Lstm`, `Gru`, ReLU,
 //!   `Dropout`, `Flatten`, all with hand-written backward passes,
 //! * [`model::Sequential`] — layer composition, forward/backward, prediction,
-//! * [`loss`] — softmax cross-entropy (and MSE),
-//! * [`optim`] — SGD with momentum and Adam,
+//! * [`loss`] — softmax cross-entropy,
+//! * [`optim`] — the Adam optimizer,
 //! * [`train`] — a minibatch training loop with shuffling,
 //! * [`quant`] — per-tensor affine int8 weight quantization and a quantized
 //!   inference path (for the Fig. 3(c)/(d) experiments), selectable at run
@@ -34,7 +34,7 @@
 //! ```
 //! use nn::layers::{Activation, Dense};
 //! use nn::model::Sequential;
-//! use nn::optim::Sgd;
+//! use nn::optim::Adam;
 //! use nn::tensor::Tensor;
 //! use nn::train::{fit, FitConfig};
 //!
@@ -57,7 +57,7 @@
 //!     .map(|x| usize::from(x.data()[1] > x.data()[0]))
 //!     .collect();
 //!
-//! let mut opt = Sgd::new(0.5, 0.9);
+//! let mut opt = Adam::new(0.05);
 //! let cfg = FitConfig { epochs: 60, batch_size: 8, seed: 7 };
 //! fit(&mut model, &xs, &ys, &mut opt, &cfg)?;
 //! let acc = nn::metrics::accuracy(&mut model, &xs, &ys)?;

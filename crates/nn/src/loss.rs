@@ -30,14 +30,6 @@ pub fn softmax_in_place(logits: &mut [f32]) {
     }
 }
 
-/// [`softmax`] writing into a caller-provided buffer (resized to
-/// `logits.len()`), allocation-free once the buffer has capacity.
-pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
-    out.clear();
-    out.extend_from_slice(logits);
-    softmax_in_place(out);
-}
-
 /// Softmax cross-entropy loss against an integer class label.
 ///
 /// Returns `(loss, grad_logits)` — the gradient is with respect to the raw
@@ -80,32 +72,6 @@ pub fn cross_entropy(logits: &Tensor, label: usize) -> Result<(f32, Tensor), NnE
     Ok((loss, Tensor::from_vec(grad, &[n])?))
 }
 
-/// Mean squared error between prediction and target vectors.
-///
-/// Returns `(loss, grad_pred)` with `loss = mean((p - t)^2)` and
-/// `grad = 2 (p - t) / n`.
-///
-/// # Errors
-///
-/// Returns [`NnError::ShapeMismatch`] when the shapes differ.
-pub fn mse(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor), NnError> {
-    if pred.shape() != target.shape() {
-        return Err(NnError::ShapeMismatch {
-            expected: format!("{:?}", pred.shape()),
-            actual: target.shape().to_vec(),
-        });
-    }
-    let n = pred.len() as f32;
-    let mut grad = vec![0.0f32; pred.len()];
-    let mut loss = 0.0f32;
-    for (i, (&p, &t)) in pred.data().iter().zip(target.data()).enumerate() {
-        let d = p - t;
-        loss += d * d;
-        grad[i] = 2.0 * d / n;
-    }
-    Ok((loss / n, Tensor::from_vec(grad, pred.shape())?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,9 +90,6 @@ mod tests {
         let mut in_place = logits;
         softmax_in_place(&mut in_place);
         assert_eq!(reference, in_place);
-        let mut into = Vec::new();
-        softmax_into(&logits, &mut into);
-        assert_eq!(reference, into);
     }
 
     #[test]
@@ -177,28 +140,5 @@ mod tests {
             let numeric = (loss_p - loss_m) / (2.0 * eps);
             assert!((grad.data()[i] - numeric).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn mse_zero_for_equal_inputs() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let (loss, grad) = mse(&a, &a.clone()).unwrap();
-        assert_eq!(loss, 0.0);
-        assert!(grad.data().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let p = Tensor::from_vec(vec![1.0, 3.0], &[2]).unwrap();
-        let t = Tensor::from_vec(vec![0.0, 0.0], &[2]).unwrap();
-        let (loss, _) = mse(&p, &t).unwrap();
-        assert!((loss - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_rejects_shape_mismatch() {
-        let p = Tensor::zeros(&[2]).unwrap();
-        let t = Tensor::zeros(&[3]).unwrap();
-        assert!(mse(&p, &t).is_err());
     }
 }

@@ -43,7 +43,7 @@ pub fn accuracy(
 /// cm.record(0, 0)?;
 /// cm.record(0, 1)?;
 /// cm.record(1, 1)?;
-/// assert!((cm.overall_accuracy() - 2.0 / 3.0).abs() < 1e-6);
+/// assert_eq!(cm.normalized()[0], vec![0.5, 0.5]);
 /// # Ok(())
 /// # }
 /// ```
@@ -118,32 +118,6 @@ impl ConfusionMatrix {
     /// Total number of recorded observations.
     pub fn total(&self) -> u32 {
         self.counts.iter().flatten().sum()
-    }
-
-    /// Overall accuracy (trace / total); `0.0` when empty.
-    pub fn overall_accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let trace: u32 = (0..self.num_classes()).map(|i| self.counts[i][i]).sum();
-        trace as f32 / total as f32
-    }
-
-    /// Per-class recall (`diag / row sum`); `0.0` for classes never seen.
-    pub fn recall(&self) -> Vec<f32> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let total: u32 = row.iter().sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    row[i] as f32 / total as f32
-                }
-            })
-            .collect()
     }
 
     /// Row-normalized matrix (each row sums to 1, or stays zero when the
@@ -248,8 +222,7 @@ mod tests {
         let mut cm = ConfusionMatrix::new(vec!["a".into(), "b".into()]).unwrap();
         cm.record(0, 0).unwrap();
         cm.record(1, 1).unwrap();
-        assert_eq!(cm.overall_accuracy(), 1.0);
-        assert_eq!(cm.recall(), vec![1.0, 1.0]);
+        assert_eq!(cm.normalized(), vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
     }
 
     #[test]
@@ -267,8 +240,7 @@ mod tests {
     #[test]
     fn empty_matrix_has_zero_accuracy() {
         let cm = ConfusionMatrix::new(vec!["a".into()]).unwrap();
-        assert_eq!(cm.overall_accuracy(), 0.0);
-        assert_eq!(cm.recall(), vec![0.0]);
+        assert_eq!(cm.normalized(), vec![vec![0.0]]);
     }
 
     #[test]

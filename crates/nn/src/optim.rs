@@ -1,97 +1,29 @@
-//! Optimizers: SGD with momentum, and Adam.
+//! The optimizer: Adam.
 
 use crate::layers::Param;
 use crate::NnError;
 
-/// An optimizer updates parameters from their accumulated gradients.
-///
-/// Call [`Optimizer::step`] once per minibatch (after the per-sample
-/// `backward` calls have accumulated gradients), then zero the gradients.
-pub trait Optimizer: std::fmt::Debug + Send {
-    /// Applies one update to `params` using their accumulated gradients.
-    ///
-    /// `scale` is multiplied into every gradient before the update — pass
-    /// `1.0 / batch_size` to average a minibatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidState`] when the parameter list changes
-    /// shape between calls (slot mismatch).
-    fn step(&mut self, params: &mut [&mut Param], scale: f32) -> Result<(), NnError>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum.
-///
-/// # Example
-///
-/// ```
-/// use nn::optim::{Optimizer, Sgd};
-/// let opt = Sgd::new(0.01, 0.9);
-/// assert_eq!(opt.learning_rate(), 0.01);
-/// ```
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with learning rate `lr` and momentum factor
-    /// `momentum` (use `0.0` for plain SGD).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param], scale: f32) -> Result<(), NnError> {
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.value.len()]).collect();
-        }
-        if self.velocity.len() != params.len() {
-            return Err(NnError::InvalidState("optimizer slot count changed"));
-        }
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            if v.len() != p.value.len() {
-                return Err(NnError::InvalidState("optimizer slot shape changed"));
-            }
-            for (i, vel) in v.iter_mut().enumerate() {
-                let g = p.grad.data()[i] * scale;
-                *vel = self.momentum * *vel - self.lr * g;
-                p.value.data_mut()[i] += *vel;
-            }
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam optimizer (Kingma & Ba, 2015) with bias correction.
 ///
+/// Call [`Adam::step`] once per minibatch (after the per-sample `backward`
+/// calls have accumulated gradients), then zero the gradients.
+///
 /// # Example
 ///
 /// ```
-/// use nn::optim::{Adam, Optimizer};
-/// let opt = Adam::new(1e-3);
-/// assert_eq!(opt.learning_rate(), 1e-3);
+/// use nn::layers::Param;
+/// use nn::optim::Adam;
+/// use nn::Tensor;
+///
+/// # fn main() -> Result<(), nn::NnError> {
+/// let mut w = Param::new(Tensor::from_vec(vec![1.0], &[1])?);
+/// w.grad.data_mut()[0] = 0.5;
+/// let mut opt = Adam::new(1e-3);
+/// opt.step(&mut [&mut w], 1.0)?;
+/// // Adam's first step moves each weight by the learning rate.
+/// assert!((w.value.data()[0] - (1.0 - 1e-3)).abs() < 1e-6);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug)]
 pub struct Adam {
@@ -108,25 +40,27 @@ impl Adam {
     /// Creates an Adam optimizer with the canonical defaults
     /// (`beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`).
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates an Adam optimizer with explicit moment coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param], scale: f32) -> Result<(), NnError> {
+    /// Applies one update to `params` using their accumulated gradients.
+    ///
+    /// `scale` is multiplied into every gradient before the update — pass
+    /// `1.0 / batch_size` to average a minibatch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidState`] when the parameter list changes
+    /// shape between calls (slot mismatch).
+    pub fn step(&mut self, params: &mut [&mut Param], scale: f32) -> Result<(), NnError> {
         if self.m.is_empty() {
             self.m = params.iter().map(|p| vec![0.0; p.value.len()]).collect();
             self.v = params.iter().map(|p| vec![0.0; p.value.len()]).collect();
@@ -152,14 +86,6 @@ impl Optimizer for Adam {
         }
         Ok(())
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +94,7 @@ mod tests {
     use crate::Tensor;
 
     /// Minimizes f(w) = (w - 3)^2 and checks convergence to w = 3.
-    fn converge(opt: &mut dyn Optimizer, iters: usize) -> f32 {
+    fn converge(opt: &mut Adam, iters: usize) -> f32 {
         let mut p = Param::new(Tensor::from_vec(vec![0.0], &[1]).unwrap());
         for _ in 0..iters {
             let w = p.value.data()[0];
@@ -177,22 +103,6 @@ mod tests {
             p.zero_grad();
         }
         p.value.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let w = converge(&mut opt, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster() {
-        let mut plain = Sgd::new(0.02, 0.0);
-        let mut mom = Sgd::new(0.02, 0.9);
-        let w_plain = converge(&mut plain, 30);
-        let w_mom = converge(&mut mom, 30);
-        assert!((w_mom - 3.0).abs() < (w_plain - 3.0).abs());
     }
 
     #[test]
@@ -210,8 +120,8 @@ mod tests {
         let mut p2 = Param::new(Tensor::from_vec(vec![1.0], &[1]).unwrap());
         p1.grad.data_mut()[0] = 2.0; // two samples, each grad 1.0
         p2.grad.data_mut()[0] = 1.0;
-        let mut o1 = Sgd::new(0.1, 0.0);
-        let mut o2 = Sgd::new(0.1, 0.0);
+        let mut o1 = Adam::new(0.1);
+        let mut o2 = Adam::new(0.1);
         o1.step(&mut [&mut p1], 0.5).unwrap();
         o2.step(&mut [&mut p2], 1.0).unwrap();
         assert!((p1.value.data()[0] - p2.value.data()[0]).abs() < 1e-6);
@@ -221,15 +131,8 @@ mod tests {
     fn slot_change_detected() {
         let mut p = Param::new(Tensor::zeros(&[2]).unwrap());
         let mut q = Param::new(Tensor::zeros(&[2]).unwrap());
-        let mut opt = Sgd::new(0.1, 0.9);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut [&mut p], 1.0).unwrap();
         assert!(opt.step(&mut [&mut p, &mut q], 1.0).is_err());
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
     }
 }

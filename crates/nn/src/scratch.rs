@@ -197,12 +197,6 @@ impl Scratch {
         self.reuse_events
     }
 
-    /// Resets both counters (e.g. after warm-up).
-    pub fn reset_counters(&mut self) {
-        self.alloc_events = 0;
-        self.reuse_events = 0;
-    }
-
     /// Bytes currently held by the pools and the output slot (capacity, not
     /// length — this is what the allocator actually retains). Memory-budget
     /// accounting samples this only when [`Scratch::alloc_events`] changed,
@@ -266,20 +260,19 @@ mod tests {
         // Seed the f32 pool with a tight-fitting buffer.
         let f = s.acquire(64);
         s.release(f);
-        s.reset_counters();
+        assert_eq!((s.alloc_events(), s.reuse_events()), (1, 0));
         // i8 acquires must not consume (or re-grow) the f32 buffer.
         let q = s.acquire_i8(64);
-        assert_eq!(s.alloc_events(), 1, "first i8 acquire is a fresh buffer");
+        assert_eq!(s.alloc_events(), 2, "first i8 acquire is a fresh buffer");
         s.release_i8(q);
         let q = s.acquire_i8(32);
         assert_eq!(s.reuse_events(), 1, "second i8 acquire reuses the i8 pool");
         assert!(q.iter().all(|&x| x == 0));
         s.release_i8(q);
         // The f32 buffer is still there, untouched by the i8 traffic.
-        s.reset_counters();
         let f = s.acquire(64);
-        assert_eq!(s.alloc_events(), 0);
-        assert_eq!(s.reuse_events(), 1);
+        assert_eq!(s.alloc_events(), 2);
+        assert_eq!(s.reuse_events(), 2);
         s.release(f);
     }
 
@@ -294,7 +287,7 @@ mod tests {
             s.release_i8(q);
             s.release(b);
         }
-        s.reset_counters();
+        let (allocs, reuses) = (s.alloc_events(), s.reuse_events());
         for _ in 0..10 {
             let a = s.acquire(48);
             let q = s.acquire_i8(48);
@@ -303,8 +296,8 @@ mod tests {
             s.release_i8(q);
             s.release(b);
         }
-        assert_eq!(s.alloc_events(), 0);
-        assert_eq!(s.reuse_events(), 30);
+        assert_eq!(s.alloc_events(), allocs);
+        assert_eq!(s.reuse_events() - reuses, 30);
     }
 
     #[test]
@@ -316,14 +309,14 @@ mod tests {
             s.release(a);
             s.release(b);
         }
-        s.reset_counters();
+        let (allocs, reuses) = (s.alloc_events(), s.reuse_events());
         for _ in 0..10 {
             let a = s.acquire(26);
             let b = s.acquire(48);
             s.release(a);
             s.release(b);
         }
-        assert_eq!(s.alloc_events(), 0);
-        assert_eq!(s.reuse_events(), 20);
+        assert_eq!(s.alloc_events(), allocs);
+        assert_eq!(s.reuse_events() - reuses, 20);
     }
 }

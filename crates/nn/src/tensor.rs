@@ -16,7 +16,7 @@ use crate::NnError;
 /// # fn main() -> Result<(), nn::NnError> {
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
 /// assert_eq!(t.shape(), &[2, 3]);
-/// assert_eq!(t.at2(1, 2)?, 6.0);
+/// assert_eq!(t.data()[5], 6.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -110,40 +110,6 @@ impl Tensor {
         self.data
     }
 
-    /// Element at `(row, col)` of a 2-D tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the tensor is not 2-D or the
-    /// index is out of bounds.
-    pub fn at2(&self, row: usize, col: usize) -> Result<f32, NnError> {
-        if self.shape.len() != 2 || row >= self.shape[0] || col >= self.shape[1] {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("2-d index ({row}, {col}) in bounds"),
-                actual: self.shape.clone(),
-            });
-        }
-        Ok(self.data[row * self.shape[1] + col])
-    }
-
-    /// Reshapes in place without moving data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the element count differs.
-    pub fn reshape(&mut self, shape: &[usize]) -> Result<(), NnError> {
-        Self::validate_shape(shape)?;
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{} elements", self.data.len()),
-                actual: shape.to_vec(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
-    }
-
     /// Returns a flattened (1-D) copy of this tensor.
     pub fn to_flat(&self) -> Tensor {
         Tensor {
@@ -217,36 +183,6 @@ impl Tensor {
         kernels::gemv_t(&self.data, m, n, v, out);
         Ok(())
     }
-
-    /// Elementwise in-place addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn add_assign(&mut self, rhs: &Tensor) -> Result<(), NnError> {
-        if self.shape != rhs.shape {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape),
-                actual: rhs.shape.clone(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
-    /// Multiplies every element by `scale` in place.
-    pub fn scale(&mut self, scale: f32) {
-        for x in &mut self.data {
-            *x *= scale;
-        }
-    }
-
-    /// Euclidean norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -265,23 +201,6 @@ mod tests {
         assert!(Tensor::zeros(&[]).is_err());
         assert!(Tensor::zeros(&[3, 0]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
-    }
-
-    #[test]
-    fn at2_bounds_checked() {
-        let t = Tensor::zeros(&[2, 2]).unwrap();
-        assert!(t.at2(2, 0).is_err());
-        assert!(t.at2(0, 2).is_err());
-        let flat = Tensor::zeros(&[4]).unwrap();
-        assert!(flat.at2(0, 0).is_err());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
-        t.reshape(&[2, 2]).unwrap();
-        assert_eq!(t.at2(1, 0).unwrap(), 3.0);
-        assert!(t.reshape(&[3]).is_err());
     }
 
     #[test]
@@ -326,26 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_and_scale() {
-        let mut a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        a.add_assign(&b).unwrap();
-        assert_eq!(a.data(), &[4.0, 6.0]);
-        a.scale(0.5);
-        assert_eq!(a.data(), &[2.0, 3.0]);
-        let wrong = Tensor::zeros(&[3]).unwrap();
-        assert!(a.add_assign(&wrong).is_err());
-    }
-
-    #[test]
     fn tensor_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Tensor>();
-    }
-
-    #[test]
-    fn norm_of_3_4_is_5() {
-        let t = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        assert!((t.norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -19,7 +19,7 @@
 //! | [`fleet`] | `affect-fleet` | sharded many-session fleet runtime with QoS admission |
 //! | [`dsp`] | `dsp` | FFT / MFCC / pitch / spectral features |
 //! | [`nn`] | `nn` | from-scratch NN library with int8 quantization |
-//! | [`biosignal`] | `biosignal` | synthetic SC/PPG/ECG/IMU/voice generators |
+//! | [`biosignal`] | `biosignal` | synthetic skin-conductance and voice generators |
 //! | [`datasets`] | `datasets` | RAVDESS/EMOVO/CREMA-D-like corpora |
 //! | [`h264`] | `h264` | the affect-adaptive video decoder |
 //! | [`mobile`] | `mobile-sim` | the Android-like app/memory simulator |

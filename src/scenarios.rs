@@ -701,7 +701,6 @@ fn fleet(out: &mut String, run: Fleet) -> Result<(), Box<dyn Error>> {
 
     let load = LoadPlan {
         rounds: ROUNDS,
-        window_samples: WINDOW_SAMPLES,
         tick_ns: TICK_NS,
         drain_every: Some(1),
     };

@@ -120,7 +120,8 @@ fn session_replay_produces_paper_mode_sequence() {
     let session = UulmmacSession::paper_fig6(3).unwrap();
     let mut controller = SystemController::new(PolicyTable::paper_defaults(), 1);
     let mut modes = Vec::new();
-    for (_, state) in session.state_stream(1.0) {
+    for minute in 0..session.duration_min().ceil() as usize {
+        let state = session.state_at_min(minute as f32);
         for event in controller.observe_state(state).unwrap() {
             if let ControlEvent::VideoMode(mode) = event {
                 modes.push(mode);

@@ -17,7 +17,7 @@ use affectsys::core::emotion::Emotion;
 use affectsys::dsp::features::SpectralSummary;
 use affectsys::dsp::{
     rfft_magnitude, spectral_magnitude, Complex, DspError, Frames, MelFilterBank, MfccExtractor,
-    SpectralAnalyzer, Window,
+    SpectralAnalyzer,
 };
 use proptest::prelude::*;
 
@@ -120,7 +120,7 @@ impl ReferenceMfcc {
         }
         let bank = MelFilterBank::new(sample_rate, frame_len, n_filters)?;
         let plan = ReferencePlan::new(frame_len)?;
-        let window_coeffs = Window::Hann.coefficients(frame_len);
+        let window_coeffs = affectsys::dsp::window::hann(frame_len);
         let n = n_filters as f32;
         let mut dct_basis = Vec::with_capacity(n_coeffs * n_filters);
         for k in 0..n_coeffs {
