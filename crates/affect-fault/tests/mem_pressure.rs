@@ -1,8 +1,8 @@
 //! Memory-pressure chaos: the seeded phantom-charge staircase driven
 //! through the real runtime together with the stage fault plan. The
-//! ISSUE-level guarantees: accounting never breaks under combined chaos,
-//! and the same seed replays to a byte-identical report — bands,
-//! transitions, ladder positions, pressure degradations and all.
+//! guarantees: accounting never breaks under combined chaos, the band walk
+//! moves no session down the ladder, and the same seed replays to a
+//! byte-identical report — bands, transitions, ladder positions and all.
 
 use std::sync::Arc;
 
@@ -32,7 +32,6 @@ fn pressured_chaos_run(seed: u64, sessions: usize, ticks: u64) -> RuntimeReport 
         },
         window_samples: 1024,
         workers: 1,
-        memory_budget_bytes: BUDGET,
         supervision: SupervisionConfig {
             restart_budget: 1_000_000, // chaos must never retire the pool
             backoff_base_ms: 0,
@@ -54,6 +53,7 @@ fn pressured_chaos_run(seed: u64, sessions: usize, ticks: u64) -> RuntimeReport 
 
     let plan = MemPressurePlan::with_period(seed, BUDGET, 8);
     let mem = Arc::clone(runtime.memory_budget());
+    mem.set_budget_bytes(BUDGET);
     for tick in 0..ticks {
         plan.apply(&mem, tick);
         for &id in &ids {
@@ -109,11 +109,11 @@ fn pressured_chaos_replays_bit_identically_from_its_seed() {
         for (band, count) in a.mem.band_transitions.iter().enumerate() {
             assert!(*count >= 1, "seed {seed}: band {band} never entered");
         }
-        // Pressure alone (the frozen clock cannot miss a deadline) walked
-        // at least one session down the ladder.
+        // The deadline is the ladder's only trigger, and the frozen clock
+        // never misses it: the staircase degraded no one.
         assert!(
-            a.mem.pressure_degradations >= 1,
-            "seed {seed}: the staircase never degraded anyone"
+            a.sessions.iter().all(|s| s.degradations == 0),
+            "seed {seed}: a band walked a session down the ladder: {a:?}"
         );
     }
 }

@@ -451,10 +451,11 @@ impl Fleet {
     }
 
     /// The memory budget of one shard's runtime, or `None` for a shard
-    /// the router left empty. A control plane uses this to re-target
-    /// budgets at runtime ([`MemoryBudget::set_budget_bytes`]) or to read
-    /// usage before calling [`Fleet::enforce_pressure`]; a chaos harness
-    /// injects phantom charges through the same handle.
+    /// the router left empty. Each shard's budget starts disabled (0 bytes,
+    /// always Green); a control plane sizes it here
+    /// ([`MemoryBudget::set_budget_bytes`]) and reads usage before calling
+    /// [`Fleet::enforce_pressure`]; a chaos harness injects phantom charges
+    /// through the same handle.
     pub fn shard_budget(&self, shard: usize) -> Option<&Arc<MemoryBudget>> {
         self.shards.get(shard)?.as_ref().map(Runtime::memory_budget)
     }

@@ -1,21 +1,21 @@
 //! Byte-budget accounting and the four-band memory-pressure signal.
 //!
 //! The source paper manages *memory and computation* under emotion on
-//! resource-limited edge devices; this module gives the runtime a model of
-//! its own footprint so the degradation machinery can react to memory the
-//! same way it reacts to latency. A [`MemoryBudget`] is a set of per-consumer
-//! atomic byte counters charged and released at (de)allocation seams — ring
+//! resource-limited edge devices; this module gives the runtime a ledger of
+//! its own footprint. A [`MemoryBudget`] is a set of per-consumer atomic
+//! byte counters charged and released at (de)allocation seams — ring
 //! construction, scratch-arena growth, classifier-table builds, wire and
-//! decoder buffers — never on the per-window path, so the zero-allocation
-//! hot-path proof keeps holding with a governor attached.
+//! decoder buffers — so a warm window charges nothing, and the
+//! zero-allocation hot-path proof keeps holding with a governor attached.
+//! The runtime only keeps the ledger; the fleet's `enforce_pressure` is the
+//! one governor that acts on the band.
 //!
 //! Usage against the configured budget yields a [`PressureBand`]:
 //!
 //! | band     | usage (permille of budget) | governor response                      |
 //! |----------|----------------------------|----------------------------------------|
-//! | Green    | < 700‰                     | none                                   |
-//! | Yellow   | ≥ 700‰                     | classify batch shrinks to 1; sessions  |
-//! |          |                            | step down the LSTM→CNN→MLP→HDC ladder  |
+//! | Green    | < 700‰                     | fleet readmits evicted sessions        |
+//! | Yellow   | ≥ 700‰                     | none (a warning level)                 |
 //! | Red      | ≥ 850‰                     | fleet evicts BestEffort sessions       |
 //! | Critical | ≥ 950‰                     | fleet evicts Standard sessions too     |
 //!
@@ -88,7 +88,7 @@ impl MemConsumer {
 pub enum PressureBand {
     /// Usage below the Yellow threshold (or no budget configured).
     Green = 0,
-    /// Sustained pressure: shed computation (batching, family ladder).
+    /// A warning level: nothing acts on it.
     Yellow = 1,
     /// Severe pressure: evict BestEffort sessions.
     Red = 2,
@@ -216,8 +216,9 @@ impl MemoryBudget {
         self.budget.load(Ordering::Relaxed)
     }
 
-    /// Re-targets the budget at runtime (the `mem_pressure` bench shrinks
-    /// it monotonically to walk the bands).
+    /// Re-targets the budget. A runtime's own budget starts at 0
+    /// (disabled); whoever governs the runtime sizes it here, as the
+    /// `mem_pressure` bench and the fleet scenarios do per shard.
     pub fn set_budget_bytes(&self, bytes: u64) {
         self.budget.store(bytes, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
@@ -318,8 +319,8 @@ impl MemoryBudget {
         next
     }
 
-    /// The band as of the last [`MemoryBudget::refresh`] — the value the
-    /// per-window governor checks (one atomic load).
+    /// The band as of the last [`MemoryBudget::refresh`] (one atomic
+    /// load).
     pub fn band(&self) -> PressureBand {
         PressureBand::from_code(self.band.load(Ordering::Relaxed) as u8)
     }
@@ -344,13 +345,10 @@ pub struct MemReport {
     pub band: u8,
     /// Band entries per band, indexed like [`PressureBand::ALL`].
     pub band_transitions: [u64; 4],
-    /// Windows whose degradation step was triggered by memory pressure
-    /// (as opposed to a deadline-miss streak).
-    pub pressure_degradations: u64,
 }
 
 impl MemReport {
-    /// Snapshots a live budget (the runtime adds `pressure_degradations`).
+    /// Snapshots a live budget.
     pub fn snapshot(budget: &MemoryBudget) -> Self {
         Self {
             budget_bytes: budget.budget_bytes(),
@@ -358,7 +356,6 @@ impl MemReport {
             used_by: std::array::from_fn(|i| budget.used_by(MemConsumer::ALL[i])),
             band: budget.band() as u8,
             band_transitions: budget.transitions(),
-            pressure_degradations: 0,
         }
     }
 
@@ -379,7 +376,6 @@ impl MemReport {
         {
             *mine += theirs;
         }
-        self.pressure_degradations += other.pressure_degradations;
     }
 }
 

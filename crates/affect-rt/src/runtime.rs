@@ -72,7 +72,7 @@ use nn::{Precision, Scratch, Tensor};
 
 use crate::actuator::Actuator;
 use crate::fault::{FaultAction, FaultHook, InjectedPanic, Stage};
-use crate::mem::{MemConsumer, MemReport, MemoryBudget, PressureBand};
+use crate::mem::{MemConsumer, MemReport, MemoryBudget};
 use crate::ring::{OverflowPolicy, PushOutcome, Ring, RingMetrics};
 use crate::stats::{ClassifyReport, FaultReport, RuntimeReport, SessionReport, StageReport};
 
@@ -210,15 +210,6 @@ pub struct RuntimeConfig {
     pub supervision: SupervisionConfig,
     /// Stalled-queue watchdog; `None` (the default) disables it.
     pub watchdog: Option<WatchdogConfig>,
-    /// Memory budget in bytes for the pressure governor; 0 (the default)
-    /// disables it. When set, the runtime charges its real consumers (ring
-    /// queues, scratch arenas, classifier tables) against a
-    /// [`MemoryBudget`] and derives a [`PressureBand`]: under Yellow or
-    /// worse, classify batching collapses to 1 and sustained pressure
-    /// walks sessions down the degradation ladder exactly like a
-    /// deadline-miss streak; a fleet evicts BestEffort (Red) and Standard
-    /// (Critical) sessions. See `docs/ROBUSTNESS.md` §memory-pressure.
-    pub memory_budget_bytes: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -238,7 +229,6 @@ impl Default for RuntimeConfig {
             model_seed: 7,
             supervision: SupervisionConfig::default(),
             watchdog: None,
-            memory_budget_bytes: 0,
         }
     }
 }
@@ -742,8 +732,6 @@ struct Shared {
     classify_counters: ClassifyCounters,
     hook: Option<Arc<dyn FaultHook>>,
     mem: Arc<MemoryBudget>,
-    /// Degradation steps triggered by memory pressure alone (deadline met).
-    pressure_degradations: AtomicU64,
     ingest: Inbox<Vec<f32>>,
     /// Feature → classify: the session's family when extracted, and the
     /// features in that family's layout.
@@ -772,7 +760,7 @@ impl Shared {
                 .add(sessions.len() as i64);
         }
         let mem = memory_budget.unwrap_or_else(|| {
-            let budget = MemoryBudget::new(config.memory_budget_bytes);
+            let budget = MemoryBudget::new(0);
             Arc::new(match registry {
                 Some(r) => budget.with_metrics(r),
                 None => budget,
@@ -794,7 +782,6 @@ impl Shared {
             classify_counters: ClassifyCounters::default(),
             hook,
             mem,
-            pressure_degradations: AtomicU64::new(0),
             watchdog_stop: AtomicBool::new(false),
         }
     }
@@ -950,8 +937,6 @@ impl Shared {
                 evicted: s.evicted.load(Ordering::SeqCst),
             })
             .collect();
-        let mut mem = MemReport::snapshot(&self.mem);
-        mem.pressure_degradations = self.pressure_degradations.load(Ordering::SeqCst);
         RuntimeReport {
             sessions,
             stages: vec![
@@ -962,7 +947,7 @@ impl Shared {
             ],
             classify: self.classify_counters.snapshot(),
             faults: self.faults.snapshot(),
-            mem,
+            mem: MemReport::snapshot(&self.mem),
         }
     }
 
@@ -1020,9 +1005,7 @@ trait Step {
     const STAGE: Stage;
 
     /// Windows the loop drains per wakeup.
-    fn batch_limit(&self, _shared: &Shared) -> usize {
-        1
-    }
+    const BATCH: usize = 1;
 
     /// Called once per drained batch, before its first window.
     fn start_batch(&mut self, _shared: &Shared, _len: usize) {}
@@ -1064,9 +1047,8 @@ fn run_stage<S: Step>(
     let mut consecutive_panics = 0u32;
     let mut panics_survived = 0u32;
     'run: while let Some(first) = input.ring.pop() {
-        let limit = step.batch_limit(shared);
         batch.push_back(first);
-        while batch.len() < limit {
+        while batch.len() < S::BATCH {
             match input.ring.try_pop() {
                 Some(env) => batch.push_back(env),
                 None => break,
@@ -1170,9 +1152,10 @@ struct ClassifyStep {
     decision: Decision,
     /// `ModelTables` bytes charged for the pool.
     table_bytes: u64,
-    /// Arena counters and size at the end of the last batch.
+    /// Arena counters at the end of the last batch.
     last_allocs: u64,
     last_reuses: u64,
+    /// Arena bytes charged so far: its size after the last window.
     last_scratch_bytes: u64,
 }
 
@@ -1232,19 +1215,7 @@ impl Step for ClassifyStep {
     type In = (ClassifierKind, Tensor);
     type Out = Option<Emotion>;
     const STAGE: Stage = Stage::Classify;
-
-    /// The batching window: one wakeup amortises over up to
-    /// [`CLASSIFY_BATCH`] queued windows. Under memory pressure it collapses
-    /// to 1, so the worker stops hoarding queued windows and peak in-flight
-    /// feature tensors shrink while the ladder machinery catches up. One
-    /// atomic load per wakeup.
-    fn batch_limit(&self, shared: &Shared) -> usize {
-        if shared.mem.band() >= PressureBand::Yellow {
-            1
-        } else {
-            CLASSIFY_BATCH
-        }
-    }
+    const BATCH: usize = CLASSIFY_BATCH;
 
     fn start_batch(&mut self, shared: &Shared, len: usize) {
         let counters = &shared.classify_counters;
@@ -1267,6 +1238,18 @@ impl Step for ClassifyStep {
             &mut self.decision,
         );
         drop(span);
+        // Charge the arena's growth before the window moves on, so a
+        // drained runtime's ledger already holds it. Alloc events alone
+        // would miss growth: a layer also grows a pooled buffer in place
+        // (`resize` past its capacity). Pooled buffers never shrink, so a
+        // warm window sums a few capacities and charges nothing.
+        let bytes = self.scratch.pooled_bytes() as u64;
+        if bytes > self.last_scratch_bytes {
+            shared
+                .mem
+                .charge(MemConsumer::ScratchPools, bytes - self.last_scratch_bytes);
+            self.last_scratch_bytes = bytes;
+        }
         let counters = &shared.classify_counters;
         counters.windows.fetch_add(1, Ordering::SeqCst);
         if result.is_err() {
@@ -1289,18 +1272,6 @@ impl Step for ClassifyStep {
         let counters = &shared.classify_counters;
         shared.add(&counters.scratch_allocs, |m| &m.scratch_allocs, new_allocs);
         shared.add(&counters.scratch_reuses, |m| &m.scratch_reuses, new_reuses);
-        // Re-measure the arena only when it actually grew (an acquire
-        // allocated a fresh buffer), i.e. during warm-up — a steady-state
-        // batch pays nothing here.
-        if allocs != self.last_allocs {
-            let bytes = self.scratch.pooled_bytes() as u64;
-            if bytes > self.last_scratch_bytes {
-                shared
-                    .mem
-                    .charge(MemConsumer::ScratchPools, bytes - self.last_scratch_bytes);
-            }
-            self.last_scratch_bytes = bytes;
-        }
         self.last_allocs = allocs;
         self.last_reuses = reuses;
     }
@@ -1335,9 +1306,9 @@ impl Step for ControlStep {
 }
 
 /// The end of a window's trip: the session's actuator applies the events,
-/// then the end-to-end latency feeds the deadline and pressure streaks that
-/// walk the degradation ladder. The step counts the window processed
-/// itself; there is no next stage.
+/// then the end-to-end latency feeds the deadline streaks that walk the
+/// degradation ladder. The step counts the window processed itself; there
+/// is no next stage.
 struct ActuateStep {
     actuators: Vec<Box<dyn Actuator>>,
     /// Per session: consecutive missed and on-time windows.
@@ -1373,23 +1344,14 @@ impl Step for ActuateStep {
         if missed {
             shared.count(&state.misses, |m| &m.misses);
         }
-        // Memory pressure is a second degradation trigger beside the
-        // deadline: a Yellow-or-worse band feeds the same miss/ok-streak
-        // machinery, so sustained pressure walks the session down the
-        // ladder and a Green band lets it climb back. One atomic load per
-        // window.
-        let pressured = shared.mem.band() >= PressureBand::Yellow;
         let (misses, oks) = &mut self.streaks[session];
-        if missed || pressured {
+        if missed {
             *oks = 0;
             *misses += 1;
             if *misses >= config.miss_streak {
                 *misses = 0;
                 if degrade(state, config.degraded_interval) {
                     shared.count(&state.degradations, |m| &m.degradations);
-                    if !missed {
-                        shared.pressure_degradations.fetch_add(1, Ordering::SeqCst);
-                    }
                 }
             }
         } else {
@@ -1453,11 +1415,10 @@ impl RuntimeBuilder {
         })
     }
 
-    /// Supplies a pre-built (usually shared) [`MemoryBudget`] instead of
-    /// the one the runtime would build from
-    /// [`RuntimeConfig::memory_budget_bytes`]. A fleet passes one budget to
-    /// every shard runtime it owns; a chaos harness keeps a handle so its
-    /// fault plan can inject phantom charges.
+    /// Supplies a pre-built (usually shared) [`MemoryBudget`] to charge
+    /// instead of the runtime's own, which starts disabled (a zero budget).
+    /// A caller that shares one budget between a runtime and its wire
+    /// sessions passes it here.
     pub fn memory_budget(mut self, budget: Arc<MemoryBudget>) -> Self {
         self.memory_budget = Some(budget);
         self
@@ -1537,6 +1498,11 @@ impl RuntimeBuilder {
         let pipeline = FeaturePipeline::new(config.feature.clone())?;
         let models = config.model_configs(&pipeline);
         let flat_dim = pipeline.flat_dim();
+        // The largest feature tensor a classify-ring slot carries: the flat
+        // statistics (MLP, HDC) or the frame sequence (LSTM, and the CNN's
+        // strip of the same floats).
+        let payload = flat_dim
+            .max(pipeline.frames_for(config.window_samples) * pipeline.features_per_frame());
         for model in &models {
             AffectClassifier::from_config(model, emotion_labels(), config.model_seed)?;
         }
@@ -1557,7 +1523,7 @@ impl RuntimeBuilder {
         ));
         // Ring bytes are fixed at construction: capacity × slot size, the
         // ingest slots widened by the window payload and the classify slots
-        // by the flat feature vector. Released at shutdown.
+        // by the largest feature tensor. Released at shutdown.
         let ring_bytes = {
             use std::mem::size_of;
             let config = &shared.config;
@@ -1565,7 +1531,7 @@ impl RuntimeBuilder {
                 * (size_of::<Envelope<Vec<f32>>>() + config.window_samples * size_of::<f32>())
                 + config.classify.capacity
                     * (size_of::<Envelope<(ClassifierKind, Tensor)>>()
-                        + flat_dim * size_of::<f32>())
+                        + payload * size_of::<f32>())
                 + config.control.capacity * size_of::<Envelope<Option<Emotion>>>()
                 + config.actuate_capacity * size_of::<Envelope<Vec<ControlEvent>>>())
                 as u64
@@ -1723,9 +1689,12 @@ impl Runtime {
         self.shared.ingest.ring.capacity()
     }
 
-    /// The runtime's memory-budget accountant. A fleet governor polls its
-    /// [`PressureBand`] to drive eviction; a chaos harness injects phantom
-    /// charges through it.
+    /// The runtime's memory-budget accountant. The runtime charges and
+    /// releases its bytes here but never reads the band; unless the builder
+    /// supplied a budget it starts disabled, and whoever governs the
+    /// runtime sizes it ([`MemoryBudget::set_budget_bytes`]). A fleet reads
+    /// its [`PressureBand`](crate::PressureBand) to drive eviction; a chaos
+    /// harness injects phantom charges through it.
     pub fn memory_budget(&self) -> &Arc<MemoryBudget> {
         &self.shared.mem
     }
@@ -2014,6 +1983,58 @@ mod tests {
         assert_eq!(faults.worker_panics.load(Ordering::SeqCst), 3);
         assert_eq!(faults.worker_restarts.load(Ordering::SeqCst), 2);
         assert_eq!(faults.workers_lost.load(Ordering::SeqCst), 1);
+    }
+
+    /// The classify ring is charged for the largest feature tensor a slot
+    /// carries, whichever layout that is: the frame sequence at the default
+    /// shape (61 frames × 19 features against 76 flat statistics), the flat
+    /// statistics at a small one (40 against 3 frames × 10).
+    #[test]
+    fn ring_charge_covers_the_largest_feature_tensor() {
+        use std::mem::size_of;
+        let small = RuntimeConfig {
+            feature: FeatureConfig {
+                frame_len: 128,
+                hop: 64,
+                n_mfcc: 4,
+                n_mels: 12,
+                ..FeatureConfig::default()
+            },
+            window_samples: 256,
+            workers: 1,
+            ..RuntimeConfig::default()
+        };
+        for config in [RuntimeConfig::default(), small] {
+            let mut pipeline = FeaturePipeline::new(config.feature.clone()).unwrap();
+            let window: Vec<f32> = (0..config.window_samples)
+                .map(|n| (n as f32 * 0.013).sin() * 0.4)
+                .collect();
+            let largest = [
+                pipeline.extract_flat(&window),
+                pipeline.extract_strip(&window),
+                pipeline.extract_sequence(&window),
+            ]
+            .into_iter()
+            .map(|tensor| tensor.unwrap().len())
+            .max()
+            .unwrap();
+            let floor = config.ingest.capacity
+                * (size_of::<Envelope<Vec<f32>>>() + config.window_samples * size_of::<f32>())
+                + config.classify.capacity
+                    * (size_of::<Envelope<(ClassifierKind, Tensor)>>()
+                        + largest * size_of::<f32>())
+                + config.control.capacity * size_of::<Envelope<Option<Emotion>>>()
+                + config.actuate_capacity * size_of::<Envelope<Vec<ControlEvent>>>();
+            let mut builder = RuntimeBuilder::new(config).unwrap();
+            builder.add_session(Box::<crate::CollectActuator>::default());
+            let runtime = builder.start().unwrap();
+            let charged = runtime.memory_budget().used_by(MemConsumer::RingQueues);
+            runtime.shutdown();
+            assert!(
+                charged >= floor as u64,
+                "rings charged {charged} bytes, slots hold at least {floor} ({largest} floats per classify slot)"
+            );
+        }
     }
 
     #[test]

@@ -492,7 +492,6 @@ mod tests {
             used_by: [100, 200, 300, 150, 150, 0],
             band: 2, // Red
             band_transitions: [0, 1, 1, 0],
-            pressure_degradations: 3,
         };
         let b = MemReport {
             budget_bytes: 500,
@@ -500,7 +499,6 @@ mod tests {
             used_by: [50, 50, 0, 0, 0, 0],
             band: 0, // Green
             band_transitions: [1, 1, 0, 0],
-            pressure_degradations: 0,
         };
         let mut ab = a;
         ab.merge(&b);
@@ -511,6 +509,5 @@ mod tests {
         assert_eq!(ab.used_bytes, 1000);
         assert_eq!(ab.band, 2, "worst band wins");
         assert_eq!(ab.band_transitions, [1, 2, 1, 0]);
-        assert_eq!(ab.pressure_degradations, 3);
     }
 }

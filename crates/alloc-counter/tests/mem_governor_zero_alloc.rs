@@ -1,7 +1,7 @@
 //! Proves the memory-pressure governor adds zero allocations to the warm
-//! path: what a worker does per window with a budget attached — a band
-//! load, a classify pass, scratch-delta charge/release — and what a chaos
-//! tick does (absolute phantom write + refresh) are all pure atomics.
+//! path: what a worker does per window with a budget attached — a classify
+//! pass, scratch-delta charge/release — and what a chaos tick does
+//! (absolute phantom write + refresh) are all pure atomics.
 //! Construction and metric registration are the cold path.
 //!
 //! Runs without the libtest harness (`harness = false`): the allocator
@@ -38,13 +38,6 @@ fn main() {
     // drives, so every transition-counter bump is covered too.
     let (delta, ()) = count_allocations(|| {
         for i in 0..1_000u64 {
-            // The per-window governor read in the classify loop.
-            let batch_limit = if mem.band() >= PressureBand::Yellow {
-                1
-            } else {
-                4
-            };
-            assert!(batch_limit >= 1);
             clf.classify_with(&features, &[1, 64], &mut scratch, &mut decision)
                 .unwrap();
             // Scratch growth/shrink accounting at the (de)allocation seam.

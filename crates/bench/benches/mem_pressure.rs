@@ -6,10 +6,11 @@
 //!
 //! The sweep walks the same staircase the governor defends: a disabled
 //! budget, a roomy Green one, then budgets tight enough to force Yellow
-//! (ladder degradation), Red (BestEffort eviction) and Critical (Standard
-//! eviction too). Reported per point: the worst band seen, surviving
-//! sessions per tier, evicted windows, pressure-triggered ladder steps,
-//! and throughput over the pressured rounds.
+//! (a warning level: nothing acts on it), Red (BestEffort eviction) and
+//! Critical (Standard eviction too). Reported per point: the worst band
+//! seen, evicted and readmitted sessions, evicted windows, the bytes
+//! charged across shards at the first and last pressured round (so what
+//! the point's responses freed), and throughput over the pressured rounds.
 //!
 //! A full run writes the sweep to `results/BENCH_mem_pressure.json`
 //! through `bench::results`.
@@ -53,10 +54,9 @@ fn runtime_config() -> RuntimeConfig {
         classify: StageConfig::new(256, OverflowPolicy::Block),
         control: StageConfig::new(256, OverflowPolicy::Block),
         actuate_capacity: 256,
-        // Pressure, not deadlines, is under test: a generous deadline and
-        // a short miss streak make every ladder step pressure-triggered.
+        // Pressure, not deadlines, is under test: a generous deadline keeps
+        // deadline-triggered ladder steps out of the sweep.
         deadline_ns: 3_600 * TICK_NS,
-        miss_streak: 1,
         ..RuntimeConfig::default()
     }
 }
@@ -93,6 +93,9 @@ const POINTS: [Point; 5] = [
 struct PointResult {
     band: PressureBand,
     evicted_windows: u64,
+    /// Bytes charged across shards before the first pressured round and
+    /// after the last.
+    charged_bytes: (u64, u64),
     elapsed_s: f64,
     processed: u64,
     report: FleetReport,
@@ -147,6 +150,13 @@ fn run_point(
         }
     }
 
+    let charged = || {
+        (0..fleet.shard_count())
+            .filter_map(|shard| fleet.shard_budget(shard))
+            .map(|budget| budget.used_bytes())
+            .sum::<u64>()
+    };
+    let charged_start = charged();
     let mut evicted_windows = 0u64;
     let mut band = PressureBand::Green;
     let start = Instant::now();
@@ -163,6 +173,7 @@ fn run_point(
         fleet.wait_idle();
     }
     let elapsed_s = start.elapsed().as_secs_f64();
+    let charged_bytes = (charged_start, charged());
     let report = fleet.shutdown();
     assert!(
         report.accounted(),
@@ -177,6 +188,7 @@ fn run_point(
     PointResult {
         band,
         evicted_windows,
+        charged_bytes,
         elapsed_s,
         processed,
         report,
@@ -200,7 +212,8 @@ fn main() {
         "evicted_sessions".into(),
         "readmitted_sessions".into(),
         "evicted_windows".into(),
-        "pressure_degradations".into(),
+        "charged_bytes_start".into(),
+        "charged_bytes_end".into(),
         "processed".into(),
         "windows_per_sec".into(),
         "accounted".into(),
@@ -214,16 +227,15 @@ fn main() {
         let per_sec = result.processed as f64 / result.elapsed_s;
         let evicted_sessions = adm.sessions_evicted.total();
         let readmitted = adm.sessions_readmitted.total();
-        let degradations = result.report.merged.mem.pressure_degradations;
+        let (charged_start, charged_end) = result.charged_bytes;
         eprintln!(
             "  {:>9} ({:>4}permille): band {:?}, {} sessions evicted, {} windows bounced, \
-             {} ladder steps, {:>7.0} windows/s",
+             {charged_start} → {charged_end} bytes charged, {:>7.0} windows/s",
             point.label,
             point.target_permille,
             result.band,
             evicted_sessions,
             result.evicted_windows,
-            degradations,
             per_sec,
         );
         table.row(vec![
@@ -233,7 +245,8 @@ fn main() {
             evicted_sessions.to_string(),
             readmitted.to_string(),
             result.evicted_windows.to_string(),
-            degradations.to_string(),
+            charged_start.to_string(),
+            charged_end.to_string(),
             result.processed.to_string(),
             format!("{per_sec:.1}"),
             // `run_point` has asserted the per-tier accounting.

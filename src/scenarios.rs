@@ -21,7 +21,7 @@
 //! |---|---|
 //! | `chaos-<seed>` | four sessions under the `FaultPlan::chaos` stage and sensor faults, then seeded NAL corruption through the resilient decoder |
 //! | `chaos-42-wire` | `chaos-42`, plus the corrupted stream decoded in 512-byte chunks and per-chunk damage on the wire |
-//! | `chaos-42-pressure` | `chaos-42` under a 16 MB memory budget walked through every band by a phantom staircase, plus 1500-byte wire chunks paced 33 ms apart |
+//! | `chaos-42-pressure` | `chaos-42` under a 16 MB memory budget that a phantom staircase walks through every band (the runtime records the bands and acts on none), plus 1500-byte wire chunks paced 33 ms apart |
 //! | `fleet-42` | 24 sessions over two shards across the QoS tiers, each shard with its own fault stream derived from seed 42 |
 //! | `fleet-42-wire` | 9 fleet sessions, plus each session's video fanned out per tier over a damaged 512-byte-chunk wire |
 //! | `fleet-42-pressure` | 9 fleet sessions under a 16 MB budget per shard, then one memory-governor pass with shard 0's budget shrunk to 96% usage (Critical) and shard 1's to 90% (Red), which evicts, and one under the restored budget, which readmits |
@@ -244,7 +244,6 @@ fn chaos(out: &mut String, run: Chaos) -> Result<(), Box<dyn Error>> {
         feature: features(),
         window_samples: WINDOW_SAMPLES,
         workers: 1,
-        memory_budget_bytes: mem_budget.unwrap_or(0),
         supervision: tireless(),
         ..RuntimeConfig::default()
     };
@@ -261,12 +260,15 @@ fn chaos(out: &mut String, run: Chaos) -> Result<(), Box<dyn Error>> {
         .fault_hook(Arc::clone(&hook) as Arc<dyn FaultHook>)
         .start()?;
 
-    // With a budget attached, a seed-pure phantom staircase walks the
-    // governor through all four pressure bands while the stage chaos
-    // runs — the same `(seed, tick)` hash stream as every other decision,
-    // so the printed pressure walk replays byte-identically too.
+    // With a budget set, a seed-pure phantom staircase walks the ledger
+    // through all four pressure bands while the stage chaos runs — the
+    // same `(seed, tick)` hash stream as every other decision, so the
+    // printed pressure walk replays byte-identically too.
     let pressure_plan = mem_budget.map(|bytes| MemPressurePlan::with_period(seed, bytes, 16));
     let mem = Arc::clone(runtime.memory_budget());
+    if let Some(bytes) = mem_budget {
+        mem.set_budget_bytes(bytes);
+    }
 
     // Phase 1: sensor + stage chaos through the live loop, one window in
     // flight at a time so scheduling cannot perturb the outcome.
@@ -359,9 +361,8 @@ fn chaos(out: &mut String, run: Chaos) -> Result<(), Box<dyn Error>> {
         )?;
         writeln!(
             out,
-            "  {} pressure-triggered ladder steps, final band {:?}",
-            report.mem.pressure_degradations,
-            PressureBand::from_code(report.mem.band),
+            "  final band {:?}",
+            PressureBand::from_code(report.mem.band)
         )?;
         for consumer in MemConsumer::ALL {
             writeln!(
@@ -671,7 +672,6 @@ fn fleet(out: &mut String, run: Fleet) -> Result<(), Box<dyn Error>> {
             // past one tick keeps misses (and thus degradation churn)
             // deterministically at zero.
             deadline_ns: 100 * TICK_NS,
-            memory_budget_bytes: mem_budget.unwrap_or(0),
             supervision: tireless(),
             ..RuntimeConfig::default()
         },
@@ -698,6 +698,15 @@ fn fleet(out: &mut String, run: Fleet) -> Result<(), Box<dyn Error>> {
             Arc::new(RtFaultHook::new(plan.for_shard(shard.index()))) as Arc<dyn FaultHook>
         })
         .start()?;
+    // Each shard's budget starts disabled; the scenario sizes it.
+    let size_budgets = |bytes: u64| {
+        for budget in (0..shards).filter_map(|shard| fleet.shard_budget(shard)) {
+            budget.set_budget_bytes(bytes);
+        }
+    };
+    if let Some(bytes) = mem_budget {
+        size_budgets(bytes);
+    }
 
     let load = LoadPlan {
         rounds: ROUNDS,
@@ -729,11 +738,7 @@ fn fleet(out: &mut String, run: Fleet) -> Result<(), Box<dyn Error>> {
             out,
             "memory governor: eviction pass, worst shard band {band:?}"
         )?;
-        for shard in 0..shards {
-            if let Some(budget) = fleet.shard_budget(shard) {
-                budget.set_budget_bytes(bytes);
-            }
-        }
+        size_budgets(bytes);
         let band = fleet.enforce_pressure();
         writeln!(
             out,
