@@ -32,7 +32,6 @@ fn fast_config() -> RuntimeConfig {
             restart_budget: 1_000_000, // chaos runs must never retire the pool
             backoff_base_ms: 0,
             backoff_max_ms: 0,
-            ..SupervisionConfig::default()
         },
         ..RuntimeConfig::default()
     }

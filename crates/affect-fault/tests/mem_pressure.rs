@@ -36,7 +36,6 @@ fn pressured_chaos_run(seed: u64, sessions: usize, ticks: u64) -> RuntimeReport 
             restart_budget: 1_000_000, // chaos must never retire the pool
             backoff_base_ms: 0,
             backoff_max_ms: 0,
-            ..SupervisionConfig::default()
         },
         ..RuntimeConfig::default()
     };

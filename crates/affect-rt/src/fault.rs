@@ -6,9 +6,8 @@
 //! whether that window proceeds untouched, is delayed, is dropped, or
 //! panics the worker mid-flight. The supervision machinery in
 //! [`crate::runtime`] then has to earn its keep: caught panics restart the
-//! worker with backoff, repeated classify failures trip a circuit breaker,
-//! and the accounting invariant `produced == processed + dropped` must
-//! survive all of it.
+//! worker with backoff, and the accounting invariant
+//! `produced == processed + dropped` must survive all of it.
 
 /// Pipeline stage identifiers, as seen by a [`FaultHook`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

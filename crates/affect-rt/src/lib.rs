@@ -31,10 +31,9 @@
 //!   actuate) runs each window inside a per-message unwind boundary: a
 //!   panic (injected via [`FaultHook`] or organic, including one in user
 //!   [`Actuator`] code) costs one window, restarts the worker with
-//!   exponential backoff, and retires it only after a restart budget.
-//!   Repeated classifier failures trip a per-session circuit breaker
-//!   straight to the HDC rung; an optional watchdog force-drains stalled
-//!   queues. See `docs/ROBUSTNESS.md`.
+//!   exponential backoff, and retires it only after a restart budget. An
+//!   optional watchdog force-drains stalled queues. See
+//!   `docs/ROBUSTNESS.md`.
 //!
 //! Everything is built on `std::thread` + mutex/condvar rings; the crate
 //! adds no dependencies beyond the workspace's own crates.

@@ -104,7 +104,7 @@ impl StageConfig {
 }
 
 /// Supervision parameters for every stage worker (feature, classify,
-/// control and actuate) and the per-session classify circuit breaker.
+/// control and actuate).
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisionConfig {
     /// Panics one worker may survive before it is retired. Each caught
@@ -118,11 +118,6 @@ pub struct SupervisionConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling, milliseconds.
     pub backoff_max_ms: u64,
-    /// Consecutive classify failures of one session that trip its circuit
-    /// breaker: the session is pinned to the HDC rung until a half-open
-    /// recovery probe (driven by the ordinary `ok_streak` recovery
-    /// machinery) succeeds with a richer family.
-    pub breaker_threshold: u32,
 }
 
 impl SupervisionConfig {
@@ -145,7 +140,6 @@ impl Default for SupervisionConfig {
             restart_budget: 8,
             backoff_base_ms: 1,
             backoff_max_ms: 100,
-            breaker_threshold: 3,
         }
     }
 }
@@ -206,7 +200,7 @@ pub struct RuntimeConfig {
     pub degraded_interval: u32,
     /// Seed for the untrained models' deterministic initialization.
     pub model_seed: u64,
-    /// Worker supervision and circuit-breaker parameters.
+    /// Worker supervision parameters.
     pub supervision: SupervisionConfig,
     /// Stalled-queue watchdog; `None` (the default) disables it.
     pub watchdog: Option<WatchdogConfig>,
@@ -253,21 +247,21 @@ impl RuntimeConfig {
                 reason: "must be non-zero",
             });
         }
-        if self.miss_streak == 0 || self.ok_streak == 0 {
+        if self.miss_streak == 0 {
             return Err(AffectError::InvalidParameter {
                 name: "miss_streak",
-                reason: "streak thresholds must be at least 1",
+                reason: "must be at least 1",
+            });
+        }
+        if self.ok_streak == 0 {
+            return Err(AffectError::InvalidParameter {
+                name: "ok_streak",
+                reason: "must be at least 1",
             });
         }
         if self.degraded_interval == 0 {
             return Err(AffectError::InvalidParameter {
                 name: "degraded_interval",
-                reason: "must be at least 1",
-            });
-        }
-        if self.supervision.breaker_threshold == 0 {
-            return Err(AffectError::InvalidParameter {
-                name: "breaker_threshold",
                 reason: "must be at least 1",
             });
         }
@@ -313,11 +307,6 @@ fn pool_key(family: ClassifierKind, precision: Precision) -> (ClassifierKind, Pr
 /// and keeps a worker's scratch arena hot across consecutive windows.
 const CLASSIFY_BATCH: usize = 4;
 
-/// Circuit-breaker states, stored in `SessionState::breaker`.
-const BREAKER_CLOSED: u8 = 0;
-const BREAKER_OPEN: u8 = 1;
-const BREAKER_HALF_OPEN: u8 = 2;
-
 /// Shared per-session state: counters plus the degradation knobs the
 /// feature workers and submit path read.
 struct SessionState {
@@ -338,12 +327,6 @@ struct SessionState {
     precision: Precision,
     interval: AtomicU32,
     latency: Histogram,
-    /// Classify circuit breaker: `BREAKER_CLOSED`, `BREAKER_OPEN` (family
-    /// pinned to the HDC rung) or `BREAKER_HALF_OPEN` (recovery
-    /// probe in flight).
-    breaker: AtomicU8,
-    /// Consecutive classify failures while the breaker is closed.
-    breaker_failures: AtomicU32,
     /// Set by [`Runtime::remove_session`]: an evicted session's submits
     /// become clean no-ops (not produced, not dropped — never offered), so
     /// its final accounting stays exact. Cleared by
@@ -366,8 +349,6 @@ impl SessionState {
             precision,
             interval: AtomicU32::new(1),
             latency: Histogram::new(),
-            breaker: AtomicU8::new(BREAKER_CLOSED),
-            breaker_failures: AtomicU32::new(0),
             evicted: AtomicBool::new(false),
         }
     }
@@ -397,8 +378,6 @@ struct FaultCounters {
     workers_lost: AtomicU64,
     rejected_windows: AtomicU64,
     watchdog_sheds: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_closes: AtomicU64,
 }
 
 impl FaultCounters {
@@ -409,8 +388,6 @@ impl FaultCounters {
             workers_lost: self.workers_lost.load(Ordering::SeqCst),
             rejected_windows: self.rejected_windows.load(Ordering::SeqCst),
             watchdog_sheds: self.watchdog_sheds.load(Ordering::SeqCst),
-            breaker_trips: self.breaker_trips.load(Ordering::SeqCst),
-            breaker_closes: self.breaker_closes.load(Ordering::SeqCst),
         }
     }
 }
@@ -473,9 +450,6 @@ struct RtMetrics {
     workers_lost: Arc<ObsCounter>,
     rejected_windows: Arc<ObsCounter>,
     watchdog_sheds: Arc<ObsCounter>,
-    breaker_trips: Arc<ObsCounter>,
-    breaker_closes: Arc<ObsCounter>,
-    breakers_open: Arc<affect_obs::Gauge>,
 }
 
 impl RtMetrics {
@@ -577,21 +551,6 @@ impl RtMetrics {
             watchdog_sheds: registry.counter(
                 "affect_rt_watchdog_sheds_total",
                 "windows force-drained from stalled queues by the watchdog",
-                &[],
-            ),
-            breaker_trips: registry.counter(
-                "affect_rt_breaker_trips_total",
-                "classify circuit-breaker trips (session pinned to the HDC rung)",
-                &[],
-            ),
-            breaker_closes: registry.counter(
-                "affect_rt_breaker_closes_total",
-                "circuit breakers closed again after a successful probe",
-                &[],
-            ),
-            breakers_open: registry.gauge(
-                "affect_rt_breakers_open",
-                "sessions whose classify circuit breaker is currently open",
                 &[],
             ),
         }
@@ -866,55 +825,6 @@ impl Shared {
             std::thread::sleep(Duration::from_millis(backoff));
         }
         true
-    }
-
-    /// Books one classify failure against a session's circuit breaker,
-    /// tripping it (family forced to the HDC rung) after the configured
-    /// streak.
-    fn breaker_on_failure(&self, session: usize) {
-        let state = &self.sessions[session];
-        match state.breaker.load(Ordering::SeqCst) {
-            BREAKER_HALF_OPEN => {
-                // The recovery probe failed: reopen and re-pin HDC.
-                // The gauge still counts this breaker from the original
-                // trip (half-open is "open, probing"), so no `add` here.
-                state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-                state.set_family(ClassifierKind::Hdc);
-                self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
-            }
-            BREAKER_CLOSED => {
-                let failures = state.breaker_failures.fetch_add(1, Ordering::SeqCst) + 1;
-                if failures >= self.config.supervision.breaker_threshold {
-                    state.breaker_failures.store(0, Ordering::SeqCst);
-                    state.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
-                    // Trip straight to the bottom of the ladder — no
-                    // stepwise descent while the classifier is demonstrably
-                    // broken.
-                    state.set_family(ClassifierKind::Hdc);
-                    self.count(&self.faults.breaker_trips, |m| &m.breaker_trips);
-                    if let Some(m) = &self.metrics {
-                        m.breakers_open.add(1);
-                    }
-                }
-            }
-            _ => {} // already open: nothing below HDC to fall to
-        }
-    }
-
-    /// Books one classify success: closes a half-open breaker when the
-    /// probe window (a richer-than-HDC family) came through.
-    fn breaker_on_success(&self, session: usize, family: ClassifierKind) {
-        let state = &self.sessions[session];
-        state.breaker_failures.store(0, Ordering::SeqCst);
-        if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN
-            && family != ClassifierKind::Hdc
-        {
-            state.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
-            self.count(&self.faults.breaker_closes, |m| &m.breaker_closes);
-            if let Some(m) = &self.metrics {
-                m.breakers_open.sub(1);
-            }
-        }
     }
 
     /// Snapshots per-session accounting and per-stage queue statistics.
@@ -1252,8 +1162,10 @@ impl Step for ClassifyStep {
         }
         let counters = &shared.classify_counters;
         counters.windows.fetch_add(1, Ordering::SeqCst);
+        // Only a tensor-shape mismatch fails here, and the feature stage's
+        // gate admits no window that could cause one; `None` drops and
+        // accounts the window.
         if result.is_err() {
-            shared.breaker_on_failure(env.session);
             return None;
         }
         shared.count(&counters.family_windows[family.rung()], |m| {
@@ -1262,7 +1174,6 @@ impl Step for ClassifyStep {
         if let (Some(m), Precision::Int8) = (&shared.metrics, key.1) {
             m.int8_windows.inc();
         }
-        shared.breaker_on_success(env.session, family);
         Some(env.with(self.decision.emotion()))
     }
 
@@ -1521,19 +1432,19 @@ impl RuntimeBuilder {
             self.fault_hook,
             self.memory_budget,
         ));
-        // Ring bytes are fixed at construction: capacity × slot size, the
-        // ingest slots widened by the window payload and the classify slots
-        // by the largest feature tensor. Released at shutdown.
+        // Ring bytes are fixed at construction: each built ring's capacity
+        // × slot size, the ingest slots widened by the window payload and
+        // the classify slots by the largest feature tensor. Released at
+        // shutdown.
         let ring_bytes = {
             use std::mem::size_of;
-            let config = &shared.config;
-            (config.ingest.capacity
-                * (size_of::<Envelope<Vec<f32>>>() + config.window_samples * size_of::<f32>())
-                + config.classify.capacity
+            let window = shared.config.window_samples * size_of::<f32>();
+            (shared.ingest.ring.capacity() * (size_of::<Envelope<Vec<f32>>>() + window)
+                + shared.classify.ring.capacity()
                     * (size_of::<Envelope<(ClassifierKind, Tensor)>>()
                         + payload * size_of::<f32>())
-                + config.control.capacity * size_of::<Envelope<Option<Emotion>>>()
-                + config.actuate_capacity * size_of::<Envelope<Vec<ControlEvent>>>())
+                + shared.control.ring.capacity() * size_of::<Envelope<Option<Emotion>>>()
+                + shared.actuate.ring.capacity() * size_of::<Envelope<Vec<ControlEvent>>>())
                 as u64
         };
         shared.mem.charge(MemConsumer::RingQueues, ring_bytes);
@@ -1613,26 +1524,13 @@ fn degrade(state: &SessionState, degraded_interval: u32) -> bool {
 /// One recovery step: first restore the decision interval, then climb the
 /// model ladder one family at a time (never past the configured initial).
 /// Returns whether anything actually changed.
-///
-/// The classify circuit breaker rides on this machinery: while a session's
-/// breaker is open, a family upgrade is allowed but marks the breaker
-/// half-open — the upgraded window becomes the recovery *probe*. A probe
-/// that classifies cleanly closes the breaker; one that fails reopens it
-/// and re-pins the HDC rung. While a probe is in flight, no
-/// further upgrades happen.
 fn recover(state: &SessionState) -> bool {
     if state.interval.load(Ordering::SeqCst) > 1 {
         state.interval.store(1, Ordering::SeqCst);
         return true;
     }
-    if state.breaker.load(Ordering::SeqCst) == BREAKER_HALF_OPEN {
-        return false;
-    }
     if let Some(richer) = state.family().upgrade() {
         if richer.rung() <= state.ceiling.rung() {
-            if state.breaker.load(Ordering::SeqCst) == BREAKER_OPEN {
-                state.breaker.store(BREAKER_HALF_OPEN, Ordering::SeqCst);
-            }
             state.set_family(richer);
             return true;
         }
@@ -1852,77 +1750,34 @@ mod tests {
         )
     }
 
+    /// A classify error costs its window: dropped and accounted, with the
+    /// session left on its family. Only a tensor-shape mismatch raises
+    /// one, and the feature stage's gate admits no window that could, so
+    /// the test hands the classify stage a short tensor directly.
     #[test]
-    fn breaker_trips_to_floor_after_threshold_failures() {
-        let shared = shared(RuntimeConfig::default(), vec![state()]);
+    fn classify_error_drops_and_accounts_its_window() {
+        let config = RuntimeConfig::default();
+        let pipeline = FeaturePipeline::new(config.feature.clone()).unwrap();
+        let models = config.model_configs(&pipeline);
+        let shared = shared(config, vec![state()]);
+        let step = ClassifyStep::new(&shared, &models, pipeline.flat_dim());
         let s = &shared.sessions[0];
-        shared.breaker_on_failure(0);
-        shared.breaker_on_failure(0);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_CLOSED);
+        s.produced.store(1, Ordering::SeqCst);
+        let short = Tensor::from_vec(vec![0.5; 3], &[3]).unwrap();
+        let env = Envelope {
+            session: 0,
+            seq: 0,
+            arrival_ns: 0,
+            body: (ClassifierKind::Mlp, short),
+        };
+        assert!(shared.offer(&shared.classify.ring, env));
+        shared.classify.ring.close();
+        run_stage(&shared, step, &shared.classify, None);
+        assert_eq!(shared.classify_counters.windows.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.faults.worker_panics.load(Ordering::SeqCst), 0);
+        assert_eq!(s.dropped.load(Ordering::SeqCst), 1);
+        assert!(s.accounted());
         assert_eq!(s.family(), ClassifierKind::Lstm);
-        shared.breaker_on_failure(0);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
-        assert_eq!(s.family(), ClassifierKind::Hdc, "tripped straight to HDC");
-        assert_eq!(shared.faults.breaker_trips.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let shared = shared(RuntimeConfig::default(), vec![state()]);
-        shared.breaker_on_failure(0);
-        shared.breaker_on_failure(0);
-        shared.breaker_on_success(0, ClassifierKind::Lstm);
-        shared.breaker_on_failure(0);
-        assert_eq!(
-            shared.sessions[0].breaker.load(Ordering::SeqCst),
-            BREAKER_CLOSED
-        );
-    }
-
-    #[test]
-    fn recovery_probe_closes_breaker_on_success() {
-        let shared = shared(RuntimeConfig::default(), vec![state()]);
-        let s = &shared.sessions[0];
-        for _ in 0..3 {
-            shared.breaker_on_failure(0);
-        }
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
-        // The ordinary recovery machinery launches the probe: the family
-        // upgrade marks the breaker half-open.
-        assert!(recover(s));
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
-        assert_eq!(s.family(), ClassifierKind::Mlp);
-        // No further upgrades while the probe is in flight.
-        assert!(!recover(s));
-        // Floor-family (HDC) stragglers still in the pipe must not close
-        // the breaker…
-        shared.breaker_on_success(0, ClassifierKind::Hdc);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
-        // …but the probe family succeeding does.
-        shared.breaker_on_success(0, ClassifierKind::Mlp);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_CLOSED);
-        assert_eq!(shared.faults.breaker_closes.load(Ordering::SeqCst), 1);
-        // With the breaker closed, recovery continues up the ladder.
-        assert!(recover(s));
-        assert_eq!(s.family(), ClassifierKind::Cnn);
-        assert!(recover(s));
-        assert_eq!(s.family(), ClassifierKind::Lstm);
-    }
-
-    #[test]
-    fn failed_probe_reopens_and_repins_floor() {
-        let shared = shared(RuntimeConfig::default(), vec![state()]);
-        let s = &shared.sessions[0];
-        for _ in 0..3 {
-            shared.breaker_on_failure(0);
-        }
-        assert_eq!(s.family(), ClassifierKind::Hdc);
-        assert!(recover(s));
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_HALF_OPEN);
-        shared.breaker_on_failure(0);
-        assert_eq!(s.breaker.load(Ordering::SeqCst), BREAKER_OPEN);
-        assert_eq!(s.family(), ClassifierKind::Hdc);
-        assert_eq!(shared.faults.breaker_trips.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -1971,7 +1826,6 @@ mod tests {
                 restart_budget: 2,
                 backoff_base_ms: 0,
                 backoff_max_ms: 0,
-                breaker_threshold: 3,
             },
             ..RuntimeConfig::default()
         };
@@ -1988,7 +1842,9 @@ mod tests {
     /// The classify ring is charged for the largest feature tensor a slot
     /// carries, whichever layout that is: the frame sequence at the default
     /// shape (61 frames × 19 features against 76 flat statistics), the flat
-    /// statistics at a small one (40 against 3 frames × 10).
+    /// statistics at a small one (40 against 3 frames × 10). A ring
+    /// configured with capacity 0 is built with one slot, and that slot is
+    /// charged too.
     #[test]
     fn ring_charge_covers_the_largest_feature_tensor() {
         use std::mem::size_of;
@@ -2004,7 +1860,14 @@ mod tests {
             workers: 1,
             ..RuntimeConfig::default()
         };
-        for config in [RuntimeConfig::default(), small] {
+        let zero = RuntimeConfig {
+            ingest: StageConfig::new(0, OverflowPolicy::Block),
+            classify: StageConfig::new(0, OverflowPolicy::Block),
+            control: StageConfig::new(0, OverflowPolicy::Block),
+            actuate_capacity: 0,
+            ..RuntimeConfig::default()
+        };
+        for config in [RuntimeConfig::default(), small, zero] {
             let mut pipeline = FeaturePipeline::new(config.feature.clone()).unwrap();
             let window: Vec<f32> = (0..config.window_samples)
                 .map(|n| (n as f32 * 0.013).sin() * 0.4)
@@ -2018,13 +1881,14 @@ mod tests {
             .map(|tensor| tensor.unwrap().len())
             .max()
             .unwrap();
-            let floor = config.ingest.capacity
+            let slots = |capacity: usize| capacity.max(1);
+            let floor = slots(config.ingest.capacity)
                 * (size_of::<Envelope<Vec<f32>>>() + config.window_samples * size_of::<f32>())
-                + config.classify.capacity
+                + slots(config.classify.capacity)
                     * (size_of::<Envelope<(ClassifierKind, Tensor)>>()
                         + largest * size_of::<f32>())
-                + config.control.capacity * size_of::<Envelope<Option<Emotion>>>()
-                + config.actuate_capacity * size_of::<Envelope<Vec<ControlEvent>>>();
+                + slots(config.control.capacity) * size_of::<Envelope<Option<Emotion>>>()
+                + slots(config.actuate_capacity) * size_of::<Envelope<Vec<ControlEvent>>>();
             let mut builder = RuntimeBuilder::new(config).unwrap();
             builder.add_session(Box::<crate::CollectActuator>::default());
             let runtime = builder.start().unwrap();
@@ -2039,20 +1903,25 @@ mod tests {
 
     #[test]
     fn config_rejects_degenerate_supervision() {
-        let mut config = RuntimeConfig {
-            supervision: SupervisionConfig {
-                breaker_threshold: 0,
-                ..SupervisionConfig::default()
-            },
+        let rejected = |config: &RuntimeConfig| match config.validate() {
+            Err(AffectError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected an invalid parameter, got {other:?}"),
+        };
+        let streaks = |miss_streak, ok_streak| RuntimeConfig {
+            miss_streak,
+            ok_streak,
             ..RuntimeConfig::default()
         };
-        assert!(config.validate().is_err());
-        config.supervision = SupervisionConfig::default();
-        config.watchdog = Some(WatchdogConfig {
-            poll_ms: 0,
-            stall_polls: 4,
-        });
-        assert!(config.validate().is_err());
+        assert_eq!(rejected(&streaks(0, 8)), "miss_streak");
+        assert_eq!(rejected(&streaks(3, 0)), "ok_streak");
+        let mut config = RuntimeConfig {
+            watchdog: Some(WatchdogConfig {
+                poll_ms: 0,
+                stall_polls: 4,
+            }),
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(rejected(&config), "watchdog");
         config.watchdog = Some(WatchdogConfig::default());
         assert!(config.validate().is_ok());
     }

@@ -145,12 +145,6 @@ pub struct FaultReport {
     pub rejected_windows: u64,
     /// Windows force-drained from stalled queues by the watchdog.
     pub watchdog_sheds: u64,
-    /// Times a session's classify circuit breaker tripped open (pinning
-    /// the session's floor family, HDC by default, until a recovery probe
-    /// succeeds).
-    pub breaker_trips: u64,
-    /// Times a half-open probe succeeded and a breaker closed again.
-    pub breaker_closes: u64,
 }
 
 /// Everything the runtime knows about a run: per-session accounting and
@@ -257,8 +251,6 @@ impl RuntimeReport {
         self.faults.workers_lost += other.faults.workers_lost;
         self.faults.rejected_windows += other.faults.rejected_windows;
         self.faults.watchdog_sheds += other.faults.watchdog_sheds;
-        self.faults.breaker_trips += other.faults.breaker_trips;
-        self.faults.breaker_closes += other.faults.breaker_closes;
         assert!(
             !inputs_accounted || self.all_accounted(),
             "merge broke produced == processed + dropped"

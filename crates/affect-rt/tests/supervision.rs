@@ -49,7 +49,6 @@ fn panicking_session_is_isolated_and_accounted() {
             restart_budget: 1_000, // workers must survive the whole run
             backoff_base_ms: 0,
             backoff_max_ms: 0,
-            ..SupervisionConfig::default()
         },
         ..fast_config()
     };
@@ -108,7 +107,6 @@ fn exhausted_restart_budget_retires_workers_without_losing_windows() {
             restart_budget: 2,
             backoff_base_ms: 0,
             backoff_max_ms: 0,
-            ..SupervisionConfig::default()
         },
         ..fast_config()
     };
@@ -182,7 +180,6 @@ fn windows_submitted_after_retirement_drain_from_the_closed_ring() {
             restart_budget: 0, // first panic retires the only worker
             backoff_base_ms: 0,
             backoff_max_ms: 0,
-            ..SupervisionConfig::default()
         },
         ..fast_config()
     };

@@ -1,8 +1,7 @@
 //! The feature stage's admission gate refuses windows whose length differs
 //! from `RuntimeConfig::window_samples`: a wrong-length window costs exactly
-//! itself, is counted as rejected, and never reaches a classifier, so it can
-//! neither trip a session's circuit breaker nor be classified as features of
-//! another shape.
+//! itself, is counted as rejected, and never reaches a classifier, so it is
+//! never classified as features of another shape.
 
 use affect_core::classifier::ClassifierKind;
 use affect_core::pipeline::FeatureConfig;
@@ -41,8 +40,7 @@ fn wrong_length_windows_are_rejected_before_classification() {
     let runtime = builder.start().unwrap();
 
     // Shorter and longer than the configured window, including lengths
-    // that still hold whole analysis frames; more of them than the
-    // breaker threshold, so classify failures would have tripped it.
+    // that still hold whole analysis frames.
     let wrong = [512, 2048, WINDOW - 1, WINDOW + 1];
     for session in [cnn, lstm] {
         for len in wrong {
@@ -57,7 +55,10 @@ fn wrong_length_windows_are_rejected_before_classification() {
     let report = runtime.shutdown().report;
     assert!(report.all_accounted());
     assert_eq!(report.faults.rejected_windows, 2 * wrong.len() as u64);
-    assert_eq!(report.faults.breaker_trips, 0);
+    assert_eq!(
+        report.classify.windows, 2,
+        "one well-formed window per session"
+    );
     for session in [cnn, lstm] {
         let s = &report.sessions[session.index()];
         assert_eq!(s.produced, wrong.len() as u64 + 1);

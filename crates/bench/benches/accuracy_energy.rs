@@ -20,7 +20,7 @@
 //! Gates:
 //!   - always (deterministic): HDC must be ≥ 5× cheaper than MLP-f32 in
 //!     estimated ops — the claim that lets `affect-rt` keep classifying
-//!     under breaker trips and load shedding;
+//!     at the bottom of its deadline ladder and under load shedding;
 //!   - always: every int8 family must stay within 10 accuracy points of
 //!     its f32 twin (the paper's < 3% quantization-loss claim, with slack
 //!     for the small synthetic test split);

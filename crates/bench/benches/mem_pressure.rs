@@ -15,11 +15,8 @@
 //! A full run writes the sweep to `results/BENCH_mem_pressure.json`
 //! through `bench::results`.
 //!
-//! Flags:
-//!   - `--test` (passed by `cargo test`) shrinks the run to a smoke
-//!     signal and skips file output.
-//!   - `--budget <bytes>` pins every point's budget instead of deriving
-//!     it from measured usage (the CI smoke job sweeps two fixed budgets).
+//! `--test` (passed by `cargo test`) shrinks the run to a smoke signal
+//! and skips file output.
 //!
 //! Every point asserts the fleet accounting invariant
 //! `offered == submitted + shed + evicted` per tier, and that Critical
@@ -104,12 +101,7 @@ struct PointResult {
 /// One sweep point: warm the fleet up, re-target the shard budgets so
 /// real usage sits at `target_permille`, then drive `rounds` pressured
 /// lockstep rounds with `enforce_pressure` once per round.
-fn run_point(
-    sessions: usize,
-    rounds: u64,
-    target_permille: u64,
-    fixed_budget: Option<u64>,
-) -> PointResult {
+fn run_point(sessions: usize, rounds: u64, target_permille: u64) -> PointResult {
     let mut config = FleetConfig {
         shards: SHARDS,
         runtime: runtime_config(),
@@ -136,16 +128,12 @@ fn run_point(
     fleet.wait_idle();
 
     // Re-target every shard's budget so its own usage sits at the chosen
-    // permille (or at the fixed CI budget).
-    if target_permille > 0 || fixed_budget.is_some() {
-        for shard in 0..fleet.shard_count() {
-            let Some(budget) = fleet.shard_budget(shard) else {
-                continue;
-            };
-            let bytes = match fixed_budget {
-                Some(bytes) => bytes,
-                None => budget.used_bytes() * 1000 / target_permille,
-            };
+    // permille; a target of 0 leaves the budgets disabled.
+    for shard in 0..fleet.shard_count() {
+        let Some(budget) = fleet.shard_budget(shard) else {
+            continue;
+        };
+        if let Some(bytes) = (budget.used_bytes() * 1000).checked_div(target_permille) {
             budget.set_budget_bytes(bytes.max(1));
         }
     }
@@ -196,13 +184,7 @@ fn run_point(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let fixed_budget: Option<u64> = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--budget takes bytes"));
+    let test_mode = std::env::args().any(|a| a == "--test");
     let (sessions, rounds) = if test_mode { (24, 3) } else { (96, 8) };
 
     let mut table = Table::new(vec![
@@ -220,9 +202,7 @@ fn main() {
     ]);
     eprintln!("\nmemory-pressure sweep ({SHARDS} shards, {sessions} sessions, {rounds} rounds):");
     for point in &POINTS {
-        // A fixed CI budget collapses the sweep to that budget at every
-        // labelled point; the bands then come from real usage alone.
-        let result = run_point(sessions, rounds, point.target_permille, fixed_budget);
+        let result = run_point(sessions, rounds, point.target_permille);
         let adm = &result.report.admission;
         let per_sec = result.processed as f64 / result.elapsed_s;
         let evicted_sessions = adm.sessions_evicted.total();

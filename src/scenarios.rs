@@ -191,7 +191,6 @@ fn tireless() -> SupervisionConfig {
         restart_budget: u32::MAX,
         backoff_base_ms: 0,
         backoff_max_ms: 0,
-        ..SupervisionConfig::default()
     }
 }
 
@@ -325,14 +324,8 @@ fn chaos(out: &mut String, run: Chaos) -> Result<(), Box<dyn Error>> {
     writeln!(
         out,
         "\nfault report: {} panics, {} restarts, {} workers lost, {} rejected, \
-         {} watchdog sheds, {} breaker trips, {} breaker closes",
-        f.worker_panics,
-        f.worker_restarts,
-        f.workers_lost,
-        f.rejected_windows,
-        f.watchdog_sheds,
-        f.breaker_trips,
-        f.breaker_closes
+         {} watchdog sheds",
+        f.worker_panics, f.worker_restarts, f.workers_lost, f.rejected_windows, f.watchdog_sheds
     )?;
     let injected = hook.report();
     writeln!(out, "injected by plan (panic/drop/delay per stage):")?;
@@ -528,7 +521,6 @@ fn chaos(out: &mut String, run: Chaos) -> Result<(), Box<dyn Error>> {
         [
             "affect_fault_",
             "affect_rt_worker",
-            "affect_rt_breaker",
             "affect_rt_rejected",
             "affect_rt_watchdog",
         ]
