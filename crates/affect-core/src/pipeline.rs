@@ -49,8 +49,8 @@ impl Default for FeatureConfig {
 /// the pipeline mutably because the MFCC front end, the pitch search and
 /// the spectral summary reuse internal scratch arenas (FFT buffers, mel
 /// energies, cepstra; squared samples, lag correlations; magnitudes)
-/// across frames — steady-state extraction does not touch the allocator
-/// for MFCC, pitch or spectral work.
+/// across frames, and [`FeaturePipeline::extract_flat`] refills one column
+/// buffer per feature — a warm call allocates only the tensors it builds.
 ///
 /// # Example
 ///
@@ -71,6 +71,9 @@ pub struct FeaturePipeline {
     config: FeatureConfig,
     mfcc: MfccExtractor,
     mfcc_out: Vec<f32>,
+    /// One feature's values across frames, refilled per feature by
+    /// [`FeaturePipeline::extract_flat`].
+    column: Vec<f32>,
     /// `None` when a frame is too short to hold the pitch range's longest
     /// lag: every frame's pitch is then the unvoiced value 0.
     pitch: Option<PitchEstimator>,
@@ -117,6 +120,7 @@ impl FeaturePipeline {
             config,
             mfcc,
             mfcc_out: Vec::new(),
+            column: Vec::new(),
             pitch,
             spectral,
         })
@@ -202,10 +206,12 @@ impl FeaturePipeline {
         let (n_frames, fpf) = (seq.shape()[0], seq.shape()[1]);
         let mut data = Vec::with_capacity(4 * fpf);
         for f in 0..fpf {
-            let column: Vec<f32> = (0..n_frames).map(|t| seq.data()[t * fpf + f]).collect();
-            let mean = dsp::stats::mean(&column)?;
-            let std = dsp::stats::std_dev(&column)?;
-            let (lo, hi) = dsp::stats::min_max(&column)?;
+            let column = &mut self.column;
+            column.clear();
+            column.extend((0..n_frames).map(|t| seq.data()[t * fpf + f]));
+            let mean = dsp::stats::mean(column)?;
+            let std = dsp::stats::std_dev(column)?;
+            let (lo, hi) = dsp::stats::min_max(column)?;
             data.extend_from_slice(&[mean, std, lo, hi]);
         }
         Ok(Tensor::from_vec(data, &[4 * fpf])?)

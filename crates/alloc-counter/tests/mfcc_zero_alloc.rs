@@ -1,11 +1,14 @@
 //! Proves `MfccExtractor::extract_into`, `PitchEstimator::estimate` and
 //! `SpectralAnalyzer::analyze` perform zero steady-state heap allocations:
 //! after one warm-up call sizes every internal scratch buffer, repeated
-//! extraction never touches the allocator again.
+//! extraction never touches the allocator again. A warm
+//! `FeaturePipeline::extract_flat` allocates only its own tensor on top of
+//! the sequence it summarizes.
 //!
 //! Runs without the libtest harness (`harness = false`): the allocator
 //! counters are process-global, so the measurement must own the process.
 
+use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use alloc_counter::{count_allocations, CountingAllocator};
 use dsp::{MfccExtractor, PitchEstimator, SpectralAnalyzer};
 
@@ -83,6 +86,24 @@ fn main() {
         warm_summary,
         bits(dsp::spectral_magnitude(&frame, 16_000.0).unwrap()),
         "the warm analyzer must match the one-shot summary"
+    );
+
+    // The runtime's feature pipeline on a 1 s window at 16 kHz: the flat
+    // statistics vector costs its data and shape and nothing per feature.
+    let mut pipeline = FeaturePipeline::new(FeatureConfig::default()).unwrap();
+    let window: Vec<f32> = (0..16_000).map(|i| (i as f32 * 0.08).sin()).collect();
+    let warm_flat = pipeline.extract_flat(&window).unwrap();
+    let (sequence, _) = count_allocations(|| pipeline.extract_sequence(&window).unwrap());
+    let (flat, again) = count_allocations(|| pipeline.extract_flat(&window).unwrap());
+    assert_eq!(
+        flat.allocations,
+        sequence.allocations + 2,
+        "extract_flat allocated beyond its own tensor: {flat:?} vs extract_sequence {sequence:?}"
+    );
+    assert_eq!(
+        again.data(),
+        warm_flat.data(),
+        "steady-state flat features drifted"
     );
     println!("mfcc_zero_alloc: ok");
 }

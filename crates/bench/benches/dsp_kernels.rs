@@ -2,6 +2,7 @@
 //! wearable/phone does for every classification).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dsp::window::hann;
 use dsp::{
     pitch_autocorrelation, rfft_magnitude, FftPlan, MfccExtractor, PitchEstimator, SpectralAnalyzer,
 };
@@ -21,15 +22,23 @@ fn bench_fft(c: &mut Criterion) {
             b.iter(|| rfft_magnitude(black_box(s)).unwrap());
         });
     }
-    // The warm split-layout transform at the fleet's and the runtime's frame
-    // lengths: caller-owned buffers, nothing allocated per call.
-    for size in [128usize, 512] {
-        let signal = tone(440.0, size, 16_000.0);
-        let plan = FftPlan::recurrence(size).unwrap();
+    // The warm split-layout transforms at the fleet's and the runtime's frame
+    // lengths: caller-owned buffers, nothing allocated per call. The
+    // spectral summary runs the unwindowed recurrence plan and MFCC the
+    // direct plan with its Hann window, so at 512 these are the two
+    // transforms every runtime frame runs.
+    let hann_512 = hann(512);
+    for (name, plan, window) in [
+        ("planned", FftPlan::recurrence(128), None),
+        ("planned", FftPlan::recurrence(512), None),
+        ("planned_hann", FftPlan::new(512), Some(&hann_512[..])),
+    ] {
+        let plan = plan.unwrap();
+        let signal = tone(440.0, plan.len(), 16_000.0);
         let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
-        group.bench_with_input(BenchmarkId::new("planned", size), &signal, |b, s| {
+        group.bench_with_input(BenchmarkId::new(name, plan.len()), &signal, |b, s| {
             b.iter(|| {
-                plan.rfft_magnitude_into(black_box(s), None, &mut re, &mut im, &mut mag)
+                plan.rfft_magnitude_into(black_box(s), window, &mut re, &mut im, &mut mag)
                     .unwrap()
             });
         });
@@ -38,10 +47,13 @@ fn bench_fft(c: &mut Criterion) {
 }
 
 fn bench_mfcc(c: &mut Criterion) {
-    let extractor = MfccExtractor::new(16_000.0, 512, 26, 13).unwrap();
+    // The warm extractor the feature pipeline keeps: its scratch is sized
+    // by the first call, so the loop allocates nothing.
+    let mut extractor = MfccExtractor::new(16_000.0, 512, 26, 13).unwrap();
     let frame = tone(220.0, 512, 16_000.0);
-    c.bench_function("mfcc_extract_512", |b| {
-        b.iter(|| extractor.extract(black_box(&frame)).unwrap());
+    let mut out = Vec::new();
+    c.bench_function("mfcc_extract_into_512", |b| {
+        b.iter(|| extractor.extract_into(black_box(&frame), &mut out).unwrap());
     });
 }
 

@@ -1,10 +1,13 @@
 //! Radix-2 decimation-in-time fast Fourier transform.
 //!
 //! The affect classifier front end needs magnitude spectra for the mel
-//! filterbank ([`crate::mel`]) and spectral features ([`crate::features`]).
-//! A plain iterative Cooley–Tukey FFT is more than fast enough for the frame
-//! sizes the paper uses (256–1024 samples) and keeps the crate free of
-//! external numeric dependencies.
+//! filterbank ([`crate::mel`]) and spectral features ([`crate::features`]),
+//! two transforms per analysis frame, so [`FftPlan`] is one of the feature
+//! path's hot kernels. It fuses the bit-reversal permutation with the first
+//! two radix-2 stages, runs every later stage vectorized and takes
+//! magnitudes without a libm call. [`fft_inplace`], [`rfft_magnitude`] and
+//! [`Complex::abs`] stay the plain forms it is checked against. The crate
+//! stays free of external numeric dependencies.
 
 use crate::DspError;
 
@@ -184,15 +187,16 @@ pub fn fft_inplace(buf: &mut [Complex]) -> Result<(), DspError> {
 /// * [`FftPlan::recurrence`] stores exactly the products `fft_inplace`
 ///   accumulates, so its transform is bit-for-bit `fft_inplace`'s.
 ///
-/// [`FftPlan::rfft_magnitude_into`] is the one transform. It loads a real,
-/// optionally windowed frame into separate real and imaginary arrays in
-/// bit-reversed order and runs every radix-2 stage over them. Each butterfly
-/// performs the f32 operations of `Complex`'s `Mul`, `Add` and `Sub`, on the
-/// same operands in the same order, so equal twiddles give equal bits. With
-/// the split slices' lengths known the compiler drops the bounds checks and
-/// vectorizes every stage with four or more butterflies per group. The
-/// caller owns the buffers, so the plan is `&self` and one plan can serve
-/// any number of callers.
+/// [`FftPlan::rfft_magnitude_into`] is the one transform. Its first pass
+/// reads a real, optionally windowed frame in natural order, runs the first
+/// two radix-2 stages on it, 32 samples per step, and writes the results to
+/// separate real and imaginary arrays in bit-reversed order. The later
+/// stages run over those arrays, and with the split slices' lengths known
+/// the compiler drops the bounds checks and vectorizes each of them (four or
+/// more butterflies per group). Each butterfly performs the f32 operations
+/// of `Complex`'s `Mul`, `Add` and `Sub`, on the same operands in the same
+/// order, so equal twiddles give equal bits. The caller owns the buffers, so
+/// the plan is `&self` and one plan can serve any number of callers.
 ///
 /// # Example
 ///
@@ -320,6 +324,14 @@ impl FftPlan {
     /// when one is given, and its magnitude spectrum (the first `n/2 + 1`
     /// bins) in `out`. Unnormalized, exactly like [`fft_inplace`].
     ///
+    /// From `n = 32` up, one pass loads the frame (times the window) and runs
+    /// the stages `len = 2` and `len = 4` on it, and the other stages follow.
+    /// A magnitude is `sqrt(r² + i²)` evaluated in f64 and rounded to f32:
+    /// for finite parts that is exactly what glibc's `hypotf` (2.35 and
+    /// later) computes, so it matches [`Complex::abs`] there bit for bit
+    /// without a libm call. A bin with a ±inf or NaN part takes
+    /// [`Complex::abs`] itself.
+    ///
     /// `re` and `im` are the caller's scratch: on return they hold all `n`
     /// bins of the complex spectrum. Once they and `out` have capacity, the
     /// call allocates nothing.
@@ -348,37 +360,103 @@ impl FftPlan {
             return Err(mismatch(coeffs.len()));
         }
         re.resize(n, 0.0);
-        match window {
-            Some(coeffs) => {
-                for ((&x, &w), &j) in frame.iter().zip(coeffs).zip(&self.rev) {
-                    re[j] = x * w;
+        im.resize(n, 0.0);
+        let first_half = if n >= 4 * LANES {
+            self.first_two_stages(frame, window, re, im);
+            4
+        } else {
+            match window {
+                Some(coeffs) => {
+                    for ((&x, &w), &j) in frame.iter().zip(coeffs).zip(&self.rev) {
+                        re[j] = x * w;
+                    }
+                }
+                None => {
+                    for (&x, &j) in frame.iter().zip(&self.rev) {
+                        re[j] = x;
+                    }
                 }
             }
-            None => {
-                for (&x, &j) in frame.iter().zip(&self.rev) {
-                    re[j] = x;
-                }
+            im.fill(0.0);
+            1
+        };
+        self.butterflies(re, im, first_half);
+        out.clear();
+        out.extend(re[..=n / 2].iter().zip(&im[..=n / 2]).map(|(&r, &i)| {
+            let (r, i) = (f64::from(r), f64::from(i));
+            (r * r + i * i).sqrt() as f32
+        }));
+        // Only a ±inf or NaN part gives a non-finite magnitude, and there
+        // `hypot` differs: |(inf, NaN)| is +inf, where the sum above is NaN.
+        for ((m, &r), &i) in out.iter_mut().zip(re.iter()).zip(im.iter()) {
+            if !m.is_finite() {
+                *m = Complex::new(r, i).abs();
             }
         }
-        im.clear();
-        im.resize(n, 0.0);
-        self.butterflies(re, im);
-        out.clear();
-        out.extend(
-            re[..=n / 2]
-                .iter()
-                .zip(&im[..=n / 2])
-                .map(|(&r, &i)| Complex::new(r, i).abs()),
-        );
         Ok(())
     }
 
-    /// Every radix-2 stage over bit-reversed `re`/`im` of the planned size.
-    fn butterflies(&self, re: &mut [f32], im: &mut [f32]) {
-        // A running offset rather than `stage_halves`: that form spills in
-        // each group's prologue and measured slower on the scalar stages.
-        let mut half = 1;
-        let mut offset = 0;
+    /// The bit-reversal permutation and the stages `len = 2` and `len = 4`
+    /// in one pass over the frame in natural order, [`LANES`] consecutive
+    /// `k` per step (`n >= 4 * LANES`).
+    ///
+    /// For `k < n / 4`, `rev[k]` is a multiple of four, and the four
+    /// bit-reversed positions from it hold samples `k`, `k + n/2`, `k + n/4`
+    /// and `k + 3n/4`. So each step loads `LANES` consecutive samples from
+    /// each of the frame's quarters, runs both stages on them lane by lane,
+    /// and writes each lane's four results to `rev[k] ..`. The inputs'
+    /// imaginary parts are the literal `+0.0` and go through every
+    /// operation, so signed zeros and `inf * 0` come out as in the stage
+    /// loop.
+    fn first_two_stages(
+        &self,
+        frame: &[f32],
+        window: Option<&[f32]>,
+        re: &mut [f32],
+        im: &mut [f32],
+    ) {
+        let q = self.n / 4;
+        // Stage len = 2 uses twiddle slot 0, stage len = 4 slots 1 and 2.
+        let (tr, ti) = (&self.tw_re, &self.tw_im);
+        let (w0, w1, w2) = ((tr[0], ti[0]), (tr[1], ti[1]), (tr[2], ti[2]));
+        let (re, _) = re.as_chunks_mut::<4>();
+        let (im, _) = im.as_chunks_mut::<4>();
+        for (k0, revs) in (0..q).step_by(LANES).zip(self.rev[..q].chunks_exact(LANES)) {
+            // Samples k, k + n/2, k + n/4 and k + 3n/4.
+            let x: [[f32; LANES]; 4] = [0, 2, 1, 3].map(|quarter| {
+                let at = quarter * q + k0;
+                let samples = &frame[at..at + LANES];
+                match window {
+                    Some(coeffs) => {
+                        let coeffs = &coeffs[at..at + LANES];
+                        std::array::from_fn(|l| samples[l] * coeffs[l])
+                    }
+                    None => std::array::from_fn(|l| samples[l]),
+                }
+            });
+            let (mut yr, mut yi) = ([[0.0f32; LANES]; 4], [[0.0f32; LANES]; 4]);
+            for l in 0..LANES {
+                let (r0, i0, r1, i1) = butterfly((x[0][l], 0.0), (x[1][l], 0.0), w0);
+                let (r2, i2, r3, i3) = butterfly((x[2][l], 0.0), (x[3][l], 0.0), w0);
+                let (r0, i0, r2, i2) = butterfly((r0, i0), (r2, i2), w1);
+                let (r1, i1, r3, i3) = butterfly((r1, i1), (r3, i3), w2);
+                (yr[0][l], yr[1][l], yr[2][l], yr[3][l]) = (r0, r1, r2, r3);
+                (yi[0][l], yi[1][l], yi[2][l], yi[3][l]) = (i0, i1, i2, i3);
+            }
+            for (l, &at) in revs.iter().enumerate() {
+                re[at / 4] = [yr[0][l], yr[1][l], yr[2][l], yr[3][l]];
+                im[at / 4] = [yi[0][l], yi[1][l], yi[2][l], yi[3][l]];
+            }
+        }
+    }
+
+    /// The radix-2 stages from `len = 2 * half` up over bit-reversed
+    /// `re`/`im` of the planned size.
+    fn butterflies(&self, re: &mut [f32], im: &mut [f32], mut half: usize) {
+        // Stage `len` keeps its twiddles from offset `half - 1`. A running
+        // offset rather than `stage_halves`: that form spilled in each
+        // group's prologue.
+        let mut offset = half - 1;
         while half < self.n {
             let len = 2 * half;
             let wr = &self.tw_re[offset..offset + half];
@@ -388,21 +466,33 @@ impl FftPlan {
                 let (ui, vi) = im.split_at_mut(half);
                 let (vr, vi, ui) = (&mut vr[..half], &mut vi[..half], &mut ui[..half]);
                 for k in 0..half {
-                    // `v * w`, then `u + t` and `u - t`, as `Complex` does.
-                    let (a, b, c, d) = (vr[k], vi[k], wr[k], wi[k]);
-                    let tr = a * c - b * d;
-                    let ti = a * d + b * c;
-                    let (xr, xi) = (ur[k], ui[k]);
-                    ur[k] = xr + tr;
-                    ui[k] = xi + ti;
-                    vr[k] = xr - tr;
-                    vi[k] = xi - ti;
+                    (ur[k], ui[k], vr[k], vi[k]) =
+                        butterfly((ur[k], ui[k]), (vr[k], vi[k]), (wr[k], wi[k]));
                 }
             }
             offset += half;
             half = len;
         }
     }
+}
+
+/// Consecutive `k` per step of [`FftPlan`]'s first pass. Plans of fewer
+/// than `4 * LANES` points keep the bit-reversal permutation and run every
+/// stage in the stage loop.
+const LANES: usize = 8;
+
+/// One radix-2 butterfly on split parts: `t = v * w`, then `u + t` and
+/// `u - t`, with the f32 operations of `Complex`'s `Mul`, `Add` and `Sub`
+/// in their order (no FMA), so equal inputs give equal bits.
+#[inline(always)]
+fn butterfly(
+    (ur, ui): (f32, f32),
+    (vr, vi): (f32, f32),
+    (c, d): (f32, f32),
+) -> (f32, f32, f32, f32) {
+    let tr = vr * c - vi * d;
+    let ti = vr * d + vi * c;
+    (ur + tr, ui + ti, ur - tr, ui - ti)
 }
 
 /// In-place inverse FFT, normalized by `1/N`.

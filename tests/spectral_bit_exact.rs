@@ -4,9 +4,11 @@
 //! `dsp::SpectralAnalyzer`) must return exactly what the code they replace
 //! returns: the same errors and the same `f32` bits, on random frames of
 //! every power-of-two length up to 1024 and on every analysis frame of the
-//! synthetic voice corpus the runtime classifies. The replaced code is kept
-//! below verbatim: the interleaved planned transform, the MFCC frame path
-//! over it, and the spectral summary over `rfft_magnitude`.
+//! synthetic voice corpus the runtime classifies. On the random frames the
+//! spectrum under them is pinned too: `dsp::FftPlan`'s real and imaginary
+//! parts and magnitudes, bin by bin. The replaced code is kept below
+//! verbatim: the interleaved planned transform, the MFCC frame path over
+//! it, and the spectral summary over `rfft_magnitude`.
 
 // The references keep `dsp`'s `!(x > 0.0)` guards verbatim: unlike
 // `x <= 0.0` they also reject NaN.
@@ -16,8 +18,8 @@ use affectsys::biosignal::{synthesize_utterance, UtteranceParams};
 use affectsys::core::emotion::Emotion;
 use affectsys::dsp::features::SpectralSummary;
 use affectsys::dsp::{
-    rfft_magnitude, spectral_magnitude, Complex, DspError, Frames, MelFilterBank, MfccExtractor,
-    SpectralAnalyzer,
+    fft_inplace, rfft_magnitude, spectral_magnitude, Complex, DspError, FftPlan, Frames,
+    MelFilterBank, MfccExtractor, SpectralAnalyzer,
 };
 use proptest::prelude::*;
 
@@ -220,6 +222,39 @@ fn mfcc_bits(result: Result<Vec<f32>, DspError>) -> Result<Vec<u32>, DspError> {
     result.map(|c| c.into_iter().map(f32::to_bits).collect())
 }
 
+/// A value's bits, with every NaN read as one NaN: which NaN an operation
+/// returns depends on its operand order, which vectorized code may swap.
+fn bits_nan_as_nan(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Real parts, imaginary parts and magnitudes of one spectrum, as bits.
+type SpectrumBits = [Vec<u32>; 3];
+
+/// `plan`'s spectrum of each frame in turn, through one set of buffers.
+fn plan_bits(plan: &FftPlan, frames: [&[f32]; 2], window: Option<&[f32]>) -> [SpectrumBits; 2] {
+    let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+    frames.map(|frame| {
+        plan.rfft_magnitude_into(frame, window, &mut re, &mut im, &mut mag)
+            .unwrap();
+        [&re, &im, &mag].map(|part| part.iter().copied().map(bits_nan_as_nan).collect())
+    })
+}
+
+/// A reference spectrum as bits, its magnitudes from `Complex::abs`.
+fn spectrum_bits(spectrum: &[Complex]) -> SpectrumBits {
+    let half = &spectrum[..spectrum.len() / 2 + 1];
+    [
+        spectrum.iter().map(|c| bits_nan_as_nan(c.re)).collect(),
+        spectrum.iter().map(|c| bits_nan_as_nan(c.im)).collect(),
+        half.iter().map(|c| bits_nan_as_nan(c.abs())).collect(),
+    ]
+}
+
 /// SplitMix64 step mapped to a sample in `[-1, 1)`.
 fn next_sample(state: &mut u64) -> f32 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -272,7 +307,10 @@ proptest! {
     /// Random frames of every power-of-two length from 1 to 1024 at random
     /// sample rates, through the one-shot summary, a warm analyzer, and an
     /// MFCC extractor of random filter and coefficient counts — including
-    /// counts the length cannot hold, whose errors must match too.
+    /// counts the length cannot hold, whose errors must match too. Under
+    /// them, both plans' spectra: the direct plan with the Hann window
+    /// against the interleaved plan on the windowed frame, the recurrence
+    /// plan against `fft_inplace`, each with `Complex::abs` magnitudes.
     #[test]
     fn split_layout_matches_reference_bitwise(
         (pow, sample_rate, n_filters, extra_coeffs) in (
@@ -287,6 +325,27 @@ proptest! {
         let n_coeffs = extra_coeffs.min(n_filters + 1);
         let frame = make_frame(kind, len, sample_rate, seed);
         let next = make_frame(next_kind, len, sample_rate, !seed);
+
+        let hann = affectsys::dsp::window::hann(len);
+        let reference = ReferencePlan::new(len).unwrap();
+        let expected = [&frame, &next].map(|frame| {
+            let mut windowed: Vec<Complex> = frame
+                .iter()
+                .zip(&hann)
+                .map(|(&x, &w)| Complex::new(x * w, 0.0))
+                .collect();
+            reference.process(&mut windowed).unwrap();
+            spectrum_bits(&windowed)
+        });
+        let plan = FftPlan::new(len).unwrap();
+        prop_assert_eq!(plan_bits(&plan, [&frame, &next], Some(&hann)), expected);
+        let expected = [&frame, &next].map(|frame| {
+            let mut spectrum: Vec<Complex> = frame.iter().map(|&x| Complex::from(x)).collect();
+            fft_inplace(&mut spectrum).unwrap();
+            spectrum_bits(&spectrum)
+        });
+        let plan = FftPlan::recurrence(len).unwrap();
+        prop_assert_eq!(plan_bits(&plan, [&frame, &next], None), expected);
 
         let expected = summary_bits(reference_spectral(&frame, sample_rate));
         prop_assert_eq!(summary_bits(spectral_magnitude(&frame, sample_rate)), expected.clone());
