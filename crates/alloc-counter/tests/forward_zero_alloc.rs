@@ -2,12 +2,14 @@
 //! and `AffectClassifier::classify_with`) performs zero steady-state
 //! heap allocations once the `Scratch` arena is warm — in f32, in int8,
 //! with f32 and int8 models interleaved on one shared arena (the runtime's
-//! mixed-precision worker pattern), and through the HDC classifier.
+//! mixed-precision worker pattern), for the runtime's three models at the
+//! default config's shapes, and through the HDC classifier.
 //!
 //! Runs without the libtest harness (`harness = false`): the allocator
 //! counters are process-global, so the measurement must own the process.
 
 use affect_core::classifier::{AffectClassifier, Decision, ModelConfig};
+use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use alloc_counter::{count_allocations, CountingAllocator};
 use nn::hdc::HdcClassifier;
 use nn::layers::{Activation, Dense};
@@ -92,6 +94,62 @@ fn main() {
     assert_eq!(
         delta.allocations, 0,
         "mixed f32/int8 forwards allocated in steady state: {delta:?}"
+    );
+    assert_eq!(delta.bytes_allocated, 0);
+
+    // The runtime's three models at the default config (16 kHz, 1 s
+    // windows in 512-sample frames), with its default model seed: the LSTM
+    // on `[61, 19]`, the CNN on `[1, 1159]` and the MLP on `[76]`, each in
+    // f32 and int8, interleaved on one arena as a classify worker runs
+    // them.
+    let mut pipeline = FeaturePipeline::new(FeatureConfig::default()).unwrap();
+    let window: Vec<f32> = (0..16_000)
+        .map(|n| (n as f32 * 0.057).sin() * 0.3 + (n as f32 * 0.0131).sin() * 0.1)
+        .collect();
+    let (fpf, frames) = (pipeline.features_per_frame(), pipeline.frames_for(16_000));
+    let runtime_models = [
+        (
+            ModelConfig::scaled_lstm(fpf, 8),
+            pipeline.extract_sequence(&window).unwrap(),
+        ),
+        (
+            ModelConfig::scaled_cnn(frames * fpf, 8),
+            pipeline.extract_strip(&window).unwrap(),
+        ),
+        (
+            ModelConfig::scaled_mlp(pipeline.flat_dim(), 8),
+            pipeline.extract_flat(&window).unwrap(),
+        ),
+    ];
+    let labels: Vec<String> = (0..8).map(|i| format!("c{i}")).collect();
+    let mut worker = Vec::new();
+    for (config, features) in &runtime_models {
+        for precision in [Precision::F32, Precision::Int8] {
+            let mut clf = AffectClassifier::from_config(config, labels.clone(), 7).unwrap();
+            clf.set_precision(precision).unwrap();
+            worker.push((clf, features));
+        }
+    }
+    let shapes: Vec<&[usize]> = runtime_models.iter().map(|(_, f)| f.shape()).collect();
+    assert_eq!(shapes, [&[61, 19][..], &[1, 1159], &[76]]);
+    let mut arena = Scratch::new();
+    for _ in 0..3 {
+        for (clf, features) in &mut worker {
+            clf.classify_with(features.data(), features.shape(), &mut arena, &mut decision)
+                .unwrap();
+        }
+    }
+    let (delta, ()) = count_allocations(|| {
+        for _ in 0..5 {
+            for (clf, features) in &mut worker {
+                clf.classify_with(features.data(), features.shape(), &mut arena, &mut decision)
+                    .unwrap();
+            }
+        }
+    });
+    assert_eq!(
+        delta.allocations, 0,
+        "the runtime's models, f32 and int8 on one arena, allocated in steady state: {delta:?}"
     );
     assert_eq!(delta.bytes_allocated, 0);
 

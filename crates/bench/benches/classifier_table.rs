@@ -1,12 +1,15 @@
 //! Feature-extraction throughput per classifier layout — the phone-side
-//! per-utterance cost feeding the Fig. 3 study — plus the smoothing-window
-//! ablation of DESIGN.md §7.
+//! per-utterance cost feeding the Fig. 3 study —, what one warm classify
+//! costs per family and precision at the runtime's shapes, and the
+//! smoothing-window ablation of DESIGN.md §7.
 
+use affect_core::classifier::{AffectClassifier, Decision, ModelConfig};
 use affect_core::emotion::Emotion;
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use affect_core::smoothing::MajoritySmoother;
 use biosignal::{synthesize_utterance, UtteranceParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nn::{Precision, Scratch, Tensor};
 use std::hint::black_box;
 
 fn bench_extraction(c: &mut Criterion) {
@@ -35,6 +38,79 @@ fn bench_extraction(c: &mut Criterion) {
     group.bench_function("flat_stats", |b| {
         b.iter(|| pipeline.extract_flat(black_box(&window)).unwrap());
     });
+    group.finish();
+}
+
+/// `AffectClassifier::classify_with`, warm, for every neural family and
+/// precision, with the runtime's default seed, at two shapes: the default
+/// 16 kHz config on 1 s windows (`voice_loop`'s `[61, 19]`, `[1, 1159]`
+/// and `[76]`) and 256-sample windows in 128-sample frames
+/// (`fleet_small_windows`' `[3, 10]`, `[1, 30]` and `[40]`). Int8 and f32
+/// run in one process, so their ratio is a wall-time comparison.
+fn bench_classify(c: &mut Criterion) {
+    let labels: Vec<String> = Emotion::ALL.iter().map(|e| e.name().to_string()).collect();
+    let fleet = FeatureConfig {
+        frame_len: 128,
+        hop: 64,
+        n_mfcc: 4,
+        n_mels: 12,
+        ..FeatureConfig::default()
+    };
+    let mut group = c.benchmark_group("classify_with");
+    for (runtime, config, window_samples) in [
+        ("voice", FeatureConfig::default(), 16_000),
+        ("fleet", fleet, 256),
+    ] {
+        let rate = config.sample_rate;
+        let mut pipeline = FeaturePipeline::new(config).unwrap();
+        let params = UtteranceParams::for_emotion(Emotion::Happy);
+        let wave = synthesize_utterance(&params, window_samples as f32 / rate, rate, 1).unwrap();
+        let window = &wave[..window_samples];
+        let (fpf, frames) = (
+            pipeline.features_per_frame(),
+            pipeline.frames_for(window_samples),
+        );
+        let models: [(ModelConfig, Tensor); 3] = [
+            (
+                ModelConfig::scaled_lstm(fpf, labels.len()),
+                pipeline.extract_sequence(window).unwrap(),
+            ),
+            (
+                ModelConfig::scaled_cnn(frames * fpf, labels.len()),
+                pipeline.extract_strip(window).unwrap(),
+            ),
+            (
+                ModelConfig::scaled_mlp(pipeline.flat_dim(), labels.len()),
+                pipeline.extract_flat(window).unwrap(),
+            ),
+        ];
+        for (model, features) in &models {
+            for precision in [Precision::F32, Precision::Int8] {
+                let mut clf = AffectClassifier::from_config(model, labels.clone(), 7).unwrap();
+                clf.set_precision(precision).unwrap();
+                let mut scratch = Scratch::new();
+                let mut decision = Decision::default();
+                let id = format!(
+                    "{runtime}/{}/{}/{:?}",
+                    model.kind(),
+                    precision.label(),
+                    features.shape()
+                );
+                group.bench_function(id, |b| {
+                    b.iter(|| {
+                        clf.classify_with(
+                            black_box(features.data()),
+                            features.shape(),
+                            &mut scratch,
+                            &mut decision,
+                        )
+                        .unwrap();
+                        decision.class
+                    });
+                });
+            }
+        }
+    }
     group.finish();
 }
 
@@ -78,5 +154,10 @@ fn bench_smoothing_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_extraction, bench_smoothing_ablation);
+criterion_group!(
+    benches,
+    bench_extraction,
+    bench_classify,
+    bench_smoothing_ablation
+);
 criterion_main!(benches);

@@ -118,27 +118,21 @@ impl Layer for Conv1d {
         out.resize(self.out_ch * t_out, 0.0);
         if let Some(qw) = &self.qweight {
             // Fully quantized path: the whole strip quantizes once (one
-            // per-tensor activation scale), then each output position
-            // gathers its [in_ch × k] window contiguously so every filter
-            // reduces to one fused i8 dot.
-            let ick = self.in_ch * self.kernel;
+            // per-tensor activation scale), then the filters sweep it in
+            // the f32 kernel's broadcast-axpy shape on exact i32 sums.
             let mut qx = scratch.acquire_i8(self.in_ch * t_in);
             let x_scale = quantize_activations_into(input, &mut qx);
-            let mut window = scratch.acquire_i8(ick);
-            let combined = qw.scale() * x_scale;
-            let values = qw.values();
-            let bias = self.bias.value.data();
-            for t in 0..t_out {
-                for c in 0..self.in_ch {
-                    window[c * self.kernel..(c + 1) * self.kernel]
-                        .copy_from_slice(&qx[c * t_in + t..c * t_in + t + self.kernel]);
-                }
-                for o in 0..self.out_ch {
-                    let row = &values[o * ick..(o + 1) * ick];
-                    out[o * t_out + t] = kernels::dot_i8(row, &window) as f32 * combined + bias[o];
-                }
-            }
-            scratch.release_i8(window);
+            kernels::conv1d_i8(
+                qw.values(),
+                self.bias.value.data(),
+                &qx,
+                self.in_ch,
+                self.out_ch,
+                self.kernel,
+                t_in,
+                qw.scale() * x_scale,
+                out,
+            );
             scratch.release_i8(qx);
         } else {
             kernels::conv1d_forward(

@@ -22,10 +22,13 @@ struct StepCache {
 
 /// A single-direction LSTM over `[time, features]` inputs.
 ///
-/// Gate layout in the stacked weight matrices is `[input, forget, candidate,
-/// output]`. With `return_sequences` the layer outputs `[time, hidden]`
-/// (for stacking, as in the paper's two-layer LSTM classifier); otherwise it
-/// outputs the final hidden state `[hidden]`.
+/// The weight matrices are stored input-major: `wx` is `[features, 4 ·
+/// hidden]` and `wh` is `[hidden, 4 · hidden]`, so each row holds one input's
+/// weights into every gate, laid out `[input, forget, candidate, output]`.
+/// Both gate products are then the axpy [`kernels::gemv_t`] runs, one
+/// accumulator lane per gate row. With `return_sequences` the layer outputs
+/// `[time, hidden]` (for stacking, as in the paper's two-layer LSTM
+/// classifier); otherwise it outputs the final hidden state `[hidden]`.
 ///
 /// # Example
 ///
@@ -42,12 +45,13 @@ struct StepCache {
 /// ```
 #[derive(Debug)]
 pub struct Lstm {
-    wx: Param,   // [4H, F]
-    wh: Param,   // [4H, H]
+    wx: Param,   // [F, 4H], input-major
+    wh: Param,   // [H, 4H], input-major
     bias: Param, // [4H]
-    /// Int8 snapshots of `wx`/`wh`; present iff the layer runs the
-    /// quantized scratch path (see [`Layer::set_precision`]). The gate
-    /// nonlinearities and cell state stay f32.
+    /// Int8 snapshots of `wx`/`wh`, input-major like them; present iff the
+    /// layer runs the quantized scratch path (see
+    /// [`Layer::set_precision`]). The gate nonlinearities and cell state
+    /// stay f32.
     qwx: Option<QuantizedTensor>,
     qwh: Option<QuantizedTensor>,
     input_dim: usize,
@@ -61,10 +65,20 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// The `[cols, rows]` transpose of a row-major `[rows, cols]` matrix.
+fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols)
+        .flat_map(|c| (0..rows).map(move |r| a[r * cols + c]))
+        .collect()
+}
+
 impl Lstm {
     /// Creates an LSTM with `input_dim` features and `hidden` units,
     /// Xavier-initialized from `seed`. The forget-gate bias starts at 1.0
-    /// (the standard trick that stabilizes early training).
+    /// (the standard trick that stabilizes early training). The draw is
+    /// gate-major, `[4H, F]` then `[4H, H]`, and is transposed once into
+    /// the stored input-major layout, so a seed builds the same weights it
+    /// always has.
     ///
     /// # Errors
     ///
@@ -89,8 +103,14 @@ impl Lstm {
             *b = 1.0; // forget gate
         }
         Ok(Self {
-            wx: Param::new(Tensor::from_vec(wx, &[4 * hidden, input_dim])?),
-            wh: Param::new(Tensor::from_vec(wh, &[4 * hidden, hidden])?),
+            wx: Param::new(Tensor::from_vec(
+                transpose(&wx, 4 * hidden, input_dim),
+                &[input_dim, 4 * hidden],
+            )?),
+            wh: Param::new(Tensor::from_vec(
+                transpose(&wh, 4 * hidden, hidden),
+                &[hidden, 4 * hidden],
+            )?),
             bias: Param::new(Tensor::from_vec(bias, &[4 * hidden])?),
             qwx: None,
             qwh: None,
@@ -122,8 +142,8 @@ impl Layer for Lstm {
         for t in 0..t_len {
             let x = &input.data()[t * self.input_dim..(t + 1) * self.input_dim];
             // z = Wx·x + Wh·h_prev + b, laid out as [i | f | g | o].
-            let mut z = self.wx.value.matvec(x)?;
-            let zh = self.wh.value.matvec(&h_prev)?;
+            let mut z = self.wx.value.matvec_t(x)?;
+            let zh = self.wh.value.matvec_t(&h_prev)?;
             for ((zi, &zhi), &bi) in z.iter_mut().zip(&zh).zip(self.bias.value.data()) {
                 *zi += zhi + bi;
             }
@@ -202,23 +222,21 @@ impl Layer for Lstm {
             if let (Some(qwx), Some(qwh)) = (&self.qwx, &self.qwh) {
                 // Quantized gate pre-activations: x_t and h_{t-1} each
                 // quantize per step (their own scale), gates accumulate
-                // in i32 and rescale once per row.
+                // in i32 and rescale once per row:
+                // z = dot_x as f32 * cx + dot_h as f32 * ch, then + b.
                 let x_scale = quantize_activations_into(x, &mut qx);
                 let h_scale = quantize_activations_into(&h_prev, &mut qh);
                 let cx = qwx.scale() * x_scale;
                 let ch = qwh.scale() * h_scale;
-                let (vx, vh) = (qwx.values(), qwh.values());
-                for (r, zr) in z.iter_mut().enumerate() {
-                    let dot_x = kernels::dot_i8(&vx[r * f_dim..(r + 1) * f_dim], &qx);
-                    let dot_h = kernels::dot_i8(&vh[r * h..(r + 1) * h], &qh);
-                    *zr = dot_x as f32 * cx + dot_h as f32 * ch;
-                }
-                for (zi, &bi) in z.iter_mut().zip(self.bias.value.data()) {
+                kernels::gemv_t_i8(qwx.values(), f_dim, 4 * h, &qx, cx, &mut z);
+                kernels::gemv_t_i8(qwh.values(), h, 4 * h, &qh, ch, &mut zh);
+                for ((zi, &zhi), &bi) in z.iter_mut().zip(zh.iter()).zip(self.bias.value.data()) {
+                    *zi += zhi;
                     *zi += bi;
                 }
             } else {
-                kernels::gemv(self.wx.value.data(), 4 * h, f_dim, x, &mut z);
-                kernels::gemv(self.wh.value.data(), 4 * h, h, &h_prev, &mut zh);
+                kernels::gemv_t(self.wx.value.data(), f_dim, 4 * h, x, &mut z);
+                kernels::gemv_t(self.wh.value.data(), h, 4 * h, &h_prev, &mut zh);
                 for ((zi, &zhi), &bi) in z.iter_mut().zip(zh.iter()).zip(self.bias.value.data()) {
                     *zi += zhi + bi;
                 }
@@ -320,33 +338,33 @@ impl Layer for Lstm {
                 dz[3 * h + j] = do_ * step.o[j] * (1.0 - step.o[j]);
             }
 
-            // Accumulate parameter gradients: dWx += dz ⊗ x, dWh += dz ⊗ h_prev.
-            {
-                let dwx = self.wx.grad.data_mut();
-                for (r, &dzr) in dz.iter().enumerate() {
-                    let base = r * self.input_dim;
-                    for (cidx, &xv) in step.x.iter().enumerate() {
-                        dwx[base + cidx] += dzr * xv;
-                    }
+            // Accumulate parameter gradients: dWx += x ⊗ dz, dWh += h_prev ⊗ dz
+            // (input-major, like the weights).
+            for (dwx_c, &xv) in self.wx.grad.data_mut().chunks_exact_mut(4 * h).zip(&step.x) {
+                for (dw, &dzr) in dwx_c.iter_mut().zip(&dz) {
+                    *dw += dzr * xv;
                 }
             }
+            for (dwh_c, &hv) in self
+                .wh
+                .grad
+                .data_mut()
+                .chunks_exact_mut(4 * h)
+                .zip(&step.h_prev)
             {
-                let dwh = self.wh.grad.data_mut();
-                for (r, &dzr) in dz.iter().enumerate() {
-                    let base = r * h;
-                    for (cidx, &hv) in step.h_prev.iter().enumerate() {
-                        dwh[base + cidx] += dzr * hv;
-                    }
+                for (dw, &dzr) in dwh_c.iter_mut().zip(&dz) {
+                    *dw += dzr * hv;
                 }
             }
             for (db, &dzr) in self.bias.grad.data_mut().iter_mut().zip(&dz) {
                 *db += dzr;
             }
 
-            // dx_t = Wxᵀ dz; dh_prev = Whᵀ dz.
-            let dx = self.wx.value.matvec_t(&dz)?;
+            // dx_t = Wxᵀ dz; dh_prev = Whᵀ dz: plain products over the
+            // input-major matrices.
+            let dx = self.wx.value.matvec(&dz)?;
             dx_all[t * self.input_dim..(t + 1) * self.input_dim].copy_from_slice(&dx);
-            dh_next = self.wh.value.matvec_t(&dz)?;
+            dh_next = self.wh.value.matvec(&dz)?;
             dc_next = dc_prev;
         }
 

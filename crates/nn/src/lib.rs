@@ -9,8 +9,9 @@
 //!
 //! * [`tensor::Tensor`] — a dense row-major tensor with the handful of ops
 //!   the layers require,
-//! * [`kernels`] — register-blocked matrix–vector and convolution kernels
-//!   (bit-for-bit equal to the naive loops) plus a fused i8×i8→i32 path,
+//! * [`kernels`] — register-blocked and axpy matrix–vector and convolution
+//!   kernels (bit-for-bit equal to the naive loops) and exact i8×i8→i32
+//!   twins, the convolutions with AVX2 and AVX-512F arms,
 //! * [`scratch`] — a reusable inference workspace so the steady-state
 //!   forward pass allocates nothing,
 //! * [`layers`] — `Dense`, `Conv1d`, `MaxPool1d`, `Lstm`, `Gru`, ReLU,

@@ -7,6 +7,7 @@
 //! to int8 and inference runs on the dequantized values, so the accuracy
 //! impact of the rounding is exactly what an int8 deployment would see.
 
+use crate::kernels::{Kernel, Lanes};
 use crate::model::Sequential;
 use crate::{NnError, Tensor};
 
@@ -23,8 +24,10 @@ pub enum Precision {
     F32,
     /// Fully quantized int8 inference: weights snapshotted per-tensor
     /// symmetric (`scale = max|w| / 127`), activations quantized per
-    /// vector on the fly, every multiply-accumulate in i8×i8→i32 via
-    /// [`crate::kernels::dot_i8`].
+    /// vector on the fly, every multiply-accumulate in i8×i8→i32
+    /// ([`crate::kernels::dot_i8`] per row in `Dense`,
+    /// [`crate::kernels::gemv_t_i8`] in `Lstm`,
+    /// [`crate::kernels::conv1d_i8`] in `Conv1d`).
     Int8,
 }
 
@@ -167,15 +170,67 @@ pub fn quantize_weights_in_place(model: &mut Sequential) -> Result<QuantReport, 
 /// buffer (resized to `x.len()`), returning the per-vector scale.
 /// Allocation-free once the buffer has capacity — the runtime counterpart of
 /// [`QuantizedTensor::quantize`] for the fully quantized inference path.
+///
+/// Runs in the widest vector arm this CPU has: there `round` vectorizes
+/// instead of calling libm once per element. `round` is defined exactly
+/// (ties away from zero) and the cast to `i8` saturates, so every arm gives
+/// the same bytes and the same scale.
 pub fn quantize_activations_into(x: &[f32], out: &mut Vec<i8>) -> f32 {
-    let max_abs = x.iter().fold(0.0f32, |a, &b| a.max(b.abs()));
-    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
     out.clear();
-    out.extend(
-        x.iter()
-            .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8),
-    );
-    scale
+    out.resize(x.len(), 0);
+    Lanes::detect().run(QuantizeActivations { x, out })
+}
+
+/// The arguments of [`quantize_activations_into`].
+pub(crate) struct QuantizeActivations<'a> {
+    pub(crate) x: &'a [f32],
+    pub(crate) out: &'a mut [i8],
+}
+
+/// Lanes of the max-abs reduction in [`QuantizeActivations`].
+const MAX_LANES: usize = 16;
+
+impl Kernel for QuantizeActivations<'_> {
+    type Output = f32;
+
+    /// The max-abs scan keeps [`MAX_LANES`] running maxima. `f32::max`
+    /// ignores a NaN operand, and every lane starts at 0.0, so the result
+    /// is the largest non-NaN `|v|` (or 0.0) in any order: exactly what one
+    /// running maximum in element order gives.
+    #[inline(always)]
+    fn run(self) -> f32 {
+        let Self { x, out } = self;
+        let mut lanes = [0.0f32; MAX_LANES];
+        let mut chunks = x.chunks_exact(MAX_LANES);
+        for chunk in chunks.by_ref() {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane = lane.max(v.abs());
+            }
+        }
+        let max_abs = chunks
+            .remainder()
+            .iter()
+            .chain(&lanes)
+            .fold(0.0f32, |a, &b| a.max(b.abs()));
+        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+        for (q, &v) in out.iter_mut().zip(x) {
+            *q = whole_to_i8((v / scale).round().clamp(-127.0, 127.0));
+        }
+        scale
+    }
+}
+
+/// `r as i8` for an `r` that is NaN or a whole number in `[-127, 127]`, in
+/// a form that vectorizes (the saturating `as` measured scalar in every
+/// arm): adding 1.5 · 2^23 is exact and leaves `r` in the low mantissa
+/// bits, and NaN gives 0, as `as` does.
+#[inline(always)]
+fn whole_to_i8(r: f32) -> i8 {
+    if r.is_nan() {
+        0
+    } else {
+        ((r + 12_582_912.0).to_bits() as i32 - 0x4B40_0000) as i8
+    }
 }
 
 /// float32 weight footprint in bytes for a given parameter count.

@@ -198,9 +198,12 @@ impl Scratch {
     }
 
     /// Bytes currently held by the pools and the output slot (capacity, not
-    /// length — this is what the allocator actually retains). Memory-budget
-    /// accounting samples this only when [`Scratch::alloc_events`] changed,
-    /// so a steady-state window never pays for the walk.
+    /// length — this is what the allocator actually retains). The runtime's
+    /// classify stage (`affect-rt`'s `ClassifyStep::step`) reads it after
+    /// every window and charges any growth to the memory budget; the walk
+    /// sums a handful of capacities. The
+    /// int8 kernels' `i32` sums live in stack tiles, not in a pool, so the
+    /// two pools here are all an arena holds.
     pub fn pooled_bytes(&self) -> usize {
         let f32_bytes: usize = self
             .pool
