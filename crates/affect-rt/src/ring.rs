@@ -7,9 +7,19 @@
 //! honest about what it drops: every shed message is *returned to the
 //! producer* so its session's accounting can record the loss. Nothing
 //! vanishes silently.
+//!
+//! A hand-off wakes a thread only when one is parked. Behind the mutex the
+//! ring counts the consumers parked in [`Ring::pop`] and the
+//! [`OverflowPolicy::Block`] producers parked in [`Ring::push`]; a thread
+//! adds itself before it waits and removes itself after. A push signals a
+//! consumer, and a pop a producer, only when that count, read under the
+//! same lock, is non-zero. On Linux every `Condvar` notify is a
+//! `FUTEX_WAKE` system call, waiter or not, and most hand-offs find the
+//! other side busy rather than parked. [`Ring::close`] still wakes every
+//! parked thread.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use affect_obs::{Counter, Gauge};
 
@@ -75,15 +85,22 @@ struct State<T> {
     queue: VecDeque<T>,
     stats: RingStats,
     closed: bool,
+    /// Consumers parked in [`Ring::pop`] on `readable`.
+    parked_readers: usize,
+    /// [`OverflowPolicy::Block`] producers parked in [`Ring::push`] on
+    /// `writable`.
+    parked_writers: usize,
 }
 
 /// Bounded multi-producer multi-consumer queue with a per-ring
 /// [`OverflowPolicy`].
 pub struct Ring<T> {
     state: Mutex<State<T>>,
-    /// Signalled when the queue gains a message or closes.
+    /// Signalled when the queue gains a message while a consumer is
+    /// parked, or closes.
     readable: Condvar,
-    /// Signalled when the queue loses a message or closes (Block producers).
+    /// Signalled when the queue loses a message while a Block producer is
+    /// parked, or closes.
     writable: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
@@ -98,6 +115,8 @@ impl<T> Ring<T> {
                 queue: VecDeque::with_capacity(capacity.max(1)),
                 stats: RingStats::default(),
                 closed: false,
+                parked_readers: 0,
+                parked_writers: 0,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -140,7 +159,9 @@ impl<T> Ring<T> {
             match self.policy {
                 OverflowPolicy::Block => {
                     while state.queue.len() >= self.capacity && !state.closed {
+                        state.parked_writers += 1;
                         state = self.writable.wait(state).expect("ring lock poisoned");
+                        state.parked_writers -= 1;
                     }
                     if state.closed {
                         return PushOutcome::Closed(msg);
@@ -170,8 +191,11 @@ impl<T> Ring<T> {
             m.pushed.inc();
             m.depth.set(state.queue.len() as i64);
         }
+        let wake = state.parked_readers > 0;
         drop(state);
-        self.readable.notify_one();
+        if wake {
+            self.readable.notify_one();
+        }
         outcome
     }
 
@@ -180,20 +204,15 @@ impl<T> Ring<T> {
     pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("ring lock poisoned");
         loop {
-            if let Some(msg) = state.queue.pop_front() {
-                state.stats.popped += 1;
-                if let Some(m) = &self.metrics {
-                    m.popped.inc();
-                    m.depth.set(state.queue.len() as i64);
-                }
-                drop(state);
-                self.writable.notify_one();
-                return Some(msg);
+            if !state.queue.is_empty() {
+                return self.take_front(state);
             }
             if state.closed {
                 return None;
             }
+            state.parked_readers += 1;
             state = self.readable.wait(state).expect("ring lock poisoned");
+            state.parked_readers -= 1;
         }
     }
 
@@ -201,15 +220,23 @@ impl<T> Ring<T> {
     /// queue is currently empty (whether or not the ring is closed) — the
     /// consumer's opportunistic drain for batching windows.
     pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("ring lock poisoned");
+        self.take_front(self.state.lock().expect("ring lock poisoned"))
+    }
+
+    /// Pops the front message under the held lock, counts it, releases the
+    /// lock and wakes one parked Block producer, if any.
+    fn take_front(&self, mut state: MutexGuard<'_, State<T>>) -> Option<T> {
         let msg = state.queue.pop_front()?;
         state.stats.popped += 1;
         if let Some(m) = &self.metrics {
             m.popped.inc();
             m.depth.set(state.queue.len() as i64);
         }
+        let wake = state.parked_writers > 0;
         drop(state);
-        self.writable.notify_one();
+        if wake {
+            self.writable.notify_one();
+        }
         Some(msg)
     }
 
@@ -294,6 +321,14 @@ mod tests {
         assert_eq!(ring.pop(), None);
     }
 
+    /// Spins until `parked` counts `count` threads, read under the ring's
+    /// lock: a thread counts itself there just before it waits.
+    fn await_parked<T>(ring: &Ring<T>, parked: fn(&State<T>) -> usize, count: usize) {
+        while parked(&ring.state.lock().unwrap()) < count {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn block_policy_parks_producer_until_space() {
         let ring = Arc::new(Ring::new(1, OverflowPolicy::Block));
@@ -302,11 +337,56 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || ring.push(2))
         };
-        // Give the producer a chance to park, then free a slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Free a slot only once the producer is parked.
+        await_parked(&ring, |s| s.parked_writers, 1);
         assert_eq!(ring.pop(), Some(1));
         assert!(matches!(producer.join().unwrap(), PushOutcome::Stored));
         assert_eq!(ring.pop(), Some(2));
+        assert_eq!(ring.state.lock().unwrap().parked_writers, 0);
+    }
+
+    #[test]
+    fn try_pop_wakes_a_parked_producer() {
+        let ring = Arc::new(Ring::new(1, OverflowPolicy::Block));
+        ring.push(1);
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || ring.push(2))
+        };
+        await_parked(&ring, |s| s.parked_writers, 1);
+        assert_eq!(ring.try_pop(), Some(1));
+        assert!(matches!(producer.join().unwrap(), PushOutcome::Stored));
+        assert_eq!(ring.try_pop(), Some(2));
+    }
+
+    #[test]
+    fn push_wakes_a_parked_consumer() {
+        let ring = Arc::new(Ring::new(4, OverflowPolicy::DropNewest));
+        let consumer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || ring.pop())
+        };
+        await_parked(&ring, |s| s.parked_readers, 1);
+        assert_eq!(ring.push(7), PushOutcome::Stored);
+        assert_eq!(consumer.join().unwrap(), Some(7));
+        assert_eq!(ring.state.lock().unwrap().parked_readers, 0);
+    }
+
+    #[test]
+    fn each_push_wakes_its_own_parked_consumer() {
+        let ring = Arc::new(Ring::new(4, OverflowPolicy::Block));
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || ring.pop())
+            })
+            .collect();
+        await_parked(&ring, |s| s.parked_readers, 2);
+        ring.push(1);
+        ring.push(2);
+        let mut got: Vec<_> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+        got.sort();
+        assert_eq!(got, [Some(1), Some(2)]);
     }
 
     #[test]
@@ -317,9 +397,68 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || ring.push(2))
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        await_parked(&ring, |s| s.parked_writers, 1);
         ring.close();
         assert!(matches!(producer.join().unwrap(), PushOutcome::Closed(2)));
+    }
+
+    #[test]
+    fn close_unblocks_parked_consumers() {
+        let ring: Arc<Ring<u32>> = Arc::new(Ring::new(1, OverflowPolicy::Block));
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || ring.pop())
+            })
+            .collect();
+        await_parked(&ring, |s| s.parked_readers, 2);
+        ring.close();
+        for consumer in consumers {
+            assert_eq!(consumer.join().unwrap(), None);
+        }
+    }
+
+    /// Two Block producers and two consumers through one slot, so nearly
+    /// every hand-off parks someone: a lost wake-up would hang here.
+    #[test]
+    fn contended_hand_offs_deliver_every_message() {
+        const PER_PRODUCER: u64 = 2_000;
+        let ring = Arc::new(Ring::new(1, OverflowPolicy::Block));
+        let producers: Vec<_> = (0..2u64)
+            .map(|p| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        assert_eq!(ring.push(p * PER_PRODUCER + i), PushOutcome::Stored);
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let (mut count, mut sum) = (0u64, 0u64);
+                    while let Some(msg) = ring.pop() {
+                        count += 1;
+                        sum += msg;
+                    }
+                    (count, sum)
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        ring.close();
+        let (count, sum) = consumers
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .fold((0, 0), |(n, s), (cn, cs)| (n + cn, s + cs));
+        let total = 2 * PER_PRODUCER;
+        assert_eq!((count, sum), (total, total * (total - 1) / 2));
+        let state = ring.state.lock().unwrap();
+        assert_eq!((state.parked_readers, state.parked_writers), (0, 0));
     }
 
     #[test]

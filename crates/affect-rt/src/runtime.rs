@@ -560,27 +560,34 @@ impl RtMetrics {
 /// Wakes waiters whenever any accounting counter moves.
 #[derive(Default)]
 struct Progress {
-    generation: Mutex<u64>,
+    /// Threads parked in [`Progress::wait_until`].
+    waiters: Mutex<usize>,
     changed: Condvar,
 }
 
 impl Progress {
+    /// Wakes every parked waiter, and makes no call at all when none is
+    /// parked: most windows are accounted with nobody waiting.
     fn bump(&self) {
-        *self.generation.lock().expect("progress lock poisoned") += 1;
-        self.changed.notify_all();
+        let waiters = *self.waiters.lock().expect("progress lock poisoned");
+        if waiters > 0 {
+            self.changed.notify_all();
+        }
     }
 
     /// Blocks until `done` holds. The wait is timed: a counter can move
     /// between the check and the wait, so the notification alone is never
     /// relied on.
     fn wait_until(&self, done: impl Fn() -> bool) {
-        let mut generation = self.generation.lock().expect("progress lock poisoned");
+        let mut waiters = self.waiters.lock().expect("progress lock poisoned");
         while !done() {
-            generation = self
+            *waiters += 1;
+            waiters = self
                 .changed
-                .wait_timeout(generation, Duration::from_millis(20))
+                .wait_timeout(waiters, Duration::from_millis(20))
                 .expect("progress lock poisoned")
                 .0;
+            *waiters -= 1;
         }
     }
 }

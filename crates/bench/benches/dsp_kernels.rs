@@ -25,11 +25,12 @@ fn bench_fft(c: &mut Criterion) {
     // The warm split-layout transforms at the fleet's and the runtime's frame
     // lengths: caller-owned buffers, nothing allocated per call. The
     // spectral summary runs the unwindowed recurrence plan and MFCC the
-    // direct plan with its Hann window, so at 512 these are the two
-    // transforms every runtime frame runs.
-    let hann_512 = hann(512);
+    // direct plan with its Hann window, so at 128 and at 512 these are the
+    // two transforms every fleet and every runtime frame runs.
+    let (hann_128, hann_512) = (hann(128), hann(512));
     for (name, plan, window) in [
         ("planned", FftPlan::recurrence(128), None),
+        ("planned_hann", FftPlan::new(128), Some(&hann_128[..])),
         ("planned", FftPlan::recurrence(512), None),
         ("planned_hann", FftPlan::new(512), Some(&hann_512[..])),
     ] {

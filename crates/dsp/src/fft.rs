@@ -4,10 +4,12 @@
 //! filterbank ([`crate::mel`]) and spectral features ([`crate::features`]),
 //! two transforms per analysis frame, so [`FftPlan`] is one of the feature
 //! path's hot kernels. It fuses the bit-reversal permutation with the first
-//! two radix-2 stages, runs every later stage vectorized and takes
-//! magnitudes without a libm call. [`fft_inplace`], [`rfft_magnitude`] and
-//! [`Complex::abs`] stay the plain forms it is checked against. The crate
-//! stays free of external numeric dependencies.
+//! two radix-2 stages, then runs every later stage and the magnitudes as
+//! wide as the CPU allows: 16 lanes in an AVX-512F arm where the CPU has
+//! it, the SSE2/NEON baseline's four elsewhere, and no libm call. Every arm
+//! keeps the bits. [`fft_inplace`], [`rfft_magnitude`] and [`Complex::abs`]
+//! stay the plain forms it is checked against. The crate stays free of
+//! external numeric dependencies.
 
 use crate::DspError;
 
@@ -191,12 +193,18 @@ pub fn fft_inplace(buf: &mut [Complex]) -> Result<(), DspError> {
 /// reads a real, optionally windowed frame in natural order, runs the first
 /// two radix-2 stages on it, 32 samples per step, and writes the results to
 /// separate real and imaginary arrays in bit-reversed order. The later
-/// stages run over those arrays, and with the split slices' lengths known
-/// the compiler drops the bounds checks and vectorizes each of them (four or
-/// more butterflies per group). Each butterfly performs the f32 operations
-/// of `Complex`'s `Mul`, `Add` and `Sub`, on the same operands in the same
-/// order, so equal twiddles give equal bits. The caller owns the buffers, so
-/// the plan is `&self` and one plan can serve any number of callers.
+/// stages and the magnitudes run over those arrays, and with the split
+/// slices' lengths known the compiler drops the bounds checks and
+/// vectorizes every stage (four or more butterflies per group). They are
+/// one function body compiled twice: at the baseline (SSE2 on x86-64, NEON
+/// on aarch64) and with AVX-512F, whose vectors hold 16 butterflies' parts.
+/// A plan of 32 or more points picks the AVX-512F arm at construction when
+/// the CPU has the feature; the first pass stays at the baseline, where it
+/// runs faster. Each butterfly performs the f32 operations of `Complex`'s
+/// `Mul`, `Add` and `Sub`, on the same operands in the same order, and
+/// rustc never contracts a multiply and an add into an FMA, so in either
+/// arm equal twiddles give equal bits. The caller owns the buffers, so the
+/// plan is `&self` and one plan can serve any number of callers.
 ///
 /// # Example
 ///
@@ -227,6 +235,8 @@ pub struct FftPlan {
     tw_re: Vec<f32>,
     /// Imaginary parts, laid out as `tw_re`.
     tw_im: Vec<f32>,
+    /// The arm the later stages and the magnitudes run in.
+    lanes: StageLanes,
 }
 
 impl FftPlan {
@@ -307,6 +317,13 @@ impl FftPlan {
             rev,
             tw_re,
             tw_im,
+            // The first pass leaves small plans all their stages, and
+            // those keep the baseline loop.
+            lanes: if n >= 4 * LANES {
+                StageLanes::detect()
+            } else {
+                StageLanes::Baseline
+            },
         })
     }
 
@@ -325,16 +342,18 @@ impl FftPlan {
     /// bins) in `out`. Unnormalized, exactly like [`fft_inplace`].
     ///
     /// From `n = 32` up, one pass loads the frame (times the window) and runs
-    /// the stages `len = 2` and `len = 4` on it, and the other stages follow.
-    /// A magnitude is `sqrt(r² + i²)` evaluated in f64 and rounded to f32:
-    /// for finite parts that is exactly what glibc's `hypotf` (2.35 and
-    /// later) computes, so it matches [`Complex::abs`] there bit for bit
-    /// without a libm call. A bin with a ±inf or NaN part takes
-    /// [`Complex::abs`] itself.
+    /// the stages `len = 2` and `len = 4` on it. The other stages and the
+    /// magnitudes follow in the plan's arm (see [`FftPlan`]). A magnitude
+    /// is `sqrt(r² + i²)` evaluated in f64 and rounded to f32: for finite
+    /// parts that is exactly what glibc's `hypotf` (2.35 and later)
+    /// computes, so it matches [`Complex::abs`] there bit for bit without a
+    /// libm call. A bin with a ±inf or NaN part takes [`Complex::abs`]
+    /// itself; the bins are walked for it only when one scan of the
+    /// magnitudes finds a non-finite one.
     ///
     /// `re` and `im` are the caller's scratch: on return they hold all `n`
-    /// bins of the complex spectrum. Once they and `out` have capacity, the
-    /// call allocates nothing.
+    /// bins of the complex spectrum, and `out` holds `n/2 + 1` magnitudes.
+    /// Once the three have capacity, the call allocates nothing.
     ///
     /// # Errors
     ///
@@ -380,17 +399,19 @@ impl FftPlan {
             im.fill(0.0);
             1
         };
-        self.butterflies(re, im, first_half);
-        out.clear();
-        out.extend(re[..=n / 2].iter().zip(&im[..=n / 2]).map(|(&r, &i)| {
-            let (r, i) = (f64::from(r), f64::from(i));
-            (r * r + i * i).sqrt() as f32
-        }));
-        // Only a ±inf or NaN part gives a non-finite magnitude, and there
-        // `hypot` differs: |(inf, NaN)| is +inf, where the sum above is NaN.
-        for ((m, &r), &i) in out.iter_mut().zip(re.iter()).zip(im.iter()) {
-            if !m.is_finite() {
-                *m = Complex::new(r, i).abs();
+        out.resize(n / 2 + 1, 0.0);
+        let tw = (&self.tw_re[..], &self.tw_im[..]);
+        let finite = self
+            .lanes
+            .stages_and_magnitudes(tw, re, im, first_half, out);
+        if !finite {
+            // Only a ±inf or NaN part gives a non-finite magnitude, and
+            // there `hypot` differs: |(inf, NaN)| is +inf, where the sum of
+            // squares is NaN.
+            for ((m, &r), &i) in out.iter_mut().zip(re.iter()).zip(im.iter()) {
+                if !m.is_finite() {
+                    *m = Complex::new(r, i).abs();
+                }
             }
         }
         Ok(())
@@ -449,36 +470,11 @@ impl FftPlan {
             }
         }
     }
-
-    /// The radix-2 stages from `len = 2 * half` up over bit-reversed
-    /// `re`/`im` of the planned size.
-    fn butterflies(&self, re: &mut [f32], im: &mut [f32], mut half: usize) {
-        // Stage `len` keeps its twiddles from offset `half - 1`. A running
-        // offset rather than `stage_halves`: that form spilled in each
-        // group's prologue.
-        let mut offset = half - 1;
-        while half < self.n {
-            let len = 2 * half;
-            let wr = &self.tw_re[offset..offset + half];
-            let wi = &self.tw_im[offset..offset + half];
-            for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
-                let (ur, vr) = re.split_at_mut(half);
-                let (ui, vi) = im.split_at_mut(half);
-                let (vr, vi, ui) = (&mut vr[..half], &mut vi[..half], &mut ui[..half]);
-                for k in 0..half {
-                    (ur[k], ui[k], vr[k], vi[k]) =
-                        butterfly((ur[k], ui[k]), (vr[k], vi[k]), (wr[k], wi[k]));
-                }
-            }
-            offset += half;
-            half = len;
-        }
-    }
 }
 
 /// Consecutive `k` per step of [`FftPlan`]'s first pass. Plans of fewer
 /// than `4 * LANES` points keep the bit-reversal permutation and run every
-/// stage in the stage loop.
+/// stage in the baseline stage loop.
 const LANES: usize = 8;
 
 /// One radix-2 butterfly on split parts: `t = v * w`, then `u + t` and
@@ -493,6 +489,108 @@ fn butterfly(
     let tr = vr * c - vi * d;
     let ti = vr * d + vi * c;
     (ur + tr, ui + ti, ur - tr, ui - ti)
+}
+
+/// The arms of [`FftPlan`]'s later stages and magnitudes. A plan picks its
+/// arm once, at construction, so an `Avx512` value exists only where
+/// [`StageLanes::detect`] saw the target feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StageLanes {
+    /// The SSE2/NEON baseline: the only arm on aarch64, on x86 CPUs without
+    /// AVX-512F and for plans of fewer than `4 * LANES` points.
+    Baseline,
+    /// Compiled with AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl StageLanes {
+    /// The widest arm this CPU runs. There is no AVX2 arm: compiled with
+    /// AVX2, the stage and magnitude loops measured no faster than the
+    /// baseline.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+        }
+        Self::Baseline
+    }
+
+    /// Runs this arm: see [`stages_and_magnitudes`].
+    fn stages_and_magnitudes(
+        self,
+        tw: (&[f32], &[f32]),
+        re: &mut [f32],
+        im: &mut [f32],
+        half: usize,
+        out: &mut [f32],
+    ) -> bool {
+        match self {
+            Self::Baseline => stages_and_magnitudes(tw, re, im, half, out),
+            // SAFETY: an `Avx512` value is made only after
+            // `is_x86_feature_detected!("avx512f")` held on this CPU: in
+            // `detect`, and in the arm oracle test.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => unsafe { stages_and_magnitudes_avx512(tw, re, im, half, out) },
+        }
+    }
+}
+
+/// [`stages_and_magnitudes`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn stages_and_magnitudes_avx512(
+    tw: (&[f32], &[f32]),
+    re: &mut [f32],
+    im: &mut [f32],
+    half: usize,
+    out: &mut [f32],
+) -> bool {
+    stages_and_magnitudes(tw, re, im, half, out)
+}
+
+/// The radix-2 stages from `len = 2 * half` up over bit-reversed `re`/`im`
+/// (all `n` bins, twiddles laid out as [`FftPlan`]'s), then the magnitude of
+/// each of the first `out.len()` bins: `sqrt(r² + i²)` in f64, rounded to
+/// f32. Returns whether every magnitude is finite.
+#[inline(always)]
+fn stages_and_magnitudes(
+    (tw_re, tw_im): (&[f32], &[f32]),
+    re: &mut [f32],
+    im: &mut [f32],
+    mut half: usize,
+    out: &mut [f32],
+) -> bool {
+    let n = re.len();
+    // Stage `len` keeps its twiddles from offset `half - 1`. A running
+    // offset rather than `stage_halves`: that form spilled in each group's
+    // prologue.
+    let mut offset = half - 1;
+    while half < n {
+        let len = 2 * half;
+        let wr = &tw_re[offset..offset + half];
+        let wi = &tw_im[offset..offset + half];
+        for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+            let (ur, vr) = re.split_at_mut(half);
+            let (ui, vi) = im.split_at_mut(half);
+            let (vr, vi, ui) = (&mut vr[..half], &mut vi[..half], &mut ui[..half]);
+            for k in 0..half {
+                (ur[k], ui[k], vr[k], vi[k]) =
+                    butterfly((ur[k], ui[k]), (vr[k], vi[k]), (wr[k], wi[k]));
+            }
+        }
+        offset += half;
+        half = len;
+    }
+    let bins = out.len();
+    let (re, im) = (&re[..bins], &im[..bins]);
+    for k in 0..bins {
+        let (r, i) = (f64::from(re[k]), f64::from(im[k]));
+        out[k] = (r * r + i * i).sqrt() as f32;
+    }
+    out.iter().fold(true, |finite, m| finite & m.is_finite())
 }
 
 /// In-place inverse FFT, normalized by `1/N`.
@@ -730,6 +828,105 @@ mod tests {
             run_plan(&plan, &signal, Some(&window)).1,
             rfft_magnitude(&windowed).unwrap()
         );
+    }
+
+    /// One of [`FftPlan`]'s constructors.
+    type Constructor = fn(usize) -> Result<FftPlan, DspError>;
+
+    /// Every arm of the later stages and magnitudes this CPU runs, against
+    /// the baseline arm by bits: both constructors, every length from 1 to
+    /// 1024, with and without a Hann window, on random, tonal, silent, NaN,
+    /// ±inf and subnormal frames. A plan under 32 points runs the arm from
+    /// its first stage here, though a built one keeps the baseline. Rust
+    /// leaves the payload of a NaN result unspecified, so NaNs compare as
+    /// NaN; every other part and magnitude, the sign of zero included,
+    /// compares by `to_bits`. The test prints the arms it checked and those
+    /// this CPU lacks.
+    #[test]
+    fn every_fft_arm_matches_the_baseline_bitwise() {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut arms: Vec<StageLanes> = Vec::new();
+        let mut skipped: Vec<&str> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                // The arm's SAFETY comment rests on this detection.
+                arms.push(StageLanes::Avx512);
+            } else {
+                skipped.push("Avx512 (no AVX-512F)");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        skipped.push("Avx512 (not x86-64)");
+        println!(
+            "FFT stage arms checked against Baseline: {arms:?}; skipped on this CPU: {skipped:?}"
+        );
+
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut noise = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        let canonical = |v: &[f32]| -> Vec<u32> {
+            v.iter()
+                .map(|&x| f32::to_bits(if x.is_nan() { f32::NAN } else { x }))
+                .collect()
+        };
+        for n in (0..=10).map(|bits| 1usize << bits) {
+            let random: Vec<f32> = (0..n).map(|_| 4.0 * noise()).collect();
+            let tonal: Vec<f32> = (0..n).map(|i| (0.37 * i as f32).sin()).collect();
+            let silent = vec![0.0f32; n];
+            let mut nan = random.clone();
+            nan[n / 3] = f32::NAN;
+            let mut inf = random.clone();
+            inf[n / 2] = f32::INFINITY;
+            inf[n - 1] = f32::NEG_INFINITY;
+            // Below f32's smallest normal, 1.2e-38.
+            let subnormal: Vec<f32> = random.iter().map(|x| x * 1e-39).collect();
+            let hann = crate::window::hann(n);
+            let frames = [
+                ("random", &random),
+                ("tonal", &tonal),
+                ("silent", &silent),
+                ("NaN", &nan),
+                ("±inf", &inf),
+                ("subnormal", &subnormal),
+            ];
+            let builds: [(&str, Constructor); 2] =
+                [("new", FftPlan::new), ("recurrence", FftPlan::recurrence)];
+            for (constructor, build) in builds {
+                let baseline = FftPlan {
+                    lanes: StageLanes::Baseline,
+                    ..build(n).unwrap()
+                };
+                for ((kind, frame), window) in frames
+                    .iter()
+                    .flat_map(|frame| [(frame, None), (frame, Some(&hann[..]))])
+                {
+                    let spectrum = |plan: &FftPlan| {
+                        let (mut re, mut im, mut mag) = (Vec::new(), Vec::new(), Vec::new());
+                        plan.rfft_magnitude_into(frame, window, &mut re, &mut im, &mut mag)
+                            .unwrap();
+                        [canonical(&re), canonical(&im), canonical(&mag)]
+                    };
+                    let expected = spectrum(&baseline);
+                    for &arm in &arms {
+                        let plan = FftPlan {
+                            lanes: arm,
+                            ..baseline.clone()
+                        };
+                        assert_eq!(
+                            spectrum(&plan),
+                            expected,
+                            "{arm:?}, {constructor}({n}), {kind} frame, window: {}",
+                            window.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
