@@ -27,14 +27,14 @@
 //!   - full mode only (bigger split): HDC accuracy must clear a floor
 //!     well below its measured accuracy.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 use affect_core::classifier::{ClassifierKind, ModelConfig};
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use affect_core::training::{train, NormScope, Normalization};
-use bench::results::write_bench;
+use bench::results::{batch, group, write_bench, Mode};
 use bench::table::Table;
-use criterion::black_box;
 use datasets::{ActorSplit, Corpus, CorpusSpec, FeatureLayout};
 use nn::hdc::HdcClassifier;
 use nn::{Precision, Scratch, Sequential, Tensor};
@@ -47,8 +47,8 @@ const INT8_ACCURACY_SLACK: f32 = 0.10;
 /// Accuracy floor for the HDC rung in full mode: well below the 0.69 it
 /// measures, so the gate catches a broken rung, not noise.
 const HDC_ACCURACY_FLOOR: f32 = 0.30;
-/// Target wall-clock per latency measurement.
-const TARGET_SECS: f64 = 0.25;
+/// Target wall-clock of one latency batch in one round.
+const TARGET: Duration = Duration::from_millis(250);
 
 struct Row {
     family: &'static str,
@@ -83,21 +83,15 @@ fn scratch_accuracy(
     hits as f32 / xs.len().max(1) as f32
 }
 
-/// ns/window of the scratch forward pass over the test set.
-fn time_neural(model: &mut Sequential, xs: &[Tensor], scratch: &mut Scratch, reps: usize) -> f64 {
-    // Warm the scratch pool so the measured loop is allocation-free.
-    for x in xs.iter().take(2) {
-        let _ = model.forward_with(x.data(), x.shape(), scratch).unwrap();
-    }
-    let start = Instant::now();
-    for _ in 0..reps {
+/// Median ns/window of `predict` over the test set, one batch of passes
+/// over it per round.
+fn ns_per_window<R>(run: Mode, xs: &[Tensor], mut predict: impl FnMut(&Tensor) -> R) -> f64 {
+    let mut pass = batch(run, TARGET, || {
         for x in xs {
-            let _ = model
-                .forward_with(black_box(x.data()), x.shape(), scratch)
-                .unwrap();
+            black_box(predict(black_box(x)));
         }
-    }
-    start.elapsed().as_nanos() as f64 / (reps * xs.len()).max(1) as f64
+    });
+    group(&mut [&mut pass])[0].median * 1e9 / xs.len().max(1) as f64
 }
 
 /// First-order per-window MAC estimate: 2 ops per weight, times how many
@@ -114,8 +108,8 @@ fn neural_est_ops(kind: ClassifierKind, params: usize, time_steps: usize) -> u64
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
+    let run = Mode::from_args();
+    let test_mode = run == Mode::Test;
 
     let spec = CorpusSpec::emovo_like();
     let (actors, utterances, epochs) = if test_mode { (3, 2, 6) } else { (8, 3, 24) };
@@ -166,21 +160,15 @@ fn main() {
         let params = model.param_count();
         let time_steps = if shape.len() > 1 { shape[0] } else { 1 };
         let mut scratch = Scratch::new();
-        let once = {
-            let t0 = Instant::now();
-            let _ = scratch_accuracy(&mut model, &test_x, &test_y, &mut scratch);
-            t0.elapsed().as_secs_f64().max(1e-6)
-        };
-        let reps = if test_mode {
-            1
-        } else {
-            ((TARGET_SECS / once) as usize).clamp(2, 200)
-        };
-
         for precision in [Precision::F32, Precision::Int8] {
             model.set_precision(precision).expect("precision switch");
             let accuracy = scratch_accuracy(&mut model, &test_x, &test_y, &mut scratch);
-            let ns = time_neural(&mut model, &test_x, &mut scratch, reps);
+            let ns = ns_per_window(run, &test_x, |x| {
+                let (_, logits) = model
+                    .forward_with(x.data(), x.shape(), &mut scratch)
+                    .unwrap();
+                logits[0]
+            });
             let storage_bytes = match precision {
                 Precision::F32 => nn::quant::float_weight_bytes(params),
                 Precision::Int8 => nn::quant::int8_weight_bytes(params, model.len() * 2),
@@ -229,23 +217,7 @@ fn main() {
         clf.fit(&train_x, &train_y).expect("hdc fit");
         let accuracy = clf.accuracy(&test_x, &test_y).expect("hdc accuracy");
 
-        let once = {
-            let t0 = Instant::now();
-            let _ = clf.accuracy(&test_x, &test_y).unwrap();
-            t0.elapsed().as_secs_f64().max(1e-6)
-        };
-        let reps = if test_mode {
-            1
-        } else {
-            ((TARGET_SECS / once) as usize).clamp(2, 400)
-        };
-        let start = Instant::now();
-        for _ in 0..reps {
-            for x in &test_x {
-                let _ = clf.predict(black_box(x.data())).unwrap();
-            }
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (reps * test_x.len()).max(1) as f64;
+        let ns = ns_per_window(run, &test_x, |x| clf.predict(x.data()).unwrap());
         eprintln!(
             "  HDC   i8: accuracy {:.3}, {:>9.0} ns/window, {:>10} est ops, {:>7} B",
             accuracy,

@@ -1,25 +1,31 @@
 //! Feature-extraction throughput per classifier layout — the phone-side
 //! per-utterance cost feeding the Fig. 3 study —, what one warm classify
-//! costs per family and precision at the runtime's shapes, and the
-//! smoothing-window ablation of DESIGN.md §7.
+//! costs per family and precision at the runtime's shapes, int8 against
+//! its f32 twin in the same rounds, and the smoothing-window ablation of
+//! DESIGN.md §7. Every cell is timed through `bench::results`.
+
+use std::hint::black_box;
+use std::time::Duration;
 
 use affect_core::classifier::{AffectClassifier, Decision, ModelConfig};
 use affect_core::emotion::Emotion;
 use affect_core::pipeline::{FeatureConfig, FeaturePipeline};
 use affect_core::smoothing::MajoritySmoother;
+use affect_rt::RuntimeConfig;
+use bench::results::{batch, interleave, print_group, print_spread, print_time, Mode};
 use biosignal::{synthesize_utterance, UtteranceParams};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Precision, Scratch, Tensor};
-use std::hint::black_box;
 
-fn bench_extraction(c: &mut Criterion) {
-    let mut pipeline = FeaturePipeline::new(FeatureConfig {
+/// Target wall-clock of one cell's batch in one round.
+const TARGET: Duration = Duration::from_millis(10);
+
+fn bench_extraction(mode: Mode) {
+    let config = FeatureConfig {
         sample_rate: 8_000.0,
         frame_len: 256,
         hop: 128,
         ..FeatureConfig::default()
-    })
-    .unwrap();
+    };
     let window = synthesize_utterance(
         &UtteranceParams::for_emotion(Emotion::Happy),
         1.2,
@@ -27,28 +33,48 @@ fn bench_extraction(c: &mut Criterion) {
         1,
     )
     .unwrap();
-
-    let mut group = c.benchmark_group("feature_extraction");
-    group.bench_function("sequence", |b| {
-        b.iter(|| pipeline.extract_sequence(black_box(&window)).unwrap());
-    });
-    group.bench_function("strip", |b| {
-        b.iter(|| pipeline.extract_strip(black_box(&window)).unwrap());
-    });
-    group.bench_function("flat_stats", |b| {
-        b.iter(|| pipeline.extract_flat(black_box(&window)).unwrap());
-    });
-    group.finish();
+    let mut sequence = FeaturePipeline::new(config.clone()).unwrap();
+    let mut strip = FeaturePipeline::new(config.clone()).unwrap();
+    let mut flat = FeaturePipeline::new(config).unwrap();
+    print_group(vec![
+        (
+            "feature_extraction/sequence".into(),
+            batch(mode, TARGET, || {
+                sequence.extract_sequence(black_box(&window)).unwrap()
+            }),
+        ),
+        (
+            "feature_extraction/strip".into(),
+            batch(mode, TARGET, || {
+                strip.extract_strip(black_box(&window)).unwrap()
+            }),
+        ),
+        (
+            "feature_extraction/flat_stats".into(),
+            batch(mode, TARGET, || {
+                flat.extract_flat(black_box(&window)).unwrap()
+            }),
+        ),
+    ]);
 }
 
-/// `AffectClassifier::classify_with`, warm, for every neural family and
-/// precision, with the runtime's default seed, at two shapes: the default
-/// 16 kHz config on 1 s windows (`voice_loop`'s `[61, 19]`, `[1, 1159]`
-/// and `[76]`) and 256-sample windows in 128-sample frames
-/// (`fleet_small_windows`' `[3, 10]`, `[1, 30]` and `[40]`). Int8 and f32
-/// run in one process, so their ratio is a wall-time comparison.
-fn bench_classify(c: &mut Criterion) {
+/// `AffectClassifier::classify_with`, warm, for every neural family, f32
+/// against its int8 twin in the same rounds, with the runtime's default
+/// seed, at two shapes: `RuntimeConfig::default()`'s features on its
+/// windows (`voice_loop`'s `[61, 19]`, `[1, 1159]` and `[76]`) and
+/// 256-sample windows in 128-sample frames (`fleet_small_windows`' `[3,
+/// 10]`, `[1, 30]` and `[40]`). The fleet shape is a copy of perfbench's
+/// `fleet_small_windows` config, which this crate cannot import. Each
+/// family prints both sides' times and the median and quartiles of the
+/// per-round int8/f32 ratio.
+fn bench_classify(mode: Mode) {
     let labels: Vec<String> = Emotion::ALL.iter().map(|e| e.name().to_string()).collect();
+    let RuntimeConfig {
+        feature,
+        window_samples,
+        model_seed,
+        ..
+    } = RuntimeConfig::default();
     let fleet = FeatureConfig {
         frame_len: 128,
         hop: 64,
@@ -56,11 +82,9 @@ fn bench_classify(c: &mut Criterion) {
         n_mels: 12,
         ..FeatureConfig::default()
     };
-    let mut group = c.benchmark_group("classify_with");
-    for (runtime, config, window_samples) in [
-        ("voice", FeatureConfig::default(), 16_000),
-        ("fleet", fleet, 256),
-    ] {
+    for (name, config, window_samples) in
+        [("voice", feature, window_samples), ("fleet", fleet, 256)]
+    {
         let rate = config.sample_rate;
         let mut pipeline = FeaturePipeline::new(config).unwrap();
         let params = UtteranceParams::for_emotion(Emotion::Happy);
@@ -85,36 +109,38 @@ fn bench_classify(c: &mut Criterion) {
             ),
         ];
         for (model, features) in &models {
-            for precision in [Precision::F32, Precision::Int8] {
-                let mut clf = AffectClassifier::from_config(model, labels.clone(), 7).unwrap();
+            let classify = |precision| {
+                let mut clf =
+                    AffectClassifier::from_config(model, labels.clone(), model_seed).unwrap();
                 clf.set_precision(precision).unwrap();
-                let mut scratch = Scratch::new();
-                let mut decision = Decision::default();
-                let id = format!(
-                    "{runtime}/{}/{}/{:?}",
+                let (mut scratch, mut decision) = (Scratch::new(), Decision::default());
+                batch(mode, TARGET, move || {
+                    clf.classify_with(
+                        black_box(features.data()),
+                        features.shape(),
+                        &mut scratch,
+                        &mut decision,
+                    )
+                    .unwrap();
+                    decision.class
+                })
+            };
+            let m = interleave(classify(Precision::F32), classify(Precision::Int8));
+            let cell = |label: &str| {
+                format!(
+                    "classify_with/{name}/{}/{label}/{:?}",
                     model.kind(),
-                    precision.label(),
                     features.shape()
-                );
-                group.bench_function(id, |b| {
-                    b.iter(|| {
-                        clf.classify_with(
-                            black_box(features.data()),
-                            features.shape(),
-                            &mut scratch,
-                            &mut decision,
-                        )
-                        .unwrap();
-                        decision.class
-                    });
-                });
-            }
+                )
+            };
+            print_time(&cell(Precision::F32.label()), m.spreads[0]);
+            print_time(&cell(Precision::Int8.label()), m.spreads[1]);
+            print_spread(&cell("i8÷f32"), m.spreads[2], "×");
         }
     }
-    group.finish();
 }
 
-fn bench_smoothing_ablation(c: &mut Criterion) {
+fn bench_smoothing_ablation(mode: Mode) {
     // DESIGN.md §7: smoothing window vs control thrash. Feed a noisy
     // stream (80% happy, 20% random) and count state changes per window.
     let noisy: Vec<Emotion> = (0..10_000)
@@ -136,28 +162,29 @@ fn bench_smoothing_ablation(c: &mut Criterion) {
         eprintln!("  window {window}: {changes} changes");
     }
 
-    let mut group = c.benchmark_group("smoother_push");
-    for window in [1usize, 5, 9] {
-        group.bench_with_input(BenchmarkId::from_parameter(window), &noisy, |b, stream| {
-            b.iter(|| {
-                let mut smoother = MajoritySmoother::new(window, 0).unwrap();
-                let mut changes = 0usize;
-                for &e in stream.iter().take(1_000) {
-                    if smoother.push(black_box(e)).is_some() {
-                        changes += 1;
+    let noisy = &noisy;
+    print_group(
+        [1usize, 5, 9]
+            .map(|window| {
+                let push = move || {
+                    let mut smoother = MajoritySmoother::new(window, 0).unwrap();
+                    let mut changes = 0usize;
+                    for &e in noisy.iter().take(1_000) {
+                        if smoother.push(black_box(e)).is_some() {
+                            changes += 1;
+                        }
                     }
-                }
-                changes
-            });
-        });
-    }
-    group.finish();
+                    changes
+                };
+                (format!("smoother_push/{window}"), batch(mode, TARGET, push))
+            })
+            .into(),
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_extraction,
-    bench_classify,
-    bench_smoothing_ablation
-);
-criterion_main!(benches);
+fn main() {
+    let mode = Mode::from_args();
+    bench_extraction(mode);
+    bench_classify(mode);
+    bench_smoothing_ablation(mode);
+}

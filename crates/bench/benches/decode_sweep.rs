@@ -6,9 +6,10 @@
 //! backends, reporting macroblocks per second (the decoder's natural
 //! work unit — `Activity::macroblocks` counts every decoded MB, so the
 //! metric is identical across modes even when the Input Selector drops
-//! NAL units). The two backends are timed in interleaved rounds
-//! (`bench::results::interleave`), so a drift in host speed lands on both
-//! sides of every round's speedup; the figures are medians over the rounds.
+//! NAL units). The two backends are timed in interleaved rounds of
+//! batches (`bench::results::interleave`), so a drift in host speed lands
+//! on both sides of every round's speedup; the figures are medians over
+//! the rounds.
 //! A full run adds the paper's calibration clip (`paper_reference(5)`) in
 //! all four modes, the Fig. 6 (middle) comparison in wall-clock time, and
 //! writes `results/BENCH_decode_sweep.json` through `bench::results`.
@@ -24,12 +25,12 @@
 //! when the simd backend resolves to the portable scalar lanes, where
 //! parity — not speedup — is the contract.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 use affect_core::policy::VideoPowerMode;
-use bench::results::{interleave, write_bench};
+use bench::results::{batch, interleave, write_bench, Mode};
 use bench::table::Table;
-use criterion::black_box;
 use h264::adaptive::{options_for_mode, paper_reference};
 use h264::backend::BackendKind;
 use h264::buffers::SelectorParams;
@@ -41,8 +42,8 @@ use h264::{Frame, SpsParams};
 
 /// Minimum simd/reference speedup at least one synthetic cell must reach.
 const SPEEDUP_GATE: f64 = 1.5;
-/// Target wall-clock per backend in one round of a cell.
-const TARGET_SECS: f64 = 0.1;
+/// Target wall-clock of one backend's batch in one round of a cell.
+const TARGET: Duration = Duration::from_millis(100);
 
 struct Cell {
     qp: u8,
@@ -79,18 +80,14 @@ fn grid(test_mode: bool) -> Vec<Cell> {
     cells
 }
 
-/// Decodes `stream` `reps` times with the given backend and returns MB/s.
-fn measure(kind: BackendKind, mode: VideoPowerMode, stream: &[u8], reps: usize) -> f64 {
-    let options = options_for_mode(mode);
-    let start = Instant::now();
-    let mut total_mb = 0u64;
-    for _ in 0..reps {
-        let out = Decoder::with_kernels(options, kind.kernels())
-            .decode(black_box(stream))
-            .expect("intact stream decodes");
-        total_mb += out.activity.macroblocks;
-    }
-    total_mb as f64 / start.elapsed().as_secs_f64().max(1e-9)
+/// Decodes `stream` once with the given backend and returns the number of
+/// macroblocks decoded.
+fn decode(kind: BackendKind, mode: VideoPowerMode, stream: &[u8]) -> u64 {
+    Decoder::with_kernels(options_for_mode(mode), kind.kernels())
+        .decode(black_box(stream))
+        .expect("intact stream decodes")
+        .activity
+        .macroblocks
 }
 
 /// The QP and frame size the stream's own sequence header declares.
@@ -111,34 +108,17 @@ fn mode_label(mode: VideoPowerMode) -> &'static str {
 
 /// Measures `stream` in `mode` on both backends, appends the table row and
 /// returns the simd/reference speedup.
-fn sweep_row(
-    table: &mut Table,
-    clip: &str,
-    mode: VideoPowerMode,
-    stream: &[u8],
-    test_mode: bool,
-) -> f64 {
-    // Size the rep count off one timed reference decode, which also warms
-    // the stream and yields the per-decode MB count, so each measurement
-    // fills roughly TARGET_SECS regardless of cell cost.
-    let t0 = Instant::now();
-    let mb = Decoder::with_kernels(options_for_mode(mode), BackendKind::Reference.kernels())
-        .decode(stream)
-        .expect("intact stream decodes")
-        .activity
-        .macroblocks;
-    let reps = if test_mode {
-        2
-    } else {
-        let once = t0.elapsed().as_secs_f64().max(1e-6);
-        ((TARGET_SECS / once) as usize).clamp(3, 5000)
-    };
-
+fn sweep_row(table: &mut Table, clip: &str, mode: VideoPowerMode, stream: &[u8], run: Mode) -> f64 {
+    let mb = decode(BackendKind::Reference, mode, stream);
     let m = interleave(
-        || measure(BackendKind::Reference, mode, stream, reps),
-        || measure(BackendKind::Simd, mode, stream, reps),
+        batch(run, TARGET, || decode(BackendKind::Reference, mode, stream)),
+        batch(run, TARGET, || decode(BackendKind::Simd, mode, stream)),
     );
-    let (ref_mb_s, simd_mb_s, speedup) = (m.baseline, m.cell, m.ratio);
+    // The figures are seconds per decode. With an odd round count the
+    // median of the per-round speedups is the inverse of the median
+    // simd/reference time ratio.
+    let (ref_mb_s, simd_mb_s, speedup) =
+        (mb as f64 / m.baseline, mb as f64 / m.cell, 1.0 / m.ratio);
 
     let sps = stream_header(stream);
     let size = format!("{}x{}", sps.width(), sps.height());
@@ -182,7 +162,8 @@ fn print_selector_ablation(frames: &[Frame], stream: &[u8]) {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let run = Mode::from_args();
+    let test_mode = run == Mode::Test;
 
     let simd_name = BackendKind::Simd.kernels().name();
     let vector_lanes = simd_name != "simd-scalar";
@@ -217,20 +198,20 @@ fn main() {
         .unwrap()
         .encode(&frames)
         .unwrap();
-        let speedup = sweep_row(&mut table, "synthetic", cell.mode, &stream, test_mode);
+        let speedup = sweep_row(&mut table, "synthetic", cell.mode, &stream, run);
         best_speedup = best_speedup.max(speedup);
     }
 
     eprintln!("decode_sweep: best synthetic-cell simd/reference speedup x{best_speedup:.2}");
 
-    // `--test` keeps the committed results untouched: a 2-rep debug run
+    // `--test` keeps the committed results untouched: a one-decode run
     // would overwrite the tracked numbers with noise.
     if test_mode {
         return;
     }
 
     for mode in VideoPowerMode::ALL {
-        sweep_row(&mut table, "paper_reference", mode, &paper_stream, false);
+        sweep_row(&mut table, "paper_reference", mode, &paper_stream, run);
     }
 
     let path = write_bench(

@@ -9,11 +9,11 @@
 //! isolates pure chunking overhead (scanner carry state, per-chunk
 //! buffer management).
 //!
-//! Each chunk size is timed in interleaved rounds with the whole-buffer
-//! baseline (`bench::results::interleave`), so a drift in host speed lands
-//! on both sides of every round's ratio; the figures are medians over the
-//! rounds. A full run writes the chunk-size grid, with MB/s and the
-//! overhead ratio vs. whole-buffer decode, to
+//! Each chunk size is timed in interleaved rounds of batches with the
+//! whole-buffer baseline (`bench::results::interleave`), so a drift in host
+//! speed lands on both sides of every round's ratio; the figures are
+//! medians over the rounds. A full run writes the chunk-size grid, with
+//! MB/s and the overhead ratio vs. whole-buffer decode, to
 //! `results/BENCH_ingest_sweep.json` through `bench::results`.
 //!
 //! Two gates, both exercised in every mode (including `--test`):
@@ -22,12 +22,12 @@
 //!   - performance (skipped in `--test`): at MTU-sized chunks (1500 B)
 //!     streaming ingest must stay within 2× of whole-buffer decode time.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 use affect_core::policy::VideoPowerMode;
-use bench::results::{interleave, write_bench};
+use bench::results::{batch, interleave, write_bench, Mode, Spread};
 use bench::table::Table;
-use criterion::black_box;
 use h264::adaptive::options_for_mode;
 use h264::decoder::{DecodeOutput, Decoder};
 use h264::encoder::{Encoder, EncoderConfig, GopPattern};
@@ -35,8 +35,8 @@ use h264::video::synthetic_clip;
 
 /// Max allowed slowdown vs. whole-buffer decode at MTU-sized chunks.
 const MTU_OVERHEAD_GATE: f64 = 2.0;
-/// Target wall-clock per timed side of one round.
-const TARGET_SECS: f64 = 0.05;
+/// Target wall-clock of one side's batch in one round.
+const TARGET: Duration = Duration::from_millis(50);
 
 fn chunk_sizes(len: usize, test_mode: bool) -> Vec<usize> {
     if test_mode {
@@ -78,8 +78,8 @@ fn assert_equivalent(chunk: usize, got: &DecodeOutput, want: &DecodeOutput) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
+    let run = Mode::from_args();
+    let test_mode = run == Mode::Test;
 
     let mode = VideoPowerMode::Combined;
     let options = options_for_mode(mode);
@@ -101,27 +101,10 @@ fn main() {
     let reference = Decoder::new(options)
         .decode(&stream)
         .expect("intact stream");
-    let reps = if test_mode {
-        2
-    } else {
-        let t0 = Instant::now();
-        let _ = Decoder::new(options).decode(&stream).unwrap();
-        let once = t0.elapsed().as_secs_f64().max(1e-6);
-        ((TARGET_SECS / once) as usize).clamp(3, 400)
-    };
-    // Wire MB/s of `reps` decodes.
-    let mb_per_s = |decode: &dyn Fn() -> DecodeOutput| {
-        let start = Instant::now();
-        for _ in 0..reps {
-            let _ = decode();
-        }
-        stream_mb * reps as f64 / start.elapsed().as_secs_f64().max(1e-9)
-    };
-    let whole = || Decoder::new(options).decode(black_box(&stream)).unwrap();
-    eprintln!(
-        "ingest_sweep: {} byte stream, {reps} decodes per side of a round",
-        stream.len()
-    );
+    let mut whole = batch(run, TARGET, || {
+        Decoder::new(options).decode(black_box(&stream)).unwrap()
+    });
+    eprintln!("ingest_sweep: {} byte stream", stream.len());
 
     let mut table = Table::new(vec![
         "chunk_bytes".into(),
@@ -138,35 +121,34 @@ fn main() {
         assert_equivalent(chunk, &out, &reference);
 
         let m = interleave(
-            || mb_per_s(&whole),
-            || mb_per_s(&|| decode_chunked(options, &stream, chunk)),
+            &mut whole,
+            batch(run, TARGET, || decode_chunked(options, &stream, chunk)),
         );
-        // The median of the per-round chunked / whole time ratios: with an
-        // odd round count, the inverse of the median rate ratio.
-        let overhead = 1.0 / m.ratio;
-        whole_rates.push(m.baseline);
+        // The figures are seconds per decode, so the ratio is chunked /
+        // whole time, and a rate is the stream's size over a time.
+        let overhead = m.ratio;
+        let (chunked_mb_s, whole_mb_s) = (stream_mb / m.cell, stream_mb / m.baseline);
+        whole_rates.push(whole_mb_s);
         if chunk == 1500 {
             mtu_overhead = overhead;
         }
         let n_chunks = stream.len().div_ceil(chunk);
         eprintln!(
-            "  chunk {chunk:>7} B  {n_chunks:>6} chunks  {:>8.1} MB/s  x{overhead:.2} vs whole \
-             ({:.1} MB/s)",
-            m.cell, m.baseline
+            "  chunk {chunk:>7} B  {n_chunks:>6} chunks  {chunked_mb_s:>8.1} MB/s  \
+             x{overhead:.2} vs whole ({whole_mb_s:.1} MB/s)"
         );
         table.row(vec![
             chunk.to_string(),
             n_chunks.to_string(),
-            format!("{:.1}", m.cell),
+            format!("{chunked_mb_s:.1}"),
             format!("{overhead:.3}"),
         ]);
     }
-    whole_rates.sort_by(f64::total_cmp);
-    let whole_mb_s = whole_rates[whole_rates.len() / 2];
+    let whole_mb_s = Spread::of(&whole_rates).median;
 
     eprintln!("ingest_sweep: every chunking byte-identical to whole-buffer decode");
 
-    // `--test` keeps the committed results untouched: a 2-rep debug run
+    // `--test` keeps the committed results untouched: a one-decode run
     // would overwrite the tracked numbers with noise.
     if test_mode {
         return;

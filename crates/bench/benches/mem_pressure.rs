@@ -29,7 +29,7 @@ use affect_core::pipeline::FeatureConfig;
 use affect_fleet::{FleetBuilder, FleetConfig, FleetReport, QosTier, SubmitOutcome};
 use affect_obs::VirtualClock;
 use affect_rt::{NullActuator, OverflowPolicy, PressureBand, RuntimeConfig, StageConfig};
-use bench::results::write_bench;
+use bench::results::{write_bench, Mode};
 use bench::table::Table;
 
 const WINDOW_SAMPLES: usize = 256;
@@ -184,7 +184,7 @@ fn run_point(sessions: usize, rounds: u64, target_permille: u64) -> PointResult 
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let test_mode = Mode::from_args() == Mode::Test;
     let (sessions, rounds) = if test_mode { (24, 3) } else { (96, 8) };
 
     let mut table = Table::new(vec![

@@ -1,44 +1,34 @@
 //! Throughput of the mobile simulator under the three kill policies on
-//! the Fig. 9 workload, plus the Affect-Table learning-rate ablation.
+//! the Fig. 9 workload, plus the Affect-Table learning-rate ablation,
+//! timed through `bench::results`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Duration;
+
+use bench::results::{batch, print_group, Mode};
 use mobile_sim::device::DeviceConfig;
 use mobile_sim::manager::PolicyKind;
 use mobile_sim::monkey::MonkeyScript;
 use mobile_sim::sim::{compare_policies, Simulator};
 use mobile_sim::subjects::SubjectProfile;
-use std::hint::black_box;
 
-fn bench_policies(c: &mut Criterion) {
+/// Target wall-clock of one cell's batch in one round.
+const TARGET: Duration = Duration::from_millis(10);
+
+fn main() {
+    let mode = Mode::from_args();
     let device = DeviceConfig::paper_emulator();
     let subject = SubjectProfile::subject3();
-    let workload = MonkeyScript::new(&subject, 5)
+    let policy_workload = MonkeyScript::new(&subject, 5)
         .paper_fig9()
         .build(&device)
         .unwrap();
 
-    let mut group = c.benchmark_group("sim_policy");
-    for kind in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::Emotion] {
-        group.bench_with_input(BenchmarkId::from_parameter(kind), &workload, |b, w| {
-            b.iter(|| {
-                let mut sim =
-                    Simulator::with_subject(device.clone(), kind, &subject, 0.05).unwrap();
-                sim.run(black_box(w)).unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_alpha_ablation(c: &mut Criterion) {
     // DESIGN.md §7: App Affect Table learning rate vs reload savings.
-    let device = DeviceConfig::paper_emulator();
-    let subject = SubjectProfile::subject3();
     let workload = MonkeyScript::new(&subject, 6)
         .paper_fig9()
         .build(&device)
         .unwrap();
-
     eprintln!("\nAffect-table EMA alpha ablation (memory saving vs fifo):");
     for alpha in [0.0f32, 0.02, 0.05, 0.1, 0.3] {
         let report =
@@ -50,19 +40,29 @@ fn bench_alpha_ablation(c: &mut Criterion) {
         );
     }
 
-    c.bench_function("compare_policies_alpha_0.05", |b| {
-        b.iter(|| {
+    let (device, subject, policy_workload) = (&device, &subject, &policy_workload);
+    let mut cells = Vec::new();
+    for kind in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::Emotion] {
+        cells.push((
+            format!("sim_policy/{kind}"),
+            batch(mode, TARGET, move || {
+                let mut sim = Simulator::with_subject(device.clone(), kind, subject, 0.05).unwrap();
+                sim.run(black_box(policy_workload)).unwrap()
+            }),
+        ));
+    }
+    cells.push((
+        "compare_policies_alpha_0.05".into(),
+        batch(mode, TARGET, || {
             compare_policies(
-                &device,
-                &subject,
+                device,
+                subject,
                 black_box(&workload),
                 PolicyKind::Fifo,
                 0.05,
             )
             .unwrap()
-        });
-    });
+        }),
+    ));
+    print_group(cells);
 }
-
-criterion_group!(benches, bench_policies, bench_alpha_ablation);
-criterion_main!(benches);

@@ -3,10 +3,11 @@
 //! Each `figN` module reproduces one evaluation artifact of *"Human Emotion
 //! Based Real-time Memory and Computation Management on Resource-Limited
 //! Edge Devices"* (DAC 2022); the `repro` binary drives them and prints
-//! aligned text tables. The Criterion benches in `benches/` measure the
-//! performance-sensitive kernels and end-to-end paths on the same harness.
-//! Both write what they measure through [`results`]: `repro` its CSVs, the
-//! benches their `BENCH_<name>.json`, all under `<repo>/results`.
+//! aligned text tables. The benches in `benches/` measure the
+//! performance-sensitive kernels and end-to-end paths on the same harness,
+//! every cell timed by the one loop in [`results`]. Both write what they
+//! measure through [`results`]: `repro` its CSVs, the benches their
+//! `BENCH_<name>.json`, all under `<repo>/results`.
 
 pub mod ext;
 pub mod fig10;

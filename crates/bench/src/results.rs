@@ -23,11 +23,21 @@
 //! Cells and summary values that read as JSON numbers are written as
 //! numbers, `true`/`false` as booleans, and anything else as a string. A
 //! provenance stamp that cannot be read is written as `"unknown"`.
+//!
+//! It is also the one timing loop of every bench. A [`group`] of cells is
+//! measured in [`ROUNDS`] rounds, each calling every cell once in an order
+//! that rotates between rounds; a cell is usually a [`batch`], which times
+//! as many calls of a kernel as fill a target duration. Each cell reports
+//! the median and quartiles of its per-round figures, and [`interleave`]
+//! adds the per-round ratio of two cells. [`Mode::from_args`] is the one
+//! reader of `--test`, under which every cell runs exactly once.
 
 use std::fs;
+use std::hint::black_box;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
 use h264::backend::BackendKind;
 
@@ -69,11 +79,157 @@ pub fn write_bench(
     Ok(path)
 }
 
-/// Rounds of an [`interleave`]d measurement. Odd, so each median is one
-/// measured round.
+/// Rounds of every timed measurement. Odd, so each median is one measured
+/// round.
 pub const ROUNDS: usize = 7;
 
-/// Medians of an [`interleave`]d measurement.
+/// How a bench binary runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Every cell is timed in batches over [`ROUNDS`] rounds, and a bench
+    /// with a `BENCH_<name>.json` rewrites it.
+    Full,
+    /// `--test`, which `cargo test` passes to a `harness = false` target
+    /// and CI's bench smoke passes by hand: every cell runs exactly once,
+    /// a sweep shrinks to its smoke grid, and nothing is written.
+    Test,
+}
+
+impl Mode {
+    /// The mode this process was started in: [`Mode::Test`] when one of
+    /// its arguments is `--test`.
+    pub fn from_args() -> Self {
+        if std::env::args().any(|a| a == "--test") {
+            Self::Test
+        } else {
+            Self::Full
+        }
+    }
+}
+
+/// The median and quartiles of one cell's per-round figures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The order statistics at a quarter, a half and three quarters of the
+    /// sorted `figures`: with [`ROUNDS`] figures, the 2nd, 4th and 6th.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `figures` is empty.
+    pub fn of(figures: &[f64]) -> Self {
+        let mut sorted = figures.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |quarters: usize| sorted[sorted.len() * quarters / 4];
+        Self {
+            q1: at(1),
+            median: at(2),
+            q3: at(3),
+        }
+    }
+}
+
+/// Times `op` in batches. One timed first call sizes a batch to fill
+/// about `target`; each call of the returned closure then runs one batch
+/// and returns its seconds per call of `op`. In [`Mode::Test`] the first
+/// call is the only one, and every figure is its time.
+pub fn batch<'a, R>(
+    mode: Mode,
+    target: Duration,
+    mut op: impl FnMut() -> R + 'a,
+) -> Box<dyn FnMut() -> f64 + 'a> {
+    let first = seconds_per_call(1, &mut op);
+    match mode {
+        Mode::Test => Box::new(move || first),
+        Mode::Full => {
+            let size = (target.as_secs_f64() / first.max(1e-9)).max(1.0) as u32;
+            Box::new(move || seconds_per_call(size, &mut op))
+        }
+    }
+}
+
+/// Seconds per call of `n` back-to-back calls of `op`.
+fn seconds_per_call<R>(n: u32, op: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..n {
+        black_box(op());
+    }
+    start.elapsed().as_secs_f64() / f64::from(n)
+}
+
+/// The one timing loop: [`ROUNDS`] rounds, each calling every cell once
+/// for one figure. Round `r` starts at cell `r mod n` and goes on in order,
+/// so a drift in host speed lands on every cell of a round alike, and no
+/// cell always runs on caches another warmed. Returns each cell's figures
+/// in round order.
+fn rounds(cells: &mut [&mut dyn FnMut() -> f64]) -> Vec<Vec<f64>> {
+    let n = cells.len();
+    let mut figures = vec![Vec::with_capacity(ROUNDS); n];
+    for round in 0..ROUNDS {
+        for k in 0..n {
+            let cell = (round + k) % n;
+            figures[cell].push(cells[cell]());
+        }
+    }
+    figures
+}
+
+/// Measures `cells` in the same [`ROUNDS`] rounds and returns each one's
+/// [`Spread`], in order. Each call of a cell returns one figure, such as a
+/// [`batch`]'s seconds per call.
+pub fn group(cells: &mut [&mut dyn FnMut() -> f64]) -> Vec<Spread> {
+    rounds(cells)
+        .iter()
+        .map(|figures| Spread::of(figures))
+        .collect()
+}
+
+/// Times named cells as one [`group`] of [`batch`]es and prints each
+/// one's median [Q1, Q3] time per call.
+pub fn print_group(mut cells: Vec<(String, Box<dyn FnMut() -> f64 + '_>)>) {
+    let mut figures: Vec<&mut dyn FnMut() -> f64> =
+        cells.iter_mut().map(|(_, cell)| &mut **cell as _).collect();
+    let spreads = group(&mut figures);
+    for ((name, _), spread) in cells.iter().zip(spreads) {
+        print_time(name, spread);
+    }
+}
+
+/// Prints `name` and a spread of seconds per call, in ns, µs, ms or s by
+/// its median.
+pub fn print_time(name: &str, s: Spread) {
+    let (scale, unit) = [(1e9, "ns"), (1e6, "µs"), (1e3, "ms")]
+        .into_iter()
+        .find(|(scale, _)| s.median * scale < 1e3)
+        .unwrap_or((1.0, "s"));
+    print_spread(
+        name,
+        Spread {
+            q1: s.q1 * scale,
+            median: s.median * scale,
+            q3: s.q3 * scale,
+        },
+        unit,
+    );
+}
+
+/// Prints `name` and the median [Q1, Q3] of `s`, in `unit`.
+pub fn print_spread(name: &str, s: Spread, unit: &str) {
+    println!(
+        "{name:<48} {:>10.3} {unit:<2}  [{:.3}, {:.3}]",
+        s.median, s.q1, s.q3
+    );
+}
+
+/// An [`interleave`]d measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interleaved {
     /// Median of the baseline's per-round figures.
@@ -82,34 +238,32 @@ pub struct Interleaved {
     pub cell: f64,
     /// Median of the per-round `cell / baseline` ratios.
     pub ratio: f64,
+    /// The baseline's, the cell's and the ratios' spreads, in that order:
+    /// their medians are the three fields above.
+    pub spreads: [Spread; 3],
 }
 
-/// Measures `baseline` and `cell` back to back, [`ROUNDS`] times, and
-/// returns the medians. A drift in host speed then lands on both sides of
-/// a round's ratio instead of on one cell. The side that runs first
-/// alternates, so neither always runs on caches the other warmed. Each
-/// call returns one figure, such as a rate.
+/// Measures `baseline` and `cell` as a [`group`] of two, so the side that
+/// runs first alternates, and adds the median and spread of the per-round
+/// `cell / baseline` ratios. A drift in host speed then lands on both
+/// sides of a round's ratio instead of on one cell.
 pub fn interleave(mut baseline: impl FnMut() -> f64, mut cell: impl FnMut() -> f64) -> Interleaved {
-    let rounds: Vec<(f64, f64)> = (0..ROUNDS)
-        .map(|round| {
-            if round % 2 == 0 {
-                let b = baseline();
-                (b, cell())
-            } else {
-                let c = cell();
-                (baseline(), c)
-            }
-        })
+    let figures = rounds(&mut [&mut baseline, &mut cell]);
+    let ratios: Vec<f64> = figures[0]
+        .iter()
+        .zip(&figures[1])
+        .map(|(b, c)| c / b)
         .collect();
-    let median = |figure: fn(&(f64, f64)) -> f64| {
-        let mut figures: Vec<f64> = rounds.iter().map(figure).collect();
-        figures.sort_by(f64::total_cmp);
-        figures[figures.len() / 2]
-    };
+    let spreads = [
+        Spread::of(&figures[0]),
+        Spread::of(&figures[1]),
+        Spread::of(&ratios),
+    ];
     Interleaved {
-        baseline: median(|r| r.0),
-        cell: median(|r| r.1),
-        ratio: median(|r| r.1 / r.0),
+        baseline: spreads[0].median,
+        cell: spreads[1].median,
+        ratio: spreads[2].median,
+        spreads,
     }
 }
 
@@ -302,6 +456,80 @@ mod tests {
         assert_eq!(m.baseline, 4.0);
         assert_eq!(m.cell, 64.0);
         assert_eq!(m.ratio, 16.0);
+    }
+
+    #[test]
+    fn every_cell_of_a_group_leads_a_round() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let cell = |k: usize| {
+            let calls = &calls;
+            move || {
+                calls.borrow_mut().push(k);
+                0.0
+            }
+        };
+        let (mut a, mut b, mut c) = (cell(0), cell(1), cell(2));
+        group(&mut [&mut a, &mut b, &mut c]);
+        let calls = calls.into_inner();
+        assert_eq!(calls.len(), 3 * ROUNDS);
+        let mut leads = Vec::new();
+        for round in calls.chunks(3) {
+            let mut cells = round.to_vec();
+            cells.sort_unstable();
+            assert_eq!(cells, [0, 1, 2], "a round calls every cell once");
+            leads.push(round[0]);
+        }
+        for k in 0..3 {
+            assert!(leads.contains(&k), "cell {k} never leads: {leads:?}");
+        }
+    }
+
+    #[test]
+    fn spreads_are_the_quartiles_of_the_rounds() {
+        let scripted = |figures: [f64; ROUNDS]| {
+            let mut round = 0;
+            move || {
+                round += 1;
+                figures[round - 1]
+            }
+        };
+        let mut shuffled = scripted([7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0]);
+        let mut flat = scripted([9.0; ROUNDS]);
+        let mut skewed = scripted([1.0, 1.0, 1.0, 1.0, 2.0, 50.0, 100.0]);
+        let spreads = group(&mut [&mut shuffled, &mut flat, &mut skewed]);
+        let spread = |q1, median, q3| Spread { q1, median, q3 };
+        assert_eq!(
+            spreads,
+            [
+                spread(2.0, 4.0, 6.0),
+                spread(9.0, 9.0, 9.0),
+                spread(1.0, 1.0, 50.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn test_mode_calls_each_cell_once() {
+        let counts: [std::cell::Cell<u32>; 3] = Default::default();
+        let counted = |mode, k: usize| {
+            let count = &counts[k];
+            batch(mode, Duration::ZERO, move || count.set(count.get() + 1))
+        };
+        let (mut a, mut b, mut c) = (
+            counted(Mode::Test, 0),
+            counted(Mode::Test, 1),
+            counted(Mode::Test, 2),
+        );
+        let spreads = group(&mut [&mut a, &mut b, &mut c]);
+        assert!(counts.iter().all(|count| count.get() == 1));
+        for s in spreads {
+            assert!(s.q1 == s.median && s.median == s.q3, "{s:?}");
+        }
+        // A full run sizes from one call, then runs a batch of at least
+        // one call every round.
+        let mut full = counted(Mode::Full, 0);
+        group(&mut [&mut full]);
+        assert_eq!(counts[0].get(), 1 + 1 + ROUNDS as u32);
     }
 
     #[test]
